@@ -14,7 +14,7 @@ records = gen_interval_workload(
 
 print(f"{'digits':>6} {'universe':>16} {'m':>5} {'payload KiB':>12} {'ids KiB':>9}")
 for digits in (0, 2, 4, 6, 8):
-    index = IISIndex.build(records, ScaleConfig(digits), plain_set_max=0)
+    index = IISIndex.build(records, ScaleConfig(digits))
     report = index.space_report()
     print(f"{digits:>6} {index.u:>16} {index.m:>5} "
           f"{report['payload_bits'] / 8192:>12.1f} {report['id_bits'] / 8192:>9.1f}")

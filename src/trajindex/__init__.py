@@ -1,10 +1,10 @@
 """Two-level index for network-constrained moving-object trajectories.
 
 The spatial level is an R-tree over the network's segment boxes; the
-temporal level is one interval-intersection structure per segment, with
-four interchangeable backends: a plain array, a classic interval tree,
-a stabbing-tree and the compact independent-interval-set structure built
-on Elias-Fano sequences.
+temporal level answers interval intersections over every segment's
+records, with four interchangeable backends: a plain array, a classic
+interval tree, a stabbing-tree and the compact independent-interval-set
+structure built on Elias-Fano sequences.
 """
 
 from .core import (

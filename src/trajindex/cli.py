@@ -102,8 +102,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--backend", choices=sorted(_CLI_BACKENDS), default="iis")
     p.add_argument("--scale-digits", type=int, default=8)
     p.add_argument("--fanout", type=int, default=32)
-    p.add_argument("--linear-fallback", type=int, default=16,
-                   help="segments with fewer records use a plain array")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("query", help="run queries against an index file")
@@ -173,7 +171,6 @@ def _cmd_build(args) -> int:
         temporal_backend=_CLI_BACKENDS[args.backend],
         scale=ScaleConfig(args.scale_digits),
         rtree_fanout=args.fanout,
-        linear_fallback_max=args.linear_fallback,
     )
     index = TrajIndex.build(net, records, cfg)
     index.save(args.out)

@@ -1,17 +1,25 @@
-"""The two-level index: an R-tree over segment boxes on top, one temporal
-index per segment underneath, and the query pipeline joining them.
+"""The two-level index: an R-tree over segment boxes on top, the temporal
+level over every segment's records underneath, and the query pipeline
+joining them.
 
 A range query runs the window on the R-tree, refines the candidate
-segments with the exact segment/window test, executes the interval
-intersection on every surviving segment's temporal index, and unions the
-object ids.  Query timestamps are discretized with the scale the index
-was built with, so lossy builds stay exact at the tick level.
+segments with the exact segment/window test where the box test is not
+already exact, executes the interval intersection on the surviving
+segments' records, and unions the object ids.  Query timestamps are
+discretized with the scale the index was built with, so lossy builds
+stay exact at the tick level.
+
+The records live in one table ordered segment by segment.  The ``iis``
+backend is a single :class:`IISIndex` over that table, which answers a
+query for all candidate segments in one batched call; the other backends
+keep one structure per segment over its slice of the table.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +27,6 @@ from .core import (
     ConfigError,
     FormatError,
     IngestionError,
-    IntervalRecord,
     InvalidInputError,
     InvalidQueryError,
     Point,
@@ -29,19 +36,23 @@ from .core import (
     TimeInterval,
     VersionError,
     discretize_time,
+    discretize_times,
     mbb_of_segment,
     segments_intersect_window,
 )
 from .datagen import Network
+from .eliasfano import prefix_offsets
 from .rtree import RTree, RTreeEntry, build_rtree
-from .temporal import BACKENDS, build_temporal_index
+from .temporal import BACKENDS
 from .temporal.iis import IISIndex
 
 MAGIC = b"TJIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 
 _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
 _TAG_BACKENDS = {v: k for k, v in _BACKEND_TAGS.items()}
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -49,15 +60,12 @@ class TrajIndexConfig:
     temporal_backend: str = "iis"
     scale: ScaleConfig = field(default_factory=ScaleConfig)
     rtree_fanout: int = 32
-    linear_fallback_max: int = 16  # segments with fewer records use plain arrays
 
     def __post_init__(self):
         if self.temporal_backend not in BACKENDS:
             raise ConfigError(
                 f"unknown temporal backend {self.temporal_backend!r}; expected one of {sorted(BACKENDS)}"
             )
-        if self.linear_fallback_max < 0:
-            raise ConfigError("linear_fallback_max must be >= 0")
 
 
 @dataclass
@@ -83,29 +91,73 @@ class IndexStats:
         return self.spatial_bytes + self.temporal_bytes + self.data_bytes
 
 
-class _SegmentData:
-    """Per-segment record table plus its temporal index."""
+class SegmentRecords(NamedTuple):
+    """One segment's slice of the record table."""
 
-    __slots__ = ("object_ids", "t_start", "t_end", "temporal")
+    object_ids: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
 
-    def __init__(self, object_ids, t_start, t_end, temporal):
+
+class _PerSegment:
+    """One temporal structure per loaded segment, each over its segment's
+    slice of the record table; answers with record-table rows."""
+
+    def __init__(self, backend: str, parts: dict, seg_rows: np.ndarray):
+        self.backend = backend
+        self.parts = parts
+        self.seg_rows = seg_rows
+
+    @classmethod
+    def from_ticks(cls, backend: str, starts, ends, seg_rows: np.ndarray, digits: int) -> "_PerSegment":
+        factory = BACKENDS[backend]
+        loaded = np.flatnonzero(np.diff(seg_rows)).tolist()
+        bounds = seg_rows.tolist()
+        parts = {g: factory.from_ticks(starts[bounds[g]: bounds[g + 1]], ends[bounds[g]: bounds[g + 1]], digits)
+                 for g in loaded}
+        return cls(backend, parts, seg_rows)
+
+    def query(self, l: int, r: int, segments: np.ndarray) -> np.ndarray:
+        out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
+        return np.concatenate(out) if out else _EMPTY
+
+    def space_report(self) -> dict:
+        bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
+        return {"backend": self.backend, "n": int(self.seg_rows[-1]), "total_bits": bits}
+
+
+class TrajIndex:
+    """The record table holds every record once, ordered by segment:
+    ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
+    temporal structure answers with those row numbers."""
+
+    def __init__(self, network: Network, rtree: RTree, cfg: TrajIndexConfig, seg_rows: np.ndarray,
+                 object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
+        self.network = network
+        self.rtree = rtree
+        self.cfg = cfg
+        self.seg_rows = seg_rows
         self.object_ids = object_ids
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
-
-
-class TrajIndex:
-    def __init__(self, network: Network, rtree: RTree, segments: dict[int, _SegmentData],
-                 cfg: TrajIndexConfig):
-        self.network = network
-        self.rtree = rtree
-        self.segments = segments
-        self.cfg = cfg
         self._ax = np.array([s.a.x for s in network.edges])
         self._ay = np.array([s.a.y for s in network.edges])
         self._bx = np.array([s.b.x for s in network.edges])
         self._by = np.array([s.b.y for s in network.edges])
+        # an axis-parallel segment is its own box, so the R-tree's box test is exact
+        self._box_exact = (self._ax == self._bx) | (self._ay == self._by)
+
+    @property
+    def segments(self) -> dict[int, SegmentRecords]:
+        """Per loaded segment id, its slice of the record table."""
+        bounds = self.seg_rows.tolist()
+        return {
+            seg: SegmentRecords(self.object_ids[bounds[seg]: bounds[seg + 1]],
+                                self.t_start[bounds[seg]: bounds[seg + 1]],
+                                self.t_end[bounds[seg]: bounds[seg + 1]])
+            for seg in np.flatnonzero(np.diff(self.seg_rows)).tolist()
+        }
 
     # -- construction ----------------------------------------------------
 
@@ -113,60 +165,57 @@ class TrajIndex:
     def build(cls, network: Network, records, cfg: TrajIndexConfig | None = None) -> "TrajIndex":
         cfg = cfg or TrajIndexConfig()
         n_edges = len(network.edges)
-        per_segment: dict[int, list[IntervalRecord]] = {}
-        for pos, (seg_id, rec) in enumerate(records):
-            if not 0 <= seg_id < n_edges:
-                raise IngestionError(
-                    f"record {pos} (object {rec.object_id}, [{rec.interval.start}, "
-                    f"{rec.interval.end}]) references unknown segment id {seg_id}"
-                )
-            per_segment.setdefault(seg_id, []).append(rec)
+        n = len(records)
+        try:
+            seg = np.fromiter((s for s, _ in records), dtype=np.int64, count=n)
+            obj = np.fromiter((rec.object_id for _, rec in records), dtype=np.int64, count=n)
+        except OverflowError:
+            _reject_first_bad_record(records, n_edges)
+            raise
+        if n and (seg.min() < 0 or seg.max() >= n_edges or obj.max() > MAX_OBJECT_ID):
+            _reject_first_bad_record(records, n_edges)
+        t_start = np.fromiter((rec.interval.start for _, rec in records), dtype=np.float64, count=n)
+        t_end = np.fromiter((rec.interval.end for _, rec in records), dtype=np.float64, count=n)
+        starts = discretize_times(t_start, cfg.scale)
+        ends = discretize_times(t_end, cfg.scale)
+        digits = cfg.scale.digits
+        seg_rows = prefix_offsets(np.bincount(seg, minlength=n_edges))
+        if cfg.temporal_backend == "iis":
+            temporal, order = IISIndex.from_segments(starts, ends, seg, n_edges, digits)
+        else:
+            order = np.argsort(seg, kind="stable")
+            temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows, digits)
         entries = [RTreeEntry(s.id, mbb_of_segment(s)) for s in network.edges]
         rtree = build_rtree(entries, cfg.rtree_fanout)
-        segments: dict[int, _SegmentData] = {}
-        for seg_id, recs in per_segment.items():
-            backend = cfg.temporal_backend if len(recs) >= cfg.linear_fallback_max else "linear"
-            temporal = build_temporal_index(backend, recs, cfg.scale)
-            segments[seg_id] = _SegmentData(
-                np.array([r.object_id for r in recs], dtype=np.int64),
-                np.array([r.interval.start for r in recs], dtype=np.float64),
-                np.array([r.interval.end for r in recs], dtype=np.float64),
-                temporal,
-            )
-        return cls(network, rtree, segments, cfg)
+        return cls(network, rtree, cfg, seg_rows, obj[order].astype(np.uint32), t_start[order], t_end[order],
+                   temporal)
 
     # -- queries ---------------------------------------------------------
 
-    def _candidate_segments(self, window: Rect) -> list[int]:
-        """R-tree hits refined by the exact geometric test."""
-        candidates = self.rtree.window_query(window)
-        if not candidates:
-            return []
-        idx = np.asarray(candidates, dtype=np.int64)
-        hit = segments_intersect_window(self._ax[idx], self._ay[idx], self._bx[idx], self._by[idx], window)
-        return idx[hit].tolist()
+    def _candidate_segments(self, window: Rect) -> np.ndarray:
+        """R-tree hits, refined by the exact geometric test where the box
+        test alone is not exact."""
+        hits = np.array(self.rtree.window_query(window), dtype=np.int64)
+        exact = self._box_exact[hits]
+        if exact.all():
+            return hits
+        rest = hits[~exact]
+        keep = segments_intersect_window(self._ax[rest], self._ay[rest], self._bx[rest], self._by[rest], window)
+        return np.concatenate((hits[exact], rest[keep]))
 
     def range_query(self, window: Rect, t_start: float, t_end: float, verbose: bool = False) -> QueryResult:
         if t_start > t_end:
             raise InvalidQueryError(f"time range [{t_start}, {t_end}] has start > end")
         l = discretize_time(t_start, self.cfg.scale)
         r = discretize_time(t_end, self.cfg.scale)
-        found: set[int] = set()
-        matches: list[tuple[int, int, TimeInterval]] | None = [] if verbose else None
-        for seg_id in self._candidate_segments(window):
-            data = self.segments.get(seg_id)
-            if data is None:
-                continue
-            rows = data.temporal.query(l, r)
-            if len(rows) == 0:
-                continue
-            found.update(data.object_ids[rows].tolist())
-            if matches is not None:
-                for i in rows.tolist():
-                    matches.append(
-                        (int(data.object_ids[i]), seg_id,
-                         TimeInterval(float(data.t_start[i]), float(data.t_end[i])))
-                    )
+        rows = self.temporal.query(l, r, self._candidate_segments(window))
+        found = set(self.object_ids[rows].tolist())
+        matches = None
+        if verbose:
+            segment = np.searchsorted(self.seg_rows, rows, side="right") - 1
+            matches = [(o, s, TimeInterval(a, b)) for o, s, a, b in zip(
+                self.object_ids[rows].tolist(), segment.tolist(),
+                self.t_start[rows].tolist(), self.t_end[rows].tolist())]
         return QueryResult(found, matches)
 
     def time_slice_query(self, window: Rect, t: float, verbose: bool = False) -> QueryResult:
@@ -175,28 +224,25 @@ class TrajIndex:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> IndexStats:
-        per_segment = {seg: len(d.object_ids) for seg, d in self.segments.items()}
-        iis_sets = {
-            seg: d.temporal.m for seg, d in self.segments.items() if isinstance(d.temporal, IISIndex)
-        }
-        per_object: dict[int, int] = {}
-        temporal_bits = 0
-        data_bytes = 0
-        for d in self.segments.values():
-            temporal_bits += d.temporal.space_report()["total_bits"]
-            data_bytes += 4 * len(d.object_ids) + 16 * len(d.object_ids)
-            for obj, cnt in zip(*np.unique(d.object_ids, return_counts=True)):
-                per_object[int(obj)] = per_object.get(int(obj), 0) + int(cnt)
+        counts = np.diff(self.seg_rows)
+        loaded = np.flatnonzero(counts)
+        per_segment = dict(zip(loaded.tolist(), counts[loaded].tolist()))
+        iis_sets = {}
+        if isinstance(self.temporal, IISIndex):
+            iis_sets = dict(zip(loaded.tolist(), self.temporal.set_counts()[loaded].tolist()))
+        objects, per_object = np.unique(self.object_ids, return_counts=True)
+        n = len(self.object_ids)
         return IndexStats(
-            record_count=sum(per_segment.values()),
+            record_count=n,
             segment_count=len(self.network.edges),
-            segments_with_records=len(self.segments),
+            segments_with_records=len(loaded),
             spatial_bytes=self.rtree.space_bytes(),
-            temporal_bytes=(temporal_bits + 7) // 8,
-            data_bytes=data_bytes,
+            temporal_bytes=(self.temporal.space_report()["total_bits"] + 7) // 8,
+            # u32 object id and two f64 times per record, and the segment offsets
+            data_bytes=(4 + 16) * n + self.seg_rows.nbytes,
             per_segment_records=per_segment,
             iis_set_counts=iis_sets,
-            records_per_object=per_object,
+            records_per_object=dict(zip(objects.tolist(), per_object.tolist())),
         )
 
     # -- persistence -------------------------------------------------------
@@ -220,30 +266,33 @@ def build_index(network: Network, records, cfg: TrajIndexConfig | None = None) -
     return TrajIndex.build(network, records, cfg)
 
 
-# -- binary format -------------------------------------------------------
+def _reject_first_bad_record(records, n_edges: int) -> None:
+    for pos, (seg_id, rec) in enumerate(records):
+        where = f"record {pos} (object {rec.object_id}, [{rec.interval.start}, {rec.interval.end}])"
+        if not 0 <= seg_id < n_edges:
+            raise IngestionError(f"{where} references unknown segment id {seg_id}")
+        if rec.object_id > MAX_OBJECT_ID:
+            raise IngestionError(f"{where} has an object id above {MAX_OBJECT_ID}, the largest a u32 holds")
+
+
+# -- binary format (version 2) ---------------------------------------------
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
-# linear_fallback_max u32 | network block | per-segment blocks.
-# The per-segment block stores the record table (object ids as u32,
-# original timestamps as f64 pairs); the iis backend additionally stores
-# its encoded sets so the compact structure round-trips bit-exactly,
-# while the other backends are rebuilt deterministically at load.
+# network block | R-tree block | record table | temporal block.
+# The record table is one u32 record count per network edge, then the
+# object ids (u32) and original entry and exit times (f64) of all records,
+# ordered by segment.  The temporal block is a u64 length and, for the iis
+# backend, its encoded sets; the other backends are rebuilt from the
+# record table at load.
 
-_FILE_HEADER = struct.Struct("<4sHBBHI")
-_SEG_HEADER = struct.Struct("<III")
+_FILE_HEADER = struct.Struct("<4sHBBH")
 
 
 def _serialize_index(index: TrajIndex) -> bytes:
     cfg = index.cfg
     out = bytearray(
-        _FILE_HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            _BACKEND_TAGS[cfg.temporal_backend],
-            cfg.scale.digits,
-            cfg.rtree_fanout,
-            cfg.linear_fallback_max,
-        )
+        _FILE_HEADER.pack(MAGIC, FORMAT_VERSION, _BACKEND_TAGS[cfg.temporal_backend], cfg.scale.digits,
+                          cfg.rtree_fanout)
     )
     net = index.network
     out += struct.pack("<II", len(net.nodes), len(net.edges))
@@ -252,16 +301,13 @@ def _serialize_index(index: TrajIndex) -> bytes:
     rtree_block = index.rtree.to_bytes()
     out += struct.pack("<Q", len(rtree_block))
     out += rtree_block
-    out += struct.pack("<I", len(index.segments))
-    for seg_id in sorted(index.segments):
-        d = index.segments[seg_id]
-        n = len(d.object_ids)
-        payload = d.temporal.to_bytes() if isinstance(d.temporal, IISIndex) else b""
-        out += _SEG_HEADER.pack(seg_id, n, len(payload))
-        out += d.object_ids.astype("<u4").tobytes()
-        out += d.t_start.astype("<f8").tobytes()
-        out += d.t_end.astype("<f8").tobytes()
-        out += payload
+    out += np.diff(index.seg_rows).astype("<u4").tobytes()
+    out += index.object_ids.astype("<u4").tobytes()
+    out += index.t_start.astype("<f8").tobytes()
+    out += index.t_end.astype("<f8").tobytes()
+    temporal = index.temporal.to_bytes() if isinstance(index.temporal, IISIndex) else b""
+    out += struct.pack("<Q", len(temporal))
+    out += temporal
     return bytes(out)
 
 
@@ -289,19 +335,15 @@ class _Reader:
 
 def _deserialize_index(data: bytes) -> TrajIndex:
     rd = _Reader(data)
-    magic, version, backend_tag, digits, fanout, fallback = rd.unpack(_FILE_HEADER)
+    magic, version, backend_tag, digits, fanout = rd.unpack(_FILE_HEADER)
     if magic != MAGIC:
         raise FormatError(f"not an index file (magic {magic!r})")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported index format version {version} (expected {FORMAT_VERSION})")
     if backend_tag not in _TAG_BACKENDS:
         raise FormatError(f"unknown backend tag {backend_tag}")
-    cfg = TrajIndexConfig(
-        temporal_backend=_TAG_BACKENDS[backend_tag],
-        scale=ScaleConfig(digits),
-        rtree_fanout=fanout,
-        linear_fallback_max=fallback,
-    )
+    cfg = TrajIndexConfig(temporal_backend=_TAG_BACKENDS[backend_tag], scale=ScaleConfig(digits),
+                          rtree_fanout=fanout)
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))
     coords = rd.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
@@ -322,32 +364,28 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     rtree, end = RTree.from_bytes(data, rd.pos, fanout)
     if end != rd.pos + rtree_len:
         raise FormatError("spatial index block length mismatch")
-    if rtree.n_entries != n_edges:
-        raise FormatError("spatial index entry count does not match the network")
+    if not np.array_equal(np.sort(rtree.entry_ids()), np.arange(n_edges)):
+        raise FormatError("spatial index entries do not match the network's edges")
     rd.pos = end
 
-    (n_segments,) = rd.unpack(struct.Struct("<I"))
-    segments: dict[int, _SegmentData] = {}
-    for _ in range(n_segments):
-        seg_id, n, payload_len = rd.unpack(_SEG_HEADER)
-        if seg_id >= n_edges:
-            raise FormatError(f"temporal block references unknown segment {seg_id}")
-        object_ids = rd.array("<u4", n).astype(np.int64)
-        t_start = rd.array("<f8", n).astype(np.float64)
-        t_end = rd.array("<f8", n).astype(np.float64)
-        backend = cfg.temporal_backend if n >= cfg.linear_fallback_max else "linear"
-        if backend == "iis":
-            block = rd.data[rd.pos: rd.pos + payload_len]
-            if len(block) < payload_len:
-                raise FormatError("truncated temporal block")
-            temporal, _ = IISIndex.from_bytes(block)
-            if temporal.n != n:
-                raise FormatError("temporal block record count mismatch")
-            rd.pos += payload_len
-        else:
-            rd.pos += payload_len
-            recs = [IntervalRecord(int(o), TimeInterval(float(s), float(e)))
-                    for o, s, e in zip(object_ids, t_start, t_end)]
-            temporal = build_temporal_index(backend, recs, cfg.scale)
-        segments[seg_id] = _SegmentData(object_ids, t_start, t_end, temporal)
-    return TrajIndex(network, rtree, segments, cfg)
+    seg_rows = prefix_offsets(rd.array("<u4", n_edges))
+    n = int(seg_rows[-1])
+    object_ids = rd.array("<u4", n).astype(np.uint32)
+    t_start = rd.array("<f8", n).astype(np.float64)
+    t_end = rd.array("<f8", n).astype(np.float64)
+    (temporal_len,) = rd.unpack(struct.Struct("<Q"))
+    if rd.pos + temporal_len != len(data):
+        raise FormatError("temporal block length does not match the file")
+    if cfg.temporal_backend == "iis":
+        temporal, end = IISIndex.from_bytes(data, rd.pos)
+        if end != len(data) or temporal.row_ids is not None or temporal.digits != digits:
+            raise FormatError("temporal block does not match its header")
+        if len(temporal.seg_sets) != n_edges + 1 or (temporal.set_rows[temporal.seg_sets] != seg_rows).any():
+            raise FormatError("temporal block segment offsets disagree with the record table")
+    else:
+        if temporal_len:
+            raise FormatError("unexpected temporal block")
+        starts = discretize_times(t_start, cfg.scale)
+        ends = discretize_times(t_end, cfg.scale)
+        temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows, digits)
+    return TrajIndex(network, rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)

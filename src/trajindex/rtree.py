@@ -19,6 +19,7 @@ import numpy as np
 from .core import ConfigError, FormatError, Rect, rects_overlap
 
 _NODE_HEADER = struct.Struct("<BI4d")  # kind, count, mbb
+_EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _KIND_INTERNAL, _KIND_LEAF, _KIND_EMPTY = 0, 1, 2
 
 
@@ -121,6 +122,18 @@ class RTree:
                 total += 8 * len(node.children)
                 stack.extend(node.children)
         return total
+
+    def entry_ids(self) -> np.ndarray:
+        """Ids of all entries, leaf by leaf."""
+        ids = [_EMPTY_IDS]
+        stack = [self.root] if self.root else []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                ids.append(node.entry_ids)
+            else:
+                stack.extend(node.children)
+        return np.concatenate(ids)
 
     def node_count(self) -> int:
         count = 0

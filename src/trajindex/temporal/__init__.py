@@ -22,12 +22,12 @@ BACKENDS = {
 }
 
 
-def build_temporal_index(backend: str, records, cfg: ScaleConfig, **kwargs) -> TemporalIndexBase:
+def build_temporal_index(backend: str, records, cfg: ScaleConfig) -> TemporalIndexBase:
     try:
         factory = BACKENDS[backend]
     except KeyError:
         raise ConfigError(f"unknown temporal backend {backend!r}; expected one of {sorted(BACKENDS)}") from None
-    return factory.build(records, cfg, **kwargs)
+    return factory.build(records, cfg)
 
 
 __all__ = [

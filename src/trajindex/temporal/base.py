@@ -46,6 +46,16 @@ class TemporalIndexBase:
         self.digits = digits
         self.n = n
 
+    @classmethod
+    def build(cls, records, cfg: ScaleConfig) -> "TemporalIndexBase":
+        starts, ends = record_tick_arrays(records, cfg)
+        return cls.from_ticks(starts, ends, cfg.digits)
+
+    @classmethod
+    def from_ticks(cls, starts: np.ndarray, ends: np.ndarray, digits: int) -> "TemporalIndexBase":
+        """Index discretized intervals; queries answer with their positions."""
+        raise NotImplementedError
+
     def query(self, l: int, r: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -71,9 +81,8 @@ class LinearScanIndex(TemporalIndexBase):
         self.ends = ends
 
     @classmethod
-    def build(cls, records, cfg: ScaleConfig) -> "LinearScanIndex":
-        starts, ends = record_tick_arrays(records, cfg)
-        return cls(starts, ends, cfg.digits)
+    def from_ticks(cls, starts, ends, digits: int) -> "LinearScanIndex":
+        return cls(np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64), digits)
 
     def query(self, l: int, r: int) -> np.ndarray:
         return intersect_ticks(self.starts, self.ends, l, r)

@@ -10,242 +10,281 @@ independent sets with a patience-style greedy: intervals are processed
 by (start asc, end desc) and each goes to the eligible set whose tail
 end is largest, a new set opening when none qualifies.  Sets require
 strictly increasing starts AND ends, so identical intervals always land
-in distinct sets.  Each set is encoded as two Elias-Fano sequences (its
-starts and its ends) plus the array mapping set-local positions back to
-record indices; sets below a size threshold may keep plain sorted arrays
-instead, which queries via binary search.
+in distinct sets.
+
+One index covers any number of segments, each decomposed on its own.
+Its rows are the records ordered segment by segment, set by set, and by
+start inside a set, so the answer to a query is a run of rows per set.
+Every set stores its starts and its ends as two Elias-Fano sequences;
+the sequences of all sets live in one :class:`FlatEliasFano`, and a
+query ranks every probed set of every probed segment in one batched
+call.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 import numpy as np
 
-from ..core import FormatError, ScaleConfig
-from ..eliasfano import EliasFanoSeq
-from .base import TemporalIndexBase, check_query, record_tick_arrays
+from ..core import FormatError
+from ..eliasfano import EliasFanoSeq, FlatEliasFano, concat_ranges, prefix_offsets
+from .base import TemporalIndexBase, check_query
 
-DEFAULT_PLAIN_SET_MAX = 16
+# universe, segments, sets, rows, digits, whether row ids follow; padded to 8 bytes
+_IIS_HEADER = struct.Struct("<QIIIBB10x")
+_EMPTY = np.zeros(0, dtype=np.int64)
 
-_IIS_HEADER = struct.Struct("<QQB7x")  # set count, universe, digits, padding
 
-
-def decompose_independent_sets(starts, ends) -> tuple[np.ndarray, int]:
+def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, int]:
     """Assign each interval to one of m independent sets, m minimal.
 
     Returns (assignment, m); within a set, intervals ordered by start are
     strictly increasing in both endpoints.  Greedy placement on the
     eligible tail with the largest end is the optimal shuffled-upsequence
-    decomposition of the end values, O(n log m).
+    decomposition of the end values, O(n log m).  With ``groups``, every
+    group is decomposed on its own in the same pass, and the sets of a
+    smaller group get smaller ids.
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     n = len(starts)
-    assignment = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return assignment, 0
-    order = np.lexsort((-ends, starts))  # start asc, end desc, index asc
+    if groups is None:
+        order = np.lexsort((-ends, starts))  # start asc, end desc, index asc
+        cuts = [0, n]
+    else:
+        groups = np.asarray(groups, dtype=np.int64)
+        order = np.lexsort((-ends, starts, groups))
+        sorted_groups = groups[order]
+        cuts = [0, *(np.flatnonzero(sorted_groups[1:] != sorted_groups[:-1]) + 1).tolist(), n]
     # in this order, a tail with a smaller end also has a strictly smaller
     # start, so eligibility reduces to the tail-end comparison alone
-    ends_l = ends.tolist()
-    tails: list[int] = []    # tail end per open set, ascending
-    tail_set: list[int] = []  # set id per tail position
+    ends_l = ends[order].tolist()
+    placed = [0] * n
     m = 0
-    for i in order.tolist():
-        e = ends_l[i]
-        pos = bisect_left(tails, e)
-        if pos == 0:
-            tails.insert(0, e)
-            tail_set.insert(0, m)
-            assignment[i] = m
-            m += 1
-        else:
-            tails[pos - 1] = e
-            assignment[i] = tail_set[pos - 1]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        tails: list[int] = []     # tail end per open set, ascending
+        tail_set: list[int] = []  # set id per tail position
+        for p in range(lo, hi):
+            e = ends_l[p]
+            pos = bisect_left(tails, e)
+            if pos == 0:
+                tails.insert(0, e)
+                tail_set.insert(0, m)
+                placed[p] = m
+                m += 1
+            else:
+                tails[pos - 1] = e
+                placed[p] = tail_set[pos - 1]
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = placed
     return assignment, m
 
 
 class IndependentIntervalSet:
-    """One independent set: parallel start/end sequences plus record ids."""
+    """A stand-alone view of one set: its start and end sequences."""
 
-    __slots__ = ("starts_seq", "ends_seq", "starts_plain", "ends_plain", "record_ids")
+    __slots__ = ("starts_seq", "ends_seq")
 
-    def __init__(self, record_ids, starts_seq=None, ends_seq=None, starts_plain=None, ends_plain=None):
-        self.record_ids = record_ids
+    def __init__(self, starts_seq: EliasFanoSeq, ends_seq: EliasFanoSeq):
         self.starts_seq = starts_seq
         self.ends_seq = ends_seq
-        self.starts_plain = starts_plain
-        self.ends_plain = ends_plain
-
-    @classmethod
-    def encode(cls, starts, ends, record_ids, u: int, plain: bool) -> "IndependentIntervalSet":
-        if plain:
-            # plain sets answer with bisect, so keep list storage
-            return cls(record_ids, starts_plain=list(map(int, starts)), ends_plain=list(map(int, ends)))
-        return cls(
-            record_ids,
-            starts_seq=EliasFanoSeq.from_values(starts, u),
-            ends_seq=EliasFanoSeq.from_values(ends, u),
-        )
 
     def __len__(self) -> int:
-        return len(self.record_ids)
-
-    @property
-    def compact(self) -> bool:
-        return self.starts_seq is not None
+        return self.starts_seq.n
 
     def query_slice(self, l: int, r: int) -> tuple[int, int]:
         """Set-local [first, last) range of intervals intersecting [l, r]."""
-        if self.compact:
-            last = self.starts_seq.rank(r)
-            first = self.ends_seq.rank(l - 1)  # ends < l, i.e. ends <= l-1
-        else:
-            last = bisect_right(self.starts_plain, r)
-            first = bisect_left(self.ends_plain, l)
+        last = self.starts_seq.rank(r)
+        first = self.ends_seq.rank(l - 1)  # ends < l, i.e. ends <= l-1
         return first, last
-
-    def decode_starts(self) -> np.ndarray:
-        return self.starts_seq.to_array() if self.compact else np.asarray(self.starts_plain, dtype=np.int64)
-
-    def decode_ends(self) -> np.ndarray:
-        return self.ends_seq.to_array() if self.compact else np.asarray(self.ends_plain, dtype=np.int64)
 
 
 class IISIndex(TemporalIndexBase):
+    """Independent sets of one or more segments over one tick universe.
+
+    ``seg_sets[g]:seg_sets[g + 1]`` are the sets of segment g and
+    ``set_rows[k]:set_rows[k + 1]`` the rows of set k.  Sequence ``2k`` of
+    ``seqs`` holds the starts of set k and sequence ``2k + 1`` its ends.
+    ``row_ids`` maps rows back to the caller's record order; it is None
+    when the caller stores its records in row order itself.
+    """
+
     backend = "iis"
 
-    def __init__(self, sets: list[IndependentIntervalSet], u: int, digits: int, n: int):
-        super().__init__(digits, n)
-        self.sets = sets
-        self.u = u
+    def __init__(self, seg_sets: np.ndarray, set_rows: np.ndarray, seqs: FlatEliasFano,
+                 digits: int, row_ids: np.ndarray | None = None):
+        super().__init__(digits, int(set_rows[-1]))
+        self.seg_sets = seg_sets
+        self.set_rows = set_rows
+        self.seqs = seqs
+        self.row_ids = row_ids
+
+    @property
+    def u(self) -> int:
+        return self.seqs.u
 
     @property
     def m(self) -> int:
-        return len(self.sets)
+        return len(self.set_rows) - 1
+
+    @property
+    def sets(self) -> list[IndependentIntervalSet]:
+        """Every set as a stand-alone view (copies; for inspection and tests)."""
+        return [IndependentIntervalSet(self.seqs.sequence(2 * k), self.seqs.sequence(2 * k + 1))
+                for k in range(self.m)]
+
+    def set_counts(self) -> np.ndarray:
+        """Independent sets per segment."""
+        return np.diff(self.seg_sets)
+
+    # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(cls, records, cfg: ScaleConfig, *, plain_set_max: int = DEFAULT_PLAIN_SET_MAX) -> "IISIndex":
-        starts, ends = record_tick_arrays(records, cfg)
-        return cls.from_ticks(starts, ends, cfg.digits, plain_set_max=plain_set_max)
+    def from_ticks(cls, starts, ends, digits: int) -> "IISIndex":
+        """One segment; queries answer with indices into ``starts``/``ends``."""
+        starts = np.asarray(starts, dtype=np.int64)
+        index, order = cls.from_segments(starts, ends, np.zeros(len(starts), dtype=np.int64), 1, digits)
+        index.row_ids = order.astype(np.uint32)
+        return index
 
     @classmethod
-    def from_ticks(cls, starts, ends, digits: int, *, plain_set_max: int = DEFAULT_PLAIN_SET_MAX) -> "IISIndex":
+    def from_segments(cls, starts, ends, segments, n_segments: int, digits: int) -> tuple["IISIndex", np.ndarray]:
+        """Decompose every segment's records on their own.
+
+        ``segments[i]`` in ``[0, n_segments)`` is record i's segment.
+        Returns the index and the row order: row j holds record ``order[j]``.
+        """
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
-        if n == 0:
-            return cls([], 0, digits, 0)
-        assignment, m = decompose_independent_sets(starts, ends)
-        u = int(ends.max()) + 1
+        assignment, m = decompose_independent_sets(starts, ends, segments)
+        # members of a set are contiguous and start-ascending; sets follow segments
         order = np.lexsort((starts, assignment))
-        grouped = order  # members of set k are contiguous, start-ascending
         set_sizes = np.bincount(assignment, minlength=m)
-        sets: list[IndependentIntervalSet] = []
-        offset = 0
-        for k in range(m):
-            size = int(set_sizes[k])
-            members = grouped[offset: offset + size]
-            offset += size
-            sets.append(
-                IndependentIntervalSet.encode(
-                    starts[members],
-                    ends[members],
-                    members.astype(np.uint32),
-                    u,
-                    plain=size <= plain_set_max,
-                )
-            )
-        return cls(sets, u, digits, n)
+        set_rows = prefix_offsets(set_sizes)
+        set_segment = np.asarray(segments, dtype=np.int64)[order[set_rows[:-1]]]
+        seg_sets = prefix_offsets(np.bincount(set_segment, minlength=n_segments))
+        # set k's starts, then its ends, at 2 * set_rows[k]
+        row_set = assignment[order]
+        at = np.arange(n) + set_rows[row_set]
+        values = np.empty(2 * n, dtype=np.int64)
+        values[at] = starts[order]
+        values[at + set_sizes[row_set]] = ends[order]
+        u = int(ends.max()) + 1 if n else 0
+        seqs = FlatEliasFano.from_values(values, np.repeat(set_sizes, 2), u)
+        return cls(seg_sets, set_rows, seqs, digits), order
 
-    def query(self, l: int, r: int) -> np.ndarray:
+    # -- queries -----------------------------------------------------------
+
+    def query(self, l: int, r: int, segments: np.ndarray | None = None) -> np.ndarray:
+        """Rows intersecting [l, r] among the segments numbered in the array
+        ``segments`` (all segments by default)."""
         check_query(l, r)
-        out: list[np.ndarray] = []
-        for s in self.sets:
-            first, last = s.query_slice(l, r)
-            if first < last:
-                out.append(s.record_ids[first:last])
-        if not out:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(out).astype(np.int64)
+        if segments is None:
+            sets = np.arange(self.m)
+        else:
+            first = self.seg_sets[segments]
+            sets = concat_ranges(first, self.seg_sets[segments + 1] - first)
+        n = len(sets)
+        if n == 0:
+            return _EMPTY
+        top = self.u - 1
+        # one lane per (set, endpoint): rank of the starts at r, of the ends at l - 1
+        lanes = np.concatenate((sets << 1, (sets << 1) | 1))
+        x = np.array((max(min(r, top), -1), max(min(l - 1, top), -1))).repeat(n)
+        ranks = self.seqs.rank(lanes, x)
+        first = ranks[n:]
+        rows = concat_ranges(self.set_rows[sets] + first, ranks[:n] - first)
+        return rows if self.row_ids is None else self.row_ids[rows].astype(np.int64)
 
     # -- accounting ----------------------------------------------------
 
     def space_report(self) -> dict:
-        per_set = []
-        payload = overhead = ids = plain_bits = 0
-        for s in self.sets:
-            entry = {"n": len(s), "compact": s.compact}
-            if s.compact:
-                entry["payload_bits"] = s.starts_seq.payload_bits + s.ends_seq.payload_bits
-                entry["select_overhead_bits"] = (
-                    s.starts_seq.select_overhead_bits + s.ends_seq.select_overhead_bits
-                )
-                payload += entry["payload_bits"]
-                overhead += entry["select_overhead_bits"]
-            else:
-                entry["plain_bits"] = 64 * 2 * len(s)
-                plain_bits += entry["plain_bits"]
-            entry["id_bits"] = 32 * len(s)
-            ids += entry["id_bits"]
-            per_set.append(entry)
+        """Bits per part.  ``plain_bits`` counts the uncompressed offset
+        tables: segment and set offsets, and the per-sequence widths and
+        section offsets; ``id_bits`` the row-id map of a stand-alone index."""
+        payload = self.seqs.payload_bits()
+        overhead = self.seqs.select_overhead_bits()
+        set_payload = (payload[0::2] + payload[1::2]).tolist()
+        set_overhead = (overhead[0::2] + overhead[1::2]).tolist()
+        per_set = [
+            {"n": n, "compact": True, "payload_bits": p, "select_overhead_bits": o}
+            for n, p, o in zip(np.diff(self.set_rows).tolist(), set_payload, set_overhead)
+        ]
+        plain_bits = 0
+        if self.n:  # an index without records answers every query with nothing
+            plain_bits = 8 * (self.seg_sets.nbytes + self.set_rows.nbytes) + self.seqs.directory_bits()
+        id_bits = 32 * self.n if self.row_ids is not None else 0
+        total_payload, total_overhead = int(payload.sum()), int(overhead.sum())
         return {
             "backend": self.backend,
             "n": self.n,
             "m": self.m,
             "u": self.u,
-            "payload_bits": payload,
-            "select_overhead_bits": overhead,
+            "payload_bits": total_payload,
+            "select_overhead_bits": total_overhead,
             "plain_bits": plain_bits,
-            "id_bits": ids,
-            "total_bits": payload + overhead + plain_bits + ids,
+            "id_bits": id_bits,
+            "total_bits": total_payload + total_overhead + plain_bits + id_bits,
             "per_set": per_set,
         }
 
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Set count, universe and digits, then per set the start sequence,
-        the end sequence and the record ids as a padded 32-bit array."""
-        out = bytearray(_IIS_HEADER.pack(self.m, self.u, self.digits))
-        for s in self.sets:
-            u = self.u if len(s) else 0
-            starts_seq = s.starts_seq or EliasFanoSeq.from_values(s.starts_plain, u)
-            ends_seq = s.ends_seq or EliasFanoSeq.from_values(s.ends_plain, u)
-            out += starts_seq.to_bytes()
-            out += ends_seq.to_bytes()
-            ids = np.asarray(s.record_ids, dtype="<u4").tobytes()
-            out += ids
-            out += b"\0" * (-len(ids) % 8)
+        """Header, sets per segment and rows per set (``u32``), the row ids
+        of a stand-alone index (``u32``), padding to 8 bytes, then the low
+        words and the high words of all sequences."""
+        n_low, n_high = FlatEliasFano.word_counts(self.u, self.seqs.sizes)
+        out = bytearray(_IIS_HEADER.pack(self.u, len(self.seg_sets) - 1, self.m, self.n, self.digits,
+                                         self.row_ids is not None))
+        out += np.diff(self.seg_sets).astype("<u4").tobytes()
+        out += np.diff(self.set_rows).astype("<u4").tobytes()
+        if self.row_ids is not None:
+            out += self.row_ids.astype("<u4").tobytes()
+        out += b"\0" * (-len(out) % 8)
+        out += self.seqs.lows[:n_low].astype("<u8").tobytes()
+        out += self.seqs.highs[:n_high].astype("<u8").tobytes()
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0, *, plain_set_max: int = DEFAULT_PLAIN_SET_MAX) -> tuple["IISIndex", int]:
+    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["IISIndex", int]:
+        """Decode and check an index, returning it and the offset past it.
+        Raises ``FormatError`` when the block is truncated, its counts do not
+        add up or a high part is malformed; low bits are not checked."""
+        start = offset
         try:
-            m, u, digits = _IIS_HEADER.unpack_from(data, offset)
+            u, n_segments, m, n, digits, has_ids = _IIS_HEADER.unpack_from(data, offset)
         except struct.error as exc:
             raise FormatError(f"truncated set index header: {exc}") from None
         offset += _IIS_HEADER.size
-        sets: list[IndependentIntervalSet] = []
-        n = 0
-        for _ in range(m):
-            starts_seq, offset = EliasFanoSeq.from_bytes(data, offset)
-            ends_seq, offset = EliasFanoSeq.from_bytes(data, offset)
-            size = starts_seq.n
-            if ends_seq.n != size:
-                raise FormatError("start and end sequences disagree on length")
-            end = offset + 4 * size
+
+        def take(dtype: str, count: int) -> np.ndarray:
+            nonlocal offset
+            end = offset + np.dtype(dtype).itemsize * count
             if end > len(data):
-                raise FormatError("truncated record id array")
-            ids = np.frombuffer(data, dtype="<u4", count=size, offset=offset).astype(np.uint32)
-            offset = end + (-end % 8)
-            if size <= plain_set_max:
-                sets.append(IndependentIntervalSet(
-                    ids, starts_plain=starts_seq.to_array().tolist(),
-                    ends_plain=ends_seq.to_array().tolist()))
-            else:
-                sets.append(IndependentIntervalSet(ids, starts_seq=starts_seq, ends_seq=ends_seq))
-            n += size
-        return cls(sets, u, digits, n), offset
+                raise FormatError("truncated set index")
+            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+            offset = end
+            return arr.astype(np.int64)
+
+        seg_counts = take("<u4", n_segments)
+        set_sizes = take("<u4", m)
+        row_ids = take("<u4", n) if has_ids else None
+        offset += -(offset - start) % 8
+        if has_ids > 1 or seg_counts.sum() != m or set_sizes.sum() != n or (m and set_sizes.min() == 0):
+            raise FormatError("set index offsets do not add up")
+        if u >= 1 << 62 or (m and set_sizes.max() > u):
+            raise FormatError(f"set index universe {u} cannot hold its sets")
+        if row_ids is not None and n and row_ids.max() >= n:
+            raise FormatError("set index row id out of range")
+        sizes = np.repeat(set_sizes, 2)
+        n_low, n_high = FlatEliasFano.word_counts(u, sizes)
+        lows = take("<u8", n_low).view(np.uint64)
+        highs = take("<u8", n_high).view(np.uint64)
+        seqs = FlatEliasFano.from_words(u, sizes, lows, highs)
+        ids = None if row_ids is None else row_ids.astype(np.uint32)
+        return cls(prefix_offsets(seg_counts), prefix_offsets(set_sizes), seqs, digits, ids), offset
+

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import ScaleConfig
-from .base import TemporalIndexBase, check_query, record_tick_arrays
+from .base import TemporalIndexBase, check_query
 
 LEAF_MAX = 16
 
@@ -71,11 +70,12 @@ class IntervalTreeIndex(TemporalIndexBase):
         self.root = root
 
     @classmethod
-    def build(cls, records, cfg: ScaleConfig) -> "IntervalTreeIndex":
-        starts, ends = record_tick_arrays(records, cfg)
+    def from_ticks(cls, starts, ends, digits: int) -> "IntervalTreeIndex":
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
         root = _build(starts, ends, np.arange(n, dtype=np.int64)) if n else None
-        return cls(root, cfg.digits, n)
+        return cls(root, digits, n)
 
     def query(self, l: int, r: int) -> np.ndarray:
         check_query(l, r)

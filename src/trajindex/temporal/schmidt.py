@@ -30,8 +30,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from ..core import ScaleConfig
-from .base import TemporalIndexBase, check_query, record_tick_arrays
+from .base import TemporalIndexBase, check_query
 
 
 class SchmidtIndex(TemporalIndexBase):
@@ -67,13 +66,14 @@ class SchmidtIndex(TemporalIndexBase):
         self._has_children = has.tolist()
 
     @classmethod
-    def build(cls, records, cfg: ScaleConfig) -> "SchmidtIndex":
-        starts, ends = record_tick_arrays(records, cfg)
+    def from_ticks(cls, starts, ends, digits: int) -> "SchmidtIndex":
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
         if n == 0:
             empty = np.zeros(0, np.int64)
             return cls(empty, empty, empty, empty, np.zeros(2, np.int64), empty,
-                       empty, empty, empty, empty, empty, cfg.digits)
+                       empty, empty, empty, empty, empty, digits)
 
         sigma = np.lexsort((-ends, starts))  # start asc, end desc, record index asc
         father = np.full(n, -1, dtype=np.int64)
@@ -112,7 +112,7 @@ class SchmidtIndex(TemporalIndexBase):
         is_last[-1] = True
         return cls(starts, ends, father, child_flat, child_offsets, pos_in_parent,
                    pre_order, pre_pos, sub_size,
-                   sorted_starts[is_last], order[is_last], cfg.digits)
+                   sorted_starts[is_last], order[is_last], digits)
 
     @staticmethod
     def _preorder(n, father, child_flat, child_offsets):

@@ -131,7 +131,7 @@ def test_c3_elias_fano_space_bound():
     # every sequence inside compact indexes over the three scenarios
     for kind in ("fixed", "random", "trajectory"):
         starts, lengths = scenario_arrays(rng, kind, 3000)
-        index = IISIndex.build(make_records(starts, lengths), ti.ScaleConfig(6), plain_set_max=0)
+        index = IISIndex.build(make_records(starts, lengths), ti.ScaleConfig(6))
         for s in index.sets:
             check(s.starts_seq, len(s), index.u)
             check(s.ends_seq, len(s), index.u)
@@ -185,7 +185,7 @@ def test_c5_end_to_end_equivalence():
 
     indexes = {
         name: ti.TrajIndex.build(net, records, ti.TrajIndexConfig(
-            temporal_backend=name, scale=scale, linear_fallback_max=0))
+            temporal_backend=name, scale=scale))
         for name in BACKENDS
     }
     checked = 0
@@ -216,7 +216,7 @@ def test_c6_scale_sensitivity():
         oracle = FullScanOracle(net, records, scale)
         for name in BACKENDS:
             index = ti.TrajIndex.build(net, records, ti.TrajIndexConfig(
-                temporal_backend=name, scale=scale, linear_fallback_max=0))
+                temporal_backend=name, scale=scale))
             for q in queries:
                 got = index.range_query(q.window, q.t_start, q.t_end).object_ids
                 assert got == oracle.query(q.window, q.t_start, q.t_end), (digits, name, q)
@@ -233,7 +233,7 @@ def test_c7_serialization_roundtrip(tmp_path):
     net = ti.gen_grid_network(20, 20)
     records = ti.gen_trajectories(net, 100, 100.0, seed=7)
     index = ti.TrajIndex.build(net, records, ti.TrajIndexConfig(
-        temporal_backend="iis", scale=ti.ScaleConfig(6), linear_fallback_max=4))
+        temporal_backend="iis", scale=ti.ScaleConfig(6)))
     path = str(tmp_path / "index.tjix")
     index.save(path)
     loaded = ti.TrajIndex.load(path)

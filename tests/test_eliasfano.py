@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trajindex import EliasFanoSeq, FormatError, InvalidInputError
+from trajindex.eliasfano import FlatEliasFano
 
 
 def bound_bits(n: int, u: int) -> int:
@@ -125,3 +126,67 @@ class TestSerialization:
             EliasFanoSeq.from_bytes(data[: len(data) - 8])
         with pytest.raises(FormatError):
             EliasFanoSeq.from_bytes(data[:10])
+
+
+def family(seed: int, universe: int, count: int):
+    """``count`` sequences over one universe: random, clustered and dense runs."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for q in range(count):
+        n = int(rng.integers(1, min(universe, 1200) + 1))
+        if q % 3 == 1 and universe >= 8 * n:  # clustered: buckets of many values
+            lo = int(rng.integers(0, universe - 8 * n + 1))
+            values = lo + np.sort(rng.choice(8 * n, size=n, replace=False))
+        elif q % 3 == 2:  # a dense run: one bucket can outgrow a select's scan window
+            lo = int(rng.integers(0, universe - n + 1))
+            values = lo + np.arange(n)
+        else:
+            values = np.sort(rng.choice(universe, size=n, replace=False))
+        seqs.append(values.astype(np.int64))
+    return seqs
+
+
+class TestFlat:
+    @pytest.mark.parametrize("universe", [1, 3, 100, 10**4, 10**6])
+    def test_batched_rank_matches_scalar_rank(self, universe):
+        seqs = family(universe, universe, 9)
+        flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
+        scalar = [EliasFanoSeq.from_values(v, universe) for v in seqs]
+        rng = np.random.default_rng(1)
+        lanes = rng.integers(0, len(seqs), 3000)
+        x = rng.integers(-2, universe + 3, 3000)
+        stored = np.concatenate(seqs)
+        x[:1500] = stored[rng.integers(0, len(stored), 1500)] + rng.integers(-1, 2, 1500)
+        want = [scalar[q].rank(int(v)) for q, v in zip(lanes.tolist(), x.tolist())]
+        assert flat.rank(lanes, x).tolist() == want
+
+    def test_sequences_equal_stand_alone_encoding(self):
+        universe = 10**6
+        seqs = family(3, universe, 12)
+        flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
+        assert flat.sizes.tolist() == [len(v) for v in seqs]
+        for q, values in enumerate(seqs):
+            view, alone = flat.sequence(q), EliasFanoSeq.from_values(values, universe)
+            assert view.to_bytes() == alone.to_bytes()
+            assert view._samples.tolist() == alone._samples.tolist()
+            assert flat.payload_bits()[q] == alone.payload_bits
+            assert flat.select_overhead_bits()[q] == alone.select_overhead_bits
+
+    def test_words_round_trip_and_checks(self):
+        universe = 10**5
+        seqs = family(4, universe, 6)
+        sizes = [len(v) for v in seqs]
+        flat = FlatEliasFano.from_values(np.concatenate(seqs), sizes, universe)
+        n_low, n_high = FlatEliasFano.word_counts(universe, np.array(sizes))
+        lows, highs = flat.lows[:n_low], flat.highs[:n_high]
+        again = FlatEliasFano.from_words(universe, sizes, lows, highs)
+        assert (again.samples == flat.samples).all() and (again.high_base == flat.high_base).all()
+        one = int(np.flatnonzero(highs)[len(highs) // 2])
+        cleared = highs.copy()
+        cleared[one] &= cleared[one] - np.uint64(1)
+        with pytest.raises(FormatError):
+            FlatEliasFano.from_words(universe, sizes, lows, cleared)
+        moved = highs.copy()
+        moved[-1] |= np.uint64(1) << np.uint64(63)  # a bit past the last sequence
+        with pytest.raises(FormatError):
+            FlatEliasFano.from_words(universe, sizes, lows, moved)

@@ -86,7 +86,7 @@ class TestIISIndex:
 
     def test_three_interval_example(self):
         records = make_records([1, 2, 5], [3, 1, 3])  # [1,4], [2,3], [5,8]
-        index = IISIndex.build(records, ScaleConfig(0), plain_set_max=0)
+        index = IISIndex.build(records, ScaleConfig(0))
         assert index.m == 2
         for l, r in [(0, 100), (3, 4), (9, 9), (4, 4)]:
             want = brute_force_intersect(records, l, r, ScaleConfig(0)).tolist()
@@ -96,7 +96,7 @@ class TestIISIndex:
         # one set [0,2],[1,3],[2,4]: at [3,3] the last candidate is the
         # third start, the first is one past the single end below 3
         records = make_records([0, 1, 2], [2, 2, 2])
-        index = IISIndex.build(records, ScaleConfig(0), plain_set_max=0)
+        index = IISIndex.build(records, ScaleConfig(0))
         assert index.m == 1
         first, last = index.sets[0].query_slice(3, 3)
         assert (first, last) == (1, 3)
@@ -104,20 +104,44 @@ class TestIISIndex:
         assert index.query(4, 6).tolist() == [2]
         assert index.query(5, 6).tolist() == []
 
-    def test_plain_and_compact_sets_agree(self):
+    def test_batched_query_matches_scalar_set_ranks(self):
+        # the batched rank over all sets against the per-set scalar ranks
         rng = np.random.default_rng(2)
-        starts, lengths = scenario_arrays(rng, "random", 300)
-        records = make_records(starts, lengths)
-        cfg = ScaleConfig(2)
-        compact = IISIndex.build(records, cfg, plain_set_max=0)
-        plain = IISIndex.build(records, cfg, plain_set_max=10**9)
-        mixed = IISIndex.build(records, cfg)
-        for _ in range(50):
-            l = int(rng.integers(0, 10**5))
-            r = l + int(rng.integers(0, 10**4))
-            want = sorted(compact.query(l, r).tolist())
-            assert sorted(plain.query(l, r).tolist()) == want
-            assert sorted(mixed.query(l, r).tolist()) == want
+        for kind in ("random", "nested", "shared"):
+            starts, lengths = scenario_arrays(rng, kind, 300)
+            records = make_records(starts, lengths)
+            index = IISIndex.build(records, ScaleConfig(2))
+            sets = index.sets
+            for _ in range(50):
+                l = int(rng.integers(-2, 10**5))
+                r = l + int(rng.integers(0, 10**4))
+                want = []
+                for k, s in enumerate(sets):
+                    first, last = s.query_slice(l, r)
+                    want += index.row_ids[index.set_rows[k] + first: index.set_rows[k] + last].tolist()
+                assert sorted(index.query(l, r).tolist()) == sorted(want)
+
+    def test_segments_decomposed_on_their_own(self):
+        rng = np.random.default_rng(6)
+        starts, lengths = scenario_arrays(rng, "random", 500)
+        s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(1))
+        segment = rng.integers(0, 7, len(s))
+        segment[segment == 3] = 4  # segment 3 stays empty
+        index, order = IISIndex.from_segments(s, e, segment, 7, 1)
+        assert sorted(order.tolist()) == list(range(len(s)))
+        assert (segment[order][index.set_rows[:-1]] == np.repeat(np.arange(7), index.set_counts())).all()
+        assert index.set_counts()[3] == 0
+        for g in range(7):
+            members = np.flatnonzero(segment == g)
+            _, m = decompose_independent_sets(s[members], e[members])
+            assert index.set_counts()[g] == m
+        for _ in range(60):
+            l = int(rng.integers(0, 11_000))
+            r = l + int(rng.integers(0, 2_000))
+            probe = rng.choice(7, size=int(rng.integers(0, 8)), replace=False)
+            want = np.flatnonzero(np.isin(segment, probe) & (s <= r) & (e >= l))
+            got = order[index.query(l, r, probe)]
+            assert sorted(got.tolist()) == want.tolist()
 
     def test_scale_monotonicity(self):
         # a lossy build answers exactly like the oracle on the same ticks
@@ -144,7 +168,7 @@ class TestSpaceReport:
     def test_totals_additive_and_bounded(self):
         rng = np.random.default_rng(4)
         starts, lengths = scenario_arrays(rng, "random", 800)
-        index = IISIndex.build(make_records(starts, lengths), ScaleConfig(4), plain_set_max=0)
+        index = IISIndex.build(make_records(starts, lengths), ScaleConfig(4))
         report = index.space_report()
         per_set_payload = sum(e["payload_bits"] for e in report["per_set"])
         assert per_set_payload == report["payload_bits"]
@@ -167,9 +191,9 @@ class TestSerialization:
         starts, lengths = scenario_arrays(rng, "random", 400)
         records = make_records(starts, lengths)
         cfg = ScaleConfig(3)
-        index = IISIndex.build(records, cfg, plain_set_max=0)
+        index = IISIndex.build(records, cfg)
         data = index.to_bytes()
-        decoded, offset = IISIndex.from_bytes(data, plain_set_max=0)
+        decoded, offset = IISIndex.from_bytes(data)
         assert offset == len(data)
         assert decoded.m == index.m and decoded.n == index.n
         for _ in range(40):
@@ -180,7 +204,7 @@ class TestSerialization:
 
     def test_truncated_rejected(self):
         records = make_records(range(0, 80, 2), [3] * 40)
-        index = IISIndex.build(records, ScaleConfig(0), plain_set_max=0)
+        index = IISIndex.build(records, ScaleConfig(0))
         data = index.to_bytes()
         for cut in (4, len(data) // 2, len(data) - 4):
             with pytest.raises(FormatError):

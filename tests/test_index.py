@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from trajindex import (
     FormatError,
     IngestionError,
     IntervalRecord,
+    InvalidInputError,
     InvalidQueryError,
     Network,
     Point,
@@ -20,8 +22,11 @@ from trajindex import (
     gen_grid_network,
     gen_queries,
     gen_trajectories,
+    segments_intersect_window,
 )
 from trajindex.temporal import BACKENDS
+from trajindex.eliasfano import FlatEliasFano
+from trajindex.temporal.iis import IISIndex
 
 from helpers import FullScanOracle, full_scan_objects
 
@@ -47,7 +52,7 @@ class TestTwoSegmentExample:
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_spec_queries(self, backend):
         net, records = two_segment_setup()
-        cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(2), linear_fallback_max=0)
+        cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(2))
         index = TrajIndex.build(net, records, cfg)
         # each temporal index holds exactly one record
         assert {seg: len(d.object_ids) for seg, d in index.segments.items()} == {0: 1, 1: 1}
@@ -87,6 +92,27 @@ class TestBuild:
         with pytest.raises(IngestionError, match="segment id 7"):
             TrajIndex.build(net, records)
 
+    def test_object_id_beyond_u32_rejected(self):
+        # the file stores ids as u32; 2**33 used to save and load back as 0
+        net, records = two_segment_setup()
+        for bad in (2**32, 2**33, 2**70):
+            with pytest.raises(IngestionError, match="object id"):
+                TrajIndex.build(net, records + [(0, REC(bad, TimeInterval(1.0, 2.0)))])
+
+    def test_tick_beyond_sequence_universe_rejected(self):
+        net, records = two_segment_setup()
+        records.append((0, REC(2, TimeInterval(0.0, 5e10))))  # 5e18 ticks at 8 digits, above 2**62
+        with pytest.raises(InvalidInputError, match="universe"):
+            TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(8)))
+
+    def test_largest_u32_object_id_round_trips(self, tmp_path):
+        net, records = two_segment_setup()
+        records.append((1, REC(2**32 - 1, TimeInterval(6.0, 7.0))))
+        index = TrajIndex.build(net, records)
+        path = str(tmp_path / "x.tjix")
+        index.save(path)
+        assert TrajIndex.load(path).range_query(Rect(-1, -1, 21, 1), 6.5, 6.5).object_ids == {1, 2**32 - 1}
+
     def test_empty_records(self):
         net, _ = two_segment_setup()
         index = TrajIndex.build(net, [])
@@ -94,14 +120,13 @@ class TestBuild:
         assert index.stats().record_count == 0
         assert index.stats().temporal_bytes == 0
 
-    def test_linear_fallback_threshold(self):
+    def test_every_loaded_segment_is_decomposed(self):
+        # one record per segment still gets its own independent set
         net, records = two_segment_setup()
-        cfg = TrajIndexConfig(temporal_backend="iis", linear_fallback_max=16)
-        index = TrajIndex.build(net, records, cfg)
-        assert all(d.temporal.backend == "linear" for d in index.segments.values())
-        cfg0 = TrajIndexConfig(temporal_backend="iis", linear_fallback_max=0)
-        index0 = TrajIndex.build(net, records, cfg0)
-        assert all(d.temporal.backend == "iis" for d in index0.segments.values())
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend="iis"))
+        assert isinstance(index.temporal, IISIndex)
+        assert index.stats().iis_set_counts == {0: 1, 1: 1}
+        assert index.temporal.set_rows.tolist() == [0, 1, 2]
 
 
 class TestRefinement:
@@ -139,6 +164,54 @@ class TestRefinement:
                 assert segment_intersects_window(net.edges[seg_id], window)
 
 
+def jittered_network(seed: int) -> Network:
+    """A rotated, jittered 6x6 lattice with both diagonals of every cell,
+    plus a few exactly axis-parallel edges."""
+    rng = np.random.default_rng(seed)
+    angle = 0.3
+    nodes = []
+    for i in range(6):
+        for j in range(6):
+            x, y = i + rng.uniform(-0.2, 0.2), j + rng.uniform(-0.2, 0.2)
+            nodes.append(Point(x * np.cos(angle) - y * np.sin(angle) + 5, x * np.sin(angle) + y * np.cos(angle)))
+    pairs = []
+    for i in range(6):
+        for j in range(6):
+            a = 6 * i + j
+            if i < 5:
+                pairs.append((a, a + 6))
+            if j < 5:
+                pairs.append((a, a + 1))
+            if i < 5 and j < 5:
+                pairs += [(a, a + 7), (a + 1, a + 6)]
+    nodes += [Point(0.5, 2.0), Point(3.5, 2.0), Point(2.0, 0.5), Point(2.0, 6.5)]
+    pairs += [(36, 37), (38, 39)]
+    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+
+
+class TestCandidates:
+    def test_box_exact_shortcut_matches_full_scan_off_grid(self):
+        net = jittered_network(3)
+        index = TrajIndex.build(net, [])
+        assert index._box_exact.sum() == 2 and not index._box_exact.all()
+        ax, ay, bx, by = index._ax, index._ay, index._bx, index._by
+        rng = np.random.default_rng(4)
+        windows = []
+        for _ in range(300):
+            x0, x1 = np.sort(rng.uniform(-1, 11, 2))
+            y0, y1 = np.sort(rng.uniform(-1, 8, 2))
+            windows.append(Rect(x0, y0, x1, y1))
+        for k in range(len(net.edges)):  # windows that touch an edge only at its ends or its box
+            a, b = net.edges[k].a, net.edges[k].b
+            windows += [Rect(a.x, a.y, a.x, a.y), Rect(b.x, b.y, b.x + 0.5, b.y + 0.5),
+                        Rect(max(a.x, b.x), min(a.y, b.y) - 0.3, max(a.x, b.x) + 0.3, max(a.y, b.y))]
+        windows += [Rect(1.0, 2.0, 1.5, 2.5), Rect(0.0, 0.0, 2.0, 0.5), Rect(2.0, 6.5, 3.0, 7.0),
+                    Rect(3.5, 1.0, 4.0, 2.0), Rect(1.0, 1.0, 1.9, 1.9)]
+        for w in windows:
+            want = np.flatnonzero(segments_intersect_window(ax, ay, bx, by, w))
+            assert sorted(index._candidate_segments(w).tolist()) == want.tolist(), w
+
+
 class TestEndToEnd:
     def test_all_backends_match_full_scan(self):
         net = gen_grid_network(10, 10)
@@ -147,7 +220,7 @@ class TestEndToEnd:
         scale = ScaleConfig(4)
         oracle = FullScanOracle(net, records, scale)
         for backend in BACKENDS:
-            cfg = TrajIndexConfig(temporal_backend=backend, scale=scale, linear_fallback_max=0)
+            cfg = TrajIndexConfig(temporal_backend=backend, scale=scale)
             index = TrajIndex.build(net, records, cfg)
             for q in queries:
                 got = index.range_query(q.window, q.t_start, q.t_end).object_ids
@@ -184,7 +257,7 @@ class TestStats:
     def test_accounting(self):
         net = gen_grid_network(8, 8)
         records = gen_trajectories(net, 20, 30.0, seed=11)
-        index = TrajIndex.build(net, records, TrajIndexConfig(linear_fallback_max=0))
+        index = TrajIndex.build(net, records, TrajIndexConfig())
         stats = index.stats()
         assert stats.record_count == len(records)
         assert sum(stats.per_segment_records.values()) == len(records)
@@ -209,7 +282,7 @@ class TestPersistence:
         records = gen_trajectories(net, 20, 30.0, seed=13)
         queries = gen_queries(net.bounds(), 30.0, "range_equal", 80, seed=14, spatial_pct=15, temporal_pct=15)
         for backend in BACKENDS:
-            cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(5), linear_fallback_max=4)
+            cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(5))
             index = TrajIndex.build(net, records, cfg)
             path = os.fspath(tmp_path / f"{backend}.tjix")
             index.save(path)
@@ -261,3 +334,93 @@ class TestPersistence:
         bad.write_bytes(bytes(data))
         with pytest.raises(VersionError):
             TrajIndex.load(os.fspath(bad))
+
+
+class TestFormatChecks:
+    """A corrupt version-2 file fails at load, never at query time."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        net = gen_grid_network(6, 6)
+        records = gen_trajectories(net, 15, 30.0, seed=17)
+        index = TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(4)))
+        path = tmp_path / "x.tjix"
+        index.save(str(path))
+        return index, path.read_bytes(), tmp_path / "bad.tjix"
+
+    @staticmethod
+    def layout(index, data: bytes) -> dict:
+        """Byte offsets of the record table and of the set index block."""
+        net = index.network
+        records = 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges) + 8 + len(index.rtree.to_bytes())
+        block = len(data) - len(index.temporal.to_bytes())
+        n_low, n_high = FlatEliasFano.word_counts(index.temporal.u, index.temporal.seqs.sizes)
+        return {
+            "record_counts": records,
+            "object_ids": records + 4 * len(net.edges),
+            "block": block,
+            "set_sizes": block + 32 + 4 * len(net.edges),
+            "highs": len(data) - 8 * n_high,
+        }
+
+    def test_truncation_at_every_part(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        cuts = [at["record_counts"] + 2, at["object_ids"] + 5, at["block"] - 3, at["block"] + 20,
+                at["set_sizes"] + 4, at["highs"] - 8, at["highs"] + 3, len(data) - 1]
+        for cut in cuts:
+            bad.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                TrajIndex.load(str(bad))
+
+    def test_offsets_past_the_record_table(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        for where, value in ((at["record_counts"], 2**31), (at["set_sizes"], len(index.object_ids) + 1),
+                             (at["block"] + 12, 2**20)):  # a segment's records, a set's rows, the set count
+            corrupt = bytearray(data)
+            corrupt[where: where + 4] = struct.pack("<I", value)
+            bad.write_bytes(bytes(corrupt))
+            with pytest.raises(FormatError):
+                TrajIndex.load(str(bad))
+
+    def test_sets_moved_between_segments(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        counts = np.diff(index.temporal.seg_sets)
+        a, b = np.flatnonzero(counts)[:2]
+        corrupt = bytearray(data)
+        for seg, delta in ((a, 1), (b, -1)):
+            where = at["block"] + 32 + 4 * int(seg)
+            corrupt[where: where + 4] = struct.pack("<I", int(counts[seg]) + delta)
+        bad.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="segment offsets"):
+            TrajIndex.load(str(bad))
+
+    def test_spatial_entry_id_out_of_range(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        root = at["record_counts"] - len(index.rtree.to_bytes())
+        leaf = root + 37  # the root is an internal node; its first child, a leaf, follows its header
+        assert (data[root], data[leaf]) == (0, 1)
+        corrupt = bytearray(data)
+        corrupt[leaf + 37: leaf + 41] = struct.pack("<I", len(index.network.edges) + 3)  # its first entry id
+        bad.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="spatial index entries"):
+            TrajIndex.load(str(bad))
+
+    def test_cleared_high_bit(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        corrupt = bytearray(data)
+        pos = next(i for i in range(at["highs"], len(data)) if corrupt[i])
+        corrupt[pos] &= corrupt[pos] - 1  # clear the lowest set bit
+        bad.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="set bit per value"):
+            TrajIndex.load(str(bad))
+
+    def test_version_1_file_rejected(self, saved):
+        _, data, bad = saved
+        bad.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
+        with pytest.raises(VersionError):
+            TrajIndex.load(str(bad))
