@@ -19,7 +19,6 @@ from .core import (
     Rect,
     ScaleConfig,
     Segment,
-    TickInterval,
     TimeInterval,
     VersionError,
     discretize_time,
@@ -56,7 +55,7 @@ from .datagen import (
     write_queries,
     write_records,
 )
-from .index import IndexStats, QueryResult, TrajIndex, TrajIndexConfig, build_index
+from .index import IndexStats, QueryResult, TrajIndex, TrajIndexConfig
 from .bench import BenchSpec, run_benchmark, write_csv
 
 __version__ = "0.1.0"
@@ -86,14 +85,12 @@ __all__ = [
     "ScaleConfig",
     "SchmidtIndex",
     "Segment",
-    "TickInterval",
     "TimeInterval",
     "TrajIndex",
     "TrajIndexConfig",
     "VersionError",
     "WorkloadSpec",
     "brute_force_intersect",
-    "build_index",
     "build_rtree",
     "build_temporal_index",
     "decompose_independent_sets",

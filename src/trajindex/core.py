@@ -100,16 +100,6 @@ class TimeInterval:
 
 
 @dataclass(frozen=True)
-class TickInterval:
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.start > self.end:
-            raise InvalidInputError(f"invalid tick interval [{self.start}, {self.end}]")
-
-
-@dataclass(frozen=True)
 class IntervalRecord:
     object_id: int
     interval: TimeInterval

@@ -8,14 +8,13 @@ most ``2n + n * ceil(log2(u / n))`` bits; on top of that the structure
 keeps a small sampled select directory (one 32-bit position every
 SELECT_SAMPLE zeros) so that rank runs in near-constant time.
 
-:class:`EliasFanoSeq` is one such sequence with a scalar rank.
-:class:`FlatEliasFano` packs many of them back to back and ranks any
-number of (sequence, value) lanes in one batched call.
+There is one codec: :class:`FlatEliasFano` packs any number of such
+sequences back to back and ranks any number of (sequence, value) lanes
+in one batched call.  :class:`EliasFanoSeq` is a view of one sequence of
+a :class:`FlatEliasFano` and stores no words of its own.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -23,59 +22,18 @@ from .core import FormatError, InvalidInputError
 
 SELECT_SAMPLE = 128
 
-_HEADER = struct.Struct("<QQB7x")  # n, u, low-bit width, padding to 8 bytes
-
-
-def _pack_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Pack ``width``-bit integers LSB-first into little-endian 64-bit words."""
-    n = len(values)
-    if width == 0 or n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    total_bits = n * width
-    words = np.zeros((total_bits + 63) // 64 + 1, dtype=np.uint64)
-    v = values.astype(np.uint64)
-    bitpos = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    word_idx = (bitpos >> np.uint64(6)).astype(np.int64)
-    offset = bitpos & np.uint64(63)
-    np.bitwise_or.at(words, word_idx, v << offset)
-    # part of the value that spills into the next word
-    spill = np.where(offset == 0, np.uint64(0), v >> (np.uint64(64) - np.where(offset == 0, np.uint64(1), offset)))
-    np.bitwise_or.at(words, word_idx + 1, spill)
-    return words[: (total_bits + 63) // 64].copy()
-
-
-def _unpack_bits(words: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`."""
-    if width == 0 or n == 0:
-        return np.zeros(n, dtype=np.int64)
-    padded = np.concatenate([words, np.zeros(1, dtype=np.uint64)])
-    bitpos = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    word_idx = (bitpos >> np.uint64(6)).astype(np.int64)
-    offset = bitpos & np.uint64(63)
-    lo = padded[word_idx] >> offset
-    hi = np.where(
-        offset == 0,
-        np.uint64(0),
-        padded[word_idx + 1] << (np.uint64(64) - np.where(offset == 0, np.uint64(1), offset)),
-    )
-    mask = np.uint64((1 << width) - 1)
-    return ((lo | hi) & mask).astype(np.int64)
-
 
 class EliasFanoSeq:
-    """A strictly increasing sequence of ticks in ``[0, u)`` with rank."""
+    """A strictly increasing sequence of ticks in ``[0, u)`` with rank:
+    sequence ``q`` of ``flat`` (None when the sequence is empty)."""
 
-    __slots__ = ("n", "u", "width", "_lows", "_high_words", "_high_len", "_num_zeros", "_samples")
+    __slots__ = ("flat", "q", "n", "u")
 
-    def __init__(self, n, u, width, lows, high_words, high_len, num_zeros, samples):
+    def __init__(self, flat: "FlatEliasFano | None", q: int, n: int, u: int):
+        self.flat = flat
+        self.q = q
         self.n = n
         self.u = u
-        self.width = width
-        self._lows = lows
-        self._high_words = high_words
-        self._high_len = high_len
-        self._num_zeros = num_zeros
-        self._samples = samples
 
     @classmethod
     def from_values(cls, values, u: int) -> "EliasFanoSeq":
@@ -85,186 +43,54 @@ class EliasFanoSeq:
         if u < 0 or u >= 1 << 62:
             raise InvalidInputError(f"universe size out of range: {u}")
         if n == 0:
-            return cls(0, u, 0, np.zeros(0, np.uint64), np.zeros(0, np.uint64), 0, 0, np.zeros(0, np.uint32))
+            return cls(None, 0, 0, u)
         if (values < 0).any() or values[-1] >= u:
             raise InvalidInputError("values must lie in [0, u)")
         if n > 1 and (np.diff(values) <= 0).any():
             raise InvalidInputError("values must be strictly increasing")
-        width = (u // n).bit_length() - 1  # floor(log2(u / n)); u >= n always holds here
-        lows = _pack_bits(values & np.int64((1 << width) - 1), width) if width else np.zeros(0, np.uint64)
-        highs = (values >> width).astype(np.int64)
-        num_zeros = ((u - 1) >> width) + 1  # one bucket per possible high value
-        high_len = n + num_zeros
-        ones_pos = highs + np.arange(n, dtype=np.int64)
-        high_words = np.zeros((high_len + 63) // 64, dtype=np.uint64)
-        np.bitwise_or.at(
-            high_words,
-            (ones_pos >> 6).astype(np.int64),
-            np.uint64(1) << (ones_pos.astype(np.uint64) & np.uint64(63)),
-        )
-        samples = cls._build_samples(highs, num_zeros)
-        if high_len >= 1 << 32:
-            raise InvalidInputError("bitvector too long for 32-bit select samples")
-        return cls(n, u, width, lows, high_words, high_len, num_zeros, samples)
+        return cls(FlatEliasFano.from_values(values, [n], u), 0, n, u)
 
-    @staticmethod
-    def _build_samples(highs: np.ndarray, num_zeros: int) -> np.ndarray:
-        # position of zero number k*SELECT_SAMPLE for k = 1, 2, ...
-        idx = np.arange(SELECT_SAMPLE, num_zeros, SELECT_SAMPLE, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.uint32)
-        ones_before = np.searchsorted(highs, idx, side="right")
-        return (idx + ones_before).astype(np.uint32)
-
-    # -- queries -------------------------------------------------------
-
-    def _select0(self, j: int) -> int:
-        """Position of the j-th zero (0-indexed) in the high bitvector."""
-        k = j // SELECT_SAMPLE
-        if k == 0:
-            pos = 0
-            remaining = j + 1
+    def rank(self, x):
+        """Number of stored values <= x, for one tick or an array of ticks."""
+        scalar = np.ndim(x) == 0
+        # a Python int of any size is clamped to a tick with the same rank
+        ticks = np.array([max(min(int(x), self.u), -1)]) if scalar else np.asarray(x, dtype=np.int64).ravel()
+        if self.n:
+            ranks = self.flat.rank(np.full(len(ticks), self.q), ticks)
         else:
-            base = int(self._samples[k - 1])
-            if j == k * SELECT_SAMPLE:
-                return base
-            pos = base + 1
-            remaining = j - k * SELECT_SAMPLE
-        words = self._high_words
-        wi = pos >> 6
-        offset = pos & 63
-        while True:
-            word = int(words[wi])
-            if offset:
-                word |= (1 << offset) - 1  # bits before pos count as ones
-            zeros = 64 - word.bit_count()
-            if zeros >= remaining:
-                # locate the remaining-th zero inside this word
-                inv = ~word & 0xFFFFFFFFFFFFFFFF
-                for _ in range(remaining - 1):
-                    inv &= inv - 1  # clear lowest zero
-                return (wi << 6) + (inv & -inv).bit_length() - 1
-            remaining -= zeros
-            wi += 1
-            offset = 0
-
-    def _bucket_bounds(self, h: int) -> tuple[int, int]:
-        """Element index range [start, end) of values whose high part is h."""
-        if h == 0:
-            start = 0
-        else:
-            start = self._select0(h - 1) - (h - 1)
-        end = self._select0(h) - h
-        return start, end
-
-    def _low_at(self, i: int) -> int:
-        width = self.width
-        if width == 0:
-            return 0
-        bitpos = i * width
-        wi = bitpos >> 6
-        offset = bitpos & 63
-        word = int(self._lows[wi]) >> offset
-        if offset + width > 64:
-            word |= int(self._lows[wi + 1]) << (64 - offset)
-        return word & ((1 << width) - 1)
-
-    def rank(self, x: int) -> int:
-        """Number of stored values <= x; x may be any tick."""
-        n = self.n
-        if n == 0 or x < 0:
-            return 0
-        x = int(x)
-        if x >= self.u:
-            x = self.u - 1
-        h = x >> self.width
-        start, end = self._bucket_bounds(h)
-        if start == end:
-            return start
-        low_x = x & ((1 << self.width) - 1)
-        lo, hi = start, end
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._low_at(mid) <= low_x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def access(self, i: int) -> int:
-        """The i-th stored value."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        lo, hi = 0, self._num_zeros - 1
-        # smallest bucket h whose cumulative count exceeds i
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._select0(mid) - mid > i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return (lo << self.width) | self._low_at(i)
+            ranks = np.zeros(len(ticks), dtype=np.int64)
+        return int(ranks[0]) if scalar else ranks.reshape(np.shape(x))
 
     def to_array(self) -> np.ndarray:
         """Decode the full sequence (used by tests and round-trip checks)."""
         if self.n == 0:
             return np.zeros(0, dtype=np.int64)
-        bits = np.unpackbits(self._high_words.view(np.uint8), bitorder="little")[: self._high_len]
-        ones_pos = np.flatnonzero(bits)
-        highs = ones_pos - np.arange(self.n)
-        lows = _unpack_bits(self._lows, self.n, self.width)
-        return (highs.astype(np.int64) << self.width) | lows
+        flat, q, index = self.flat, self.q, np.arange(self.n)
+        begin, end = int(flat.high_base[q]), int(flat.high_base[q + 1])
+        words = flat.highs[begin >> 6: (end + 63) >> 6].astype("<u8")
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")[begin & 63: (begin & 63) + end - begin]
+        width = self.width
+        lows = flat.read_lows(int(flat.low_base[q]) + index * width, width)
+        return ((np.flatnonzero(bits) - index) << width) | lows
 
     # -- accounting ----------------------------------------------------
+
+    def _span(self, base: np.ndarray) -> int:
+        return int(base[self.q + 1]) - int(base[self.q])
+
+    @property
+    def width(self) -> int:
+        """Low bits per value."""
+        return int(self.flat.widths[self.q]) if self.n else 0
 
     @property
     def payload_bits(self) -> int:
         """Low-bit array plus high bitvector, in bits."""
-        return self.n * self.width + self._high_len
+        return self._span(self.flat.low_base) + self._span(self.flat.high_base) if self.n else 0
 
     @property
     def select_overhead_bits(self) -> int:
-        return 32 * len(self._samples)
-
-    # -- serialization -------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Header (n, u, width) then the low and high words, 8-byte aligned."""
-        out = bytearray(_HEADER.pack(self.n, self.u, self.width))
-        out += self._lows.astype("<u8").tobytes()
-        out += self._high_words.astype("<u8").tobytes()
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["EliasFanoSeq", int]:
-        """Decode a sequence, returning it and the offset past its last byte."""
-        try:
-            n, u, width = _HEADER.unpack_from(data, offset)
-        except struct.error as exc:
-            raise FormatError(f"truncated sequence header: {exc}") from None
-        offset += _HEADER.size
-        if n == 0:
-            return cls(0, u, 0, np.zeros(0, np.uint64), np.zeros(0, np.uint64), 0, 0, np.zeros(0, np.uint32)), offset
-        if u < n or (u // n).bit_length() - 1 != width:
-            raise FormatError(f"inconsistent sequence header (n={n}, u={u}, width={width})")
-        n_low_words = (n * width + 63) // 64
-        num_zeros = ((u - 1) >> width) + 1
-        high_len = n + num_zeros
-        n_high_words = (high_len + 63) // 64
-        end = offset + 8 * (n_low_words + n_high_words)
-        if end > len(data):
-            raise FormatError("truncated sequence payload")
-        lows = np.frombuffer(data, dtype="<u8", count=n_low_words, offset=offset).astype(np.uint64)
-        offset += 8 * n_low_words
-        high_words = np.frombuffer(data, dtype="<u8", count=n_high_words, offset=offset).astype(np.uint64)
-        offset += 8 * n_high_words
-        bits = np.unpackbits(high_words.view(np.uint8), bitorder="little")[:high_len]
-        ones_pos = np.flatnonzero(bits)
-        if len(ones_pos) != n:
-            raise FormatError("sequence bitvector does not contain n set bits")
-        highs = (ones_pos - np.arange(n)).astype(np.int64)
-        samples = cls._build_samples(highs, num_zeros)
-        return cls(n, u, width, lows, high_words, high_len, num_zeros, samples), offset
+        return 32 * self._span(self.flat.sample_base) if self.n else 0
 
 
 # -- many sequences packed back to back ------------------------------------
@@ -299,27 +125,17 @@ def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return (first - through + count).repeat(count) + np.arange(through[-1] if len(through) else 0)
 
 
-def _bit_slice(words: np.ndarray, start: int, length: int) -> np.ndarray:
-    """Bits [start, start + length) of a packed word array, as new words."""
-    bits = np.zeros(-(-length // 64) * 64, dtype=np.uint8)
-    first = start >> 6
-    span = words[first: (start + length + 63 >> 6) + 1].astype("<u8")
-    skip = start - 64 * first
-    bits[:length] = np.unpackbits(span.view(np.uint8), bitorder="little")[skip: skip + length]
-    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
-
-
 class FlatEliasFano:
     """Many Elias-Fano sequences over one universe, packed back to back.
 
     Sequence q holds ``sizes[q] >= 1`` strictly increasing values in
-    ``[0, u)`` and is encoded exactly like :class:`EliasFanoSeq`: its own
-    low-bit width ``floor(log2(u / n))``, a unary high part with one zero
-    per bucket, and one select sample every ``SELECT_SAMPLE`` zeros.  The
-    low parts of all sequences are concatenated bit by bit into one word
-    array, the high parts into another and the samples into a third.
-    Widths and section offsets follow from ``u`` and ``sizes``, so a file
-    stores only those and the two word arrays.
+    ``[0, u)`` and has its own low-bit width ``floor(log2(u / n))``, a
+    unary high part with one zero per bucket, and one select sample every
+    ``SELECT_SAMPLE`` zeros.  The low parts of all sequences are
+    concatenated bit by bit into one word array, the high parts into
+    another and the samples into a third.  Widths and section offsets
+    follow from ``u`` and ``sizes``, so a file stores only those and the
+    two word arrays.
 
     :meth:`rank` answers one rank per lane for any number of lanes with a
     fixed number of numpy calls: one batched select finds both bucket
@@ -468,12 +284,17 @@ class FlatEliasFano:
             return start
         lane = np.arange(lanes).repeat(size)
         w = width[lane]
-        pos = self.low_base[seq][lane] + index * w
+        low = self.read_lows(self.low_base[seq][lane] + index * w, w)
+        limit = (x & _LOW_MASK.view(np.int64)[width])[lane]
+        return start + np.bincount(lane[low <= limit], minlength=lanes)
+
+    def read_lows(self, pos: np.ndarray, width: np.ndarray) -> np.ndarray:
+        """Per lane, the ``width``-bit low part (one width or one per lane)
+        that starts at bit ``pos[i]``."""
         word = pos >> 6
         shift = (pos & 63).astype(np.uint64)
         low = (self.lows[word] >> shift) | ((self.lows[word + 1] << np.uint64(1)) << (np.uint64(63) - shift))
-        limit = (x & _LOW_MASK.view(np.int64)[width])[lane]
-        return start + np.bincount(lane[(low & _LOW_MASK[w]).view(np.int64) <= limit], minlength=lanes)
+        return (low & _LOW_MASK[width]).view(np.int64)
 
     def _find_zeros(self, bit: np.ndarray, skip: np.ndarray) -> np.ndarray:
         """Per lane i and row r, the position of the zero that follows
@@ -517,19 +338,9 @@ class FlatEliasFano:
     # -- views and accounting ----------------------------------------------------
 
     def sequence(self, q: int) -> EliasFanoSeq:
-        """Sequence q as a stand-alone :class:`EliasFanoSeq` (a copy)."""
-        width = int(self.widths[q])
-        low_base, high_base, sample_base = (int(b[q]) for b in (self.low_base, self.high_base, self.sample_base))
-        low_bits, high_bits, n_samples = (int(b[q + 1]) - int(b[q])
-                                          for b in (self.low_base, self.high_base, self.sample_base))
-        n = high_bits - ((self.u - 1) >> width) - 1
-        return EliasFanoSeq(
-            n, self.u, width,
-            _bit_slice(self.lows, low_base, low_bits),
-            _bit_slice(self.highs, high_base, high_bits),
-            high_bits, high_bits - n,
-            self.samples[sample_base: sample_base + n_samples].copy(),
-        )
+        """Sequence q as an :class:`EliasFanoSeq` view (no copy)."""
+        high_bits = int(self.high_base[q + 1]) - int(self.high_base[q])
+        return EliasFanoSeq(self, q, high_bits - ((self.u - 1) >> int(self.widths[q])) - 1, self.u)
 
     def payload_bits(self) -> np.ndarray:
         """Per sequence: low bits plus high bits."""

@@ -29,6 +29,7 @@ from .core import (
     IngestionError,
     InvalidInputError,
     InvalidQueryError,
+    MAX_SCALE_DIGITS,
     Point,
     Rect,
     ScaleConfig,
@@ -262,10 +263,6 @@ class TrajIndex:
             raise FormatError(f"corrupt index file: {exc}") from exc
 
 
-def build_index(network: Network, records, cfg: TrajIndexConfig | None = None) -> TrajIndex:
-    return TrajIndex.build(network, records, cfg)
-
-
 def _reject_first_bad_record(records, n_edges: int) -> None:
     for pos, (seg_id, rec) in enumerate(records):
         where = f"record {pos} (object {rec.object_id}, [{rec.interval.start}, {rec.interval.end}])"
@@ -342,6 +339,8 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         raise VersionError(f"unsupported index format version {version} (expected {FORMAT_VERSION})")
     if backend_tag not in _TAG_BACKENDS:
         raise FormatError(f"unknown backend tag {backend_tag}")
+    if digits > MAX_SCALE_DIGITS:
+        raise FormatError(f"scale digits {digits} out of range 0..{MAX_SCALE_DIGITS}")
     cfg = TrajIndexConfig(temporal_backend=_TAG_BACKENDS[backend_tag], scale=ScaleConfig(digits),
                           rtree_fanout=fanout)
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))

@@ -83,7 +83,7 @@ def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, i
 
 
 class IndependentIntervalSet:
-    """A stand-alone view of one set: its start and end sequences."""
+    """A view of one set: its start and end sequences."""
 
     __slots__ = ("starts_seq", "ends_seq")
 
@@ -131,7 +131,7 @@ class IISIndex(TemporalIndexBase):
 
     @property
     def sets(self) -> list[IndependentIntervalSet]:
-        """Every set as a stand-alone view (copies; for inspection and tests)."""
+        """Every set as a view over the shared sequences (for inspection and tests)."""
         return [IndependentIntervalSet(self.seqs.sequence(2 * k), self.seqs.sequence(2 * k + 1))
                 for k in range(self.m)]
 
@@ -210,7 +210,7 @@ class IISIndex(TemporalIndexBase):
         set_payload = (payload[0::2] + payload[1::2]).tolist()
         set_overhead = (overhead[0::2] + overhead[1::2]).tolist()
         per_set = [
-            {"n": n, "compact": True, "payload_bits": p, "select_overhead_bits": o}
+            {"n": n, "payload_bits": p, "select_overhead_bits": o}
             for n, p, o in zip(np.diff(self.set_rows).tolist(), set_payload, set_overhead)
         ]
         plain_bits = 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -105,19 +106,21 @@ class TestIISIndex:
         assert index.query(5, 6).tolist() == []
 
     def test_batched_query_matches_scalar_set_ranks(self):
-        # the batched rank over all sets against the per-set scalar ranks
+        # the batched rank over all sets against per-set ranks, and each
+        # set's ranks against a scan of its decoded values
         rng = np.random.default_rng(2)
         for kind in ("random", "nested", "shared"):
             starts, lengths = scenario_arrays(rng, kind, 300)
             records = make_records(starts, lengths)
             index = IISIndex.build(records, ScaleConfig(2))
-            sets = index.sets
+            sets = [(s, s.starts_seq.to_array(), s.ends_seq.to_array()) for s in index.sets]
             for _ in range(50):
                 l = int(rng.integers(-2, 10**5))
                 r = l + int(rng.integers(0, 10**4))
                 want = []
-                for k, s in enumerate(sets):
+                for k, (s, set_starts, set_ends) in enumerate(sets):
                     first, last = s.query_slice(l, r)
+                    assert list(range(first, last)) == np.flatnonzero((set_starts <= r) & (set_ends >= l)).tolist()
                     want += index.row_ids[index.set_rows[k] + first: index.set_rows[k] + last].tolist()
                 assert sorted(index.query(l, r).tolist()) == sorted(want)
 
@@ -178,11 +181,8 @@ class TestSpaceReport:
         )
         for entry, s in zip(report["per_set"], index.sets):
             n, u = len(s), index.u
-            if entry["compact"]:
-                import math
-
-                bound = 2 * (2 * n + n * math.ceil(math.log2(u / n)))
-                assert entry["payload_bits"] <= bound
+            bound = 2 * (2 * n + n * math.ceil(math.log2(u / n)))
+            assert entry["payload_bits"] <= bound
 
 
 class TestSerialization:

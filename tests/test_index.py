@@ -419,6 +419,14 @@ class TestFormatChecks:
         with pytest.raises(FormatError, match="set bit per value"):
             TrajIndex.load(str(bad))
 
+    def test_digits_byte_out_of_range(self, saved):
+        _, data, bad = saved
+        corrupt = bytearray(data)
+        corrupt[7] = 9  # the header's scale digits, one above the largest allowed
+        bad.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="scale digits"):
+            TrajIndex.load(str(bad))
+
     def test_version_1_file_rejected(self, saved):
         _, data, bad = saved
         bad.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
