@@ -29,7 +29,7 @@ from .core import (
     segments_intersect_window,
 )
 from .eliasfano import EliasFanoSeq
-from .rtree import RTree, RTreeEntry, build_rtree
+from .rtree import RTree, build_rtree
 from .temporal import (
     BACKENDS,
     IISIndex,
@@ -80,7 +80,6 @@ __all__ = [
     "Query",
     "QueryResult",
     "RTree",
-    "RTreeEntry",
     "Rect",
     "ScaleConfig",
     "SchmidtIndex",

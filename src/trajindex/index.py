@@ -18,6 +18,7 @@ keep one structure per segment over its slice of the table.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,17 +39,16 @@ from .core import (
     VersionError,
     discretize_time,
     discretize_times,
-    mbb_of_segment,
     segments_intersect_window,
 )
 from .datagen import Network
 from .eliasfano import prefix_offsets
-from .rtree import RTree, RTreeEntry, build_rtree
+from .rtree import RTree, build_rtree
 from .temporal import BACKENDS
 from .temporal.iis import IISIndex
 
 MAGIC = b"TJIX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 
 _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
@@ -130,12 +130,13 @@ class _PerSegment:
 class TrajIndex:
     """The record table holds every record once, ordered by segment:
     ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
-    temporal structure answers with those row numbers."""
+    temporal structure answers with those row numbers.  ``make_rtree``
+    makes the R-tree from the edges' (n, 4) box array: a new build, or the
+    shape a file saved."""
 
-    def __init__(self, network: Network, rtree: RTree, cfg: TrajIndexConfig, seg_rows: np.ndarray,
-                 object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
+    def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
+                 seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
         self.network = network
-        self.rtree = rtree
         self.cfg = cfg
         self.seg_rows = seg_rows
         self.object_ids = object_ids
@@ -148,6 +149,9 @@ class TrajIndex:
         self._by = np.array([s.b.y for s in network.edges])
         # an axis-parallel segment is its own box, so the R-tree's box test is exact
         self._box_exact = (self._ax == self._bx) | (self._ay == self._by)
+        self.rtree = make_rtree(np.column_stack((
+            np.minimum(self._ax, self._bx), np.minimum(self._ay, self._by),
+            np.maximum(self._ax, self._bx), np.maximum(self._ay, self._by))))
 
     @property
     def segments(self) -> dict[int, SegmentRecords]:
@@ -186,17 +190,15 @@ class TrajIndex:
         else:
             order = np.argsort(seg, kind="stable")
             temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows, digits)
-        entries = [RTreeEntry(s.id, mbb_of_segment(s)) for s in network.edges]
-        rtree = build_rtree(entries, cfg.rtree_fanout)
-        return cls(network, rtree, cfg, seg_rows, obj[order].astype(np.uint32), t_start[order], t_end[order],
-                   temporal)
+        return cls(network, lambda boxes: build_rtree(boxes, cfg.rtree_fanout), cfg, seg_rows,
+                   obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
     # -- queries ---------------------------------------------------------
 
     def _candidate_segments(self, window: Rect) -> np.ndarray:
         """R-tree hits, refined by the exact geometric test where the box
         test alone is not exact."""
-        hits = np.array(self.rtree.window_query(window), dtype=np.int64)
+        hits = self.rtree.window_query(window)
         exact = self._box_exact[hits]
         if exact.all():
             return hits
@@ -272,10 +274,12 @@ def _reject_first_bad_record(records, n_edges: int) -> None:
             raise IngestionError(f"{where} has an object id above {MAX_OBJECT_ID}, the largest a u32 holds")
 
 
-# -- binary format (version 2) ---------------------------------------------
+# -- binary format (version 3) ---------------------------------------------
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
 # network block | R-tree block | record table | temporal block.
+# The R-tree block is a u64 length and the tree's shape (``RTree.to_bytes``);
+# its boxes are recomputed from the network at load.
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
 # ordered by segment.  The temporal block is a u64 length and, for the iis
@@ -346,26 +350,24 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))
     coords = rd.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
-    nodes = [Point(float(x), float(y)) for x, y in coords]
-    edges = []
-    pairs = []
-    for eid in range(n_edges):
-        a, b = int(edge_nodes[eid, 0]), int(edge_nodes[eid, 1])
-        if a >= n_nodes or b >= n_nodes:
-            raise FormatError(f"edge {eid} references unknown node")
-        edges.append(Segment(eid, nodes[a], nodes[b]))
-        pairs.append((a, b))
-    network = Network(nodes, edges, pairs)
+    if n_edges and int(edge_nodes.max()) >= n_nodes:
+        eid = int(np.argmax((edge_nodes >= n_nodes).any(axis=1)))
+        raise FormatError(f"edge {eid} references unknown node")
+    nodes = [Point(x, y) for x, y in coords.tolist()]
+    pairs = [(a, b) for a, b in edge_nodes.tolist()]
+    network = Network(nodes, [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(pairs)], pairs)
 
     (rtree_len,) = rd.unpack(struct.Struct("<Q"))
     if rd.pos + rtree_len > len(data):
         raise FormatError("truncated spatial index block")
-    rtree, end = RTree.from_bytes(data, rd.pos, fanout)
-    if end != rd.pos + rtree_len:
-        raise FormatError("spatial index block length mismatch")
-    if not np.array_equal(np.sort(rtree.entry_ids()), np.arange(n_edges)):
-        raise FormatError("spatial index entries do not match the network's edges")
-    rd.pos = end
+    rtree_block = memoryview(data)[rd.pos: rd.pos + rtree_len]
+    rd.pos += rtree_len
+
+    def load_rtree(boxes: np.ndarray) -> RTree:
+        rtree, end = RTree.from_bytes(rtree_block, 0, fanout, boxes)
+        if end != len(rtree_block):
+            raise FormatError("spatial index block length mismatch")
+        return rtree
 
     seg_rows = prefix_offsets(rd.array("<u4", n_edges))
     n = int(seg_rows[-1])
@@ -387,4 +389,4 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         starts = discretize_times(t_start, cfg.scale)
         ends = discretize_times(t_end, cfg.scale)
         temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows, digits)
-    return TrajIndex(network, rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)
+    return TrajIndex(network, load_rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)

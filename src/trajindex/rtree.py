@@ -1,46 +1,39 @@
-"""Static 2D R-tree over segment bounding boxes, bulk loaded with STR.
+"""Static 2D R-tree over segment bounding boxes, bulk loaded with STR and
+held in flat arrays.
 
 Sort-tile-recursive packing: entries are sorted by box center along x,
 cut into vertical slices, sorted by center y inside each slice, and the
 resulting order is chunked into leaves.  Upper levels repeat the same
 packing over the node boxes until a single root remains.  Chunk sizes
 are evened out so every non-root node holds at least fanout/2 entries.
-Ties in either sort are broken by (xmin, ymin, id) for determinism.
+Ties in either sort are broken by (xmin, ymin, index) for determinism.
+
+The tree is one node table with its levels stored root first.  The
+children of node k are the contiguous rows ``first[k] : first[k] +
+counts[k]`` of the level below it, or, for a leaf, of the entry slots;
+``order`` gives the entry id of each slot.  Every box is stored as
+``(xmin, ymin, -xmax, -ymax)``, so one comparison against
+``(wxmax, wymax, -wxmin, -wymin)`` tests a whole child slice against a
+window.
+
+The tree's shape (its height, each level's child counts and the entry
+order) fixes everything else: node boxes are recomputed bottom-up from
+the entry boxes.  So a saved tree is its shape only, and any shape that
+passes the load checks is a correct R-tree over the given boxes.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FormatError, Rect, rects_overlap
+from .core import ConfigError, FormatError, Rect
+from .eliasfano import concat_ranges, prefix_offsets
 
-_NODE_HEADER = struct.Struct("<BI4d")  # kind, count, mbb
+_U32 = np.dtype("<u4")
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
-_KIND_INTERNAL, _KIND_LEAF, _KIND_EMPTY = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class RTreeEntry:
-    id: int
-    mbb: Rect
-
-
-class _Node:
-    __slots__ = ("mbb", "children", "entry_ids", "entry_boxes")
-
-    def __init__(self, mbb, children=None, entry_ids=None, entry_boxes=None):
-        self.mbb = mbb
-        self.children = children
-        self.entry_ids = entry_ids
-        self.entry_boxes = entry_boxes
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
 
 
 def _even_chunks(n: int, cap: int) -> list[int]:
@@ -51,11 +44,12 @@ def _even_chunks(n: int, cap: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def _str_order(boxes: np.ndarray, ids: np.ndarray, cap: int) -> np.ndarray:
-    """Sort-tile order of the given boxes (indices into the arrays)."""
-    n = len(ids)
-    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
-    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
+def _str_order(boxes: np.ndarray, cap: int) -> np.ndarray:
+    """Sort-tile order of the given (xmin, ymin, -xmax, -ymax) boxes."""
+    n = len(boxes)
+    ids = np.arange(n)
+    cx = (boxes[:, 0] - boxes[:, 2]) / 2.0
+    cy = (boxes[:, 1] - boxes[:, 3]) / 2.0
     by_x = np.lexsort((ids, boxes[:, 1], boxes[:, 0], cx))
     n_leaves = math.ceil(n / cap)
     n_slices = math.ceil(math.sqrt(n_leaves))
@@ -63,189 +57,114 @@ def _str_order(boxes: np.ndarray, ids: np.ndarray, cap: int) -> np.ndarray:
     pos = 0
     for size in _even_chunks(n, math.ceil(n / n_slices)):
         sl = by_x[pos: pos + size]
-        inner = np.lexsort((ids[sl], boxes[sl, 1], boxes[sl, 0], cy[sl]))
+        inner = np.lexsort((sl, boxes[sl, 1], boxes[sl, 0], cy[sl]))
         order[pos: pos + size] = sl[inner]
         pos += size
     return order
 
 
-def _mbb_of(boxes: np.ndarray) -> Rect:
-    return Rect(
-        float(boxes[:, 0].min()),
-        float(boxes[:, 1].min()),
-        float(boxes[:, 2].max()),
-        float(boxes[:, 3].max()),
-    )
-
-
 class RTree:
-    def __init__(self, root: _Node | None, fanout: int, n_entries: int, height: int):
-        self.root = root
+    def __init__(self, levels: list[np.ndarray], order: np.ndarray, boxes: np.ndarray, fanout: int):
+        """The tree of the given shape over ``boxes``, an (n, 4) array of
+        (xmin, ymin, xmax, ymax) rows: ``levels`` holds each level's child
+        counts, root first, and ``order`` the entry id of each leaf slot."""
         self.fanout = fanout
         self.min_fill = fanout // 2
-        self.n_entries = n_entries
-        self.height = height
+        self.height = len(levels)
+        self.n_entries = len(order)
+        self.counts = np.concatenate([np.zeros(0, np.uint32), *levels]).astype(np.uint32)
+        self.order = order.astype(np.uint32)
+        self.entry_boxes = boxes[order] * _SIGNS
+        bases = prefix_offsets([len(c) for c in levels])
+        self.n_internal = int(bases[-2]) if levels else 0
+        # an internal level's children start at the next level's first node, a leaf level's at slot 0
+        self.first = np.concatenate(
+            [np.zeros(0, np.uint32)]
+            + [prefix_offsets(c)[:-1] + base for c, base in zip(levels, [*bases[1:-1], 0])]).astype(np.uint32)
+        node_boxes = [np.zeros((0, 4))]
+        below = self.entry_boxes
+        for counts in reversed(levels):
+            below = np.minimum.reduceat(below, prefix_offsets(counts)[:-1], axis=0)
+            node_boxes.insert(1, below)
+        self.node_boxes = np.concatenate(node_boxes)
 
-    def window_query(self, w: Rect) -> list[int]:
-        """Ids of entries whose stored box overlaps the window (closed sets)."""
-        if self.root is None:
-            return []
-        out: list[int] = []
-        stack = [self.root]
+    def window_query(self, w: Rect) -> np.ndarray:
+        """Ids of entries whose box overlaps the window (closed sets)."""
+        q = np.array((w.xmax, w.ymax, -w.xmin, -w.ymin))
+        out = [_EMPTY_IDS]
+        stack = [0] if self.n_entries else []
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                boxes = node.entry_boxes
-                hit = (
-                    (boxes[:, 0] <= w.xmax)
-                    & (w.xmin <= boxes[:, 2])
-                    & (boxes[:, 1] <= w.ymax)
-                    & (w.ymin <= boxes[:, 3])
-                )
-                out.extend(node.entry_ids[hit].tolist())
+            k = stack.pop()
+            a = self.first.item(k)
+            b = a + self.counts.item(k)
+            if k < self.n_internal:
+                stack.extend(((self.node_boxes[a:b] <= q).all(1).nonzero()[0] + a).tolist())
             else:
-                for child in node.children:
-                    if rects_overlap(child.mbb, w):
-                        stack.append(child)
-        return out
+                out.append(self.order[a:b][(self.entry_boxes[a:b] <= q).all(1)])
+        return np.concatenate(out, dtype=np.int64)
 
     def space_bytes(self) -> int:
-        """Accounted bytes: 4 doubles + child slot per node, 36 bytes per entry."""
-        total = 0
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            total += 4 * 8 + 8
-            if node.is_leaf:
-                total += 36 * len(node.entry_ids)
-            else:
-                total += 8 * len(node.children)
-                stack.extend(node.children)
-        return total
-
-    def entry_ids(self) -> np.ndarray:
-        """Ids of all entries, leaf by leaf."""
-        ids = [_EMPTY_IDS]
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                ids.append(node.entry_ids)
-            else:
-                stack.extend(node.children)
-        return np.concatenate(ids)
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(node.children)
-        return count
+        """Accounted bytes: every array the tree holds."""
+        return sum(a.nbytes for a in (self.counts, self.first, self.order, self.node_boxes, self.entry_boxes))
 
     # -- serialization ---------------------------------------------------
-    # pre-order, self-describing: kind u8, count u32, mbb 4xf64, then
-    # either count leaf entries (id u32 + box 4xf64) or count child nodes
+    # the shape only, all u32: height, each level's child counts (root
+    # level first), then the entry id of each leaf slot
 
     def to_bytes(self) -> bytes:
-        if self.root is None:
-            return _NODE_HEADER.pack(_KIND_EMPTY, 0, 0.0, 0.0, 0.0, 0.0)
-        out = bytearray()
-
-        def emit(node: _Node) -> None:
-            mbb = node.mbb
-            if node.is_leaf:
-                out.extend(_NODE_HEADER.pack(_KIND_LEAF, len(node.entry_ids),
-                                             mbb.xmin, mbb.ymin, mbb.xmax, mbb.ymax))
-                for i in range(len(node.entry_ids)):
-                    out.extend(struct.pack("<I4d", int(node.entry_ids[i]), *node.entry_boxes[i]))
-            else:
-                out.extend(_NODE_HEADER.pack(_KIND_INTERNAL, len(node.children),
-                                             mbb.xmin, mbb.ymin, mbb.xmax, mbb.ymax))
-                for child in node.children:
-                    emit(child)
-
-        emit(self.root)
-        return bytes(out)
+        return np.concatenate(([self.height], self.counts, self.order)).astype(_U32).tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int, fanout: int) -> tuple["RTree", int]:
-        entry_struct = struct.Struct("<I4d")
+    def from_bytes(cls, data, offset: int, fanout: int, boxes: np.ndarray) -> tuple["RTree", int]:
+        """The tree saved at ``offset`` over ``boxes``, and the offset past
+        it.  Raises FormatError unless the shape is an R-tree over all of
+        ``boxes`` whose nodes each hold 1 to ``fanout`` children."""
 
-        def parse(offset: int) -> tuple[_Node | None, int, int, int]:
-            try:
-                kind, count, xmin, ymin, xmax, ymax = _NODE_HEADER.unpack_from(data, offset)
-            except struct.error as exc:
-                raise FormatError(f"truncated spatial index: {exc}") from None
-            offset += _NODE_HEADER.size
-            if kind == _KIND_EMPTY:
-                return None, offset, 0, 0
-            mbb = Rect(xmin, ymin, xmax, ymax)
-            if kind == _KIND_LEAF:
-                ids = np.empty(count, dtype=np.int64)
-                boxes = np.empty((count, 4), dtype=np.float64)
-                for i in range(count):
-                    try:
-                        row = entry_struct.unpack_from(data, offset)
-                    except struct.error as exc:
-                        raise FormatError(f"truncated spatial index: {exc}") from None
-                    ids[i] = row[0]
-                    boxes[i] = row[1:]
-                    offset += entry_struct.size
-                return _Node(mbb, entry_ids=ids, entry_boxes=boxes), offset, count, 1
-            if kind != _KIND_INTERNAL:
-                raise FormatError(f"unknown spatial node kind {kind}")
-            children = []
-            total = 0
-            depth = 0
-            for _ in range(count):
-                child, offset, n, d = parse(offset)
-                children.append(child)
-                total += n
-                depth = max(depth, d)
-            return _Node(mbb, children=children), offset, total, depth + 1
+        def read(count: int) -> np.ndarray:
+            nonlocal offset
+            if offset + 4 * count > len(data):
+                raise FormatError("truncated spatial index")
+            offset += 4 * count
+            return np.frombuffer(data, dtype=_U32, count=count, offset=offset - 4 * count)
 
-        root, offset, n_entries, height = parse(offset)
-        return cls(root, fanout, n_entries, height), offset
+        height = int(read(1)[0])
+        levels = []
+        width = 1 if height else 0  # nodes on the level being read
+        for _ in range(height):
+            counts = read(width)
+            if counts.min() < 1 or counts.max() > fanout:
+                raise FormatError(f"spatial index node child counts outside [1, {fanout}]")
+            levels.append(counts)
+            width = int(counts.sum(dtype=np.int64))
+        n = len(boxes)
+        if width != n:
+            raise FormatError(f"spatial index entries do not match the network's edges ({width} slots, {n} edges)")
+        order = read(n)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise FormatError("spatial index entries do not match the network's edges")
+        return cls(levels, order, boxes, fanout), offset
 
 
-def build_rtree(entries, fanout: int = 32) -> RTree:
-    """Bulk load a static R-tree from (id, box) entries."""
+def build_rtree(boxes: np.ndarray, fanout: int = 32) -> RTree:
+    """Bulk load a static R-tree over ``boxes``, an (n, 4) array of
+    (xmin, ymin, xmax, ymax) rows; entry i is row i."""
     if fanout < 4:
         raise ConfigError(f"fanout must be at least 4, got {fanout}")
-    entries = list(entries)
-    n = len(entries)
-    if n == 0:
-        return RTree(None, fanout, 0, 0)
-    ids = np.array([e.id for e in entries], dtype=np.int64)
-    boxes = np.array(
-        [(e.mbb.xmin, e.mbb.ymin, e.mbb.xmax, e.mbb.ymax) for e in entries],
-        dtype=np.float64,
-    )
-    order = _str_order(boxes, ids, fanout)
-    level: list[_Node] = []
-    pos = 0
-    for size in _even_chunks(n, fanout):
-        member = order[pos: pos + size]
-        pos += size
-        level.append(_Node(_mbb_of(boxes[member]), entry_ids=ids[member], entry_boxes=boxes[member]))
-    height = 1
-    while len(level) > 1:
-        node_boxes = np.array(
-            [(nd.mbb.xmin, nd.mbb.ymin, nd.mbb.xmax, nd.mbb.ymax) for nd in level],
-            dtype=np.float64,
-        )
-        node_ids = np.arange(len(level), dtype=np.int64)
-        order = _str_order(node_boxes, node_ids, fanout)
-        parents: list[_Node] = []
-        pos = 0
-        for size in _even_chunks(len(level), fanout):
-            member = order[pos: pos + size]
-            pos += size
-            children = [level[i] for i in member]
-            parents.append(_Node(_mbb_of(node_boxes[member]), children=children))
-        level = parents
-        height += 1
-    return RTree(level[0], fanout, n, height)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if not len(boxes):
+        return RTree([], _EMPTY_IDS, boxes, fanout)
+    # bottom up: each level's STR order of the level below, and its chunk sizes
+    packs = []
+    below = boxes * _SIGNS
+    while not packs or len(below) > 1:  # until one node remains
+        order = _str_order(below, fanout)
+        sizes = np.array(_even_chunks(len(below), fanout))
+        packs.append((order, sizes))
+        below = np.minimum.reduceat(below[order], prefix_offsets(sizes)[:-1], axis=0)
+    # top down: lay out each level's children contiguously, in their parents' order
+    levels = []
+    nodes = np.zeros(1, dtype=np.int64)  # the root
+    for order, sizes in reversed(packs):
+        levels.append(sizes[nodes])
+        nodes = order[concat_ranges(prefix_offsets(sizes)[nodes], sizes[nodes])]
+    return RTree(levels, nodes, boxes, fanout)

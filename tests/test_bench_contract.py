@@ -65,3 +65,7 @@ def test_traced_run_reports_every_declared_metric():
         got = result["metrics"].get(metric["name"])
         assert got is not None, f"metric {metric['name']} missing"
         assert got["unit"] == metric["unit"], metric["name"]
+    # the spatial level's metrics time calls TrajIndex makes; a renamed wrap target would read 0
+    for name in ("rtree.build_s", "rtree.to_bytes_s", "rtree.from_bytes_s", "rtree.window_query_ms",
+                 "rtree.candidates"):
+        assert result["metrics"][name]["value"] > 0, name

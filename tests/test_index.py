@@ -337,7 +337,7 @@ class TestPersistence:
 
 
 class TestFormatChecks:
-    """A corrupt version-2 file fails at load, never at query time."""
+    """A corrupt version-3 file fails at load, never at query time."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -400,14 +400,68 @@ class TestFormatChecks:
     def test_spatial_entry_id_out_of_range(self, saved):
         index, data, bad = saved
         at = self.layout(index, data)
-        root = at["record_counts"] - len(index.rtree.to_bytes())
-        leaf = root + 37  # the root is an internal node; its first child, a leaf, follows its header
-        assert (data[root], data[leaf]) == (0, 1)
+        block = at["record_counts"] - len(index.rtree.to_bytes())
+        assert struct.unpack_from("<I", data, block)[0] == index.rtree.height == 2
+        slots = block + 4 * (1 + len(index.rtree.counts))  # the entry order follows the height and the counts
+        second = struct.unpack_from("<I", data, slots + 4)[0]
+        for value in (len(index.network.edges) + 3, second):  # an id past the last edge, a duplicated id
+            corrupt = bytearray(data)
+            corrupt[slots: slots + 4] = struct.pack("<I", value)  # the first slot's entry id
+            bad.write_bytes(bytes(corrupt))
+            with pytest.raises(FormatError, match="spatial index entries"):
+                TrajIndex.load(str(bad))
+
+    def test_edge_endpoint_out_of_range(self, saved):
+        index, data, bad = saved
+        net = index.network
         corrupt = bytearray(data)
-        corrupt[leaf + 37: leaf + 41] = struct.pack("<I", len(index.network.edges) + 3)  # its first entry id
+        where = 10 + 8 + 16 * len(net.nodes) + 8 * 5 + 4  # edge 5's second endpoint
+        corrupt[where: where + 4] = struct.pack("<I", len(net.nodes))
         bad.write_bytes(bytes(corrupt))
-        with pytest.raises(FormatError, match="spatial index entries"):
+        with pytest.raises(FormatError, match="edge 5 references unknown node"):
             TrajIndex.load(str(bad))
+
+    def test_spatial_block_fuzz(self, saved):
+        """A flipped or cut byte, or two swapped words, in the R-tree block
+        either fail at load or leave every answer unchanged."""
+        index, data, bad = saved
+        at = self.layout(index, data)
+        start = at["record_counts"] - len(index.rtree.to_bytes())
+        end = at["record_counts"]
+        rng = np.random.default_rng(23)
+        box = index.network.bounds()
+        windows = []
+        for _ in range(300):
+            x0, x1 = np.sort(rng.uniform(box.xmin - 0.5, box.xmax + 0.5, 2))
+            y0, y1 = np.sort(rng.uniform(box.ymin - 0.5, box.ymax + 0.5, 2))
+            windows.append(Rect(x0, y0, x1, y1))
+        want = [(sorted(index.rtree.window_query(w).tolist()), index.range_query(w, 0.0, 30.0).object_ids)
+                for w in windows]
+        mutants = []
+        for pos in rng.integers(start, end, 150).tolist():
+            flipped = bytearray(data)
+            flipped[pos] ^= int(rng.integers(1, 256))
+            mutants.append(bytes(flipped))
+        for pos in rng.integers(start, end, 30).tolist():
+            mutants.append(data[:pos])
+            mutants.append(data[:pos] + data[pos + int(rng.integers(1, 9)):])
+        for i, j in rng.integers(0, (end - start) // 4, (40, 2)).tolist():
+            swapped = bytearray(data)
+            a, b = start + 4 * i, start + 4 * j
+            swapped[a: a + 4], swapped[b: b + 4] = data[b: b + 4], data[a: a + 4]
+            mutants.append(bytes(swapped))
+        loaded = 0
+        for mutant in mutants:
+            bad.write_bytes(mutant)
+            try:
+                back = TrajIndex.load(str(bad))
+            except FormatError:
+                continue
+            loaded += 1
+            got = [(sorted(back.rtree.window_query(w).tolist()), back.range_query(w, 0.0, 30.0).object_ids)
+                   for w in windows]
+            assert got == want
+        assert 0 < loaded < len(mutants)
 
     def test_cleared_high_bit(self, saved):
         index, data, bad = saved
@@ -429,6 +483,7 @@ class TestFormatChecks:
 
     def test_version_1_file_rejected(self, saved):
         _, data, bad = saved
-        bad.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
-        with pytest.raises(VersionError):
-            TrajIndex.load(str(bad))
+        for version in (1, 2):
+            bad.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
+            with pytest.raises(VersionError):
+                TrajIndex.load(str(bad))
