@@ -10,17 +10,82 @@ SELECT_SAMPLE zeros) so that rank runs in near-constant time.
 
 There is one codec: :class:`FlatEliasFano` packs any number of such
 sequences back to back and ranks any number of (sequence, value) lanes
-in one batched call.  :class:`EliasFanoSeq` is a view of one sequence of
-a :class:`FlatEliasFano` and stores no words of its own.
+in one call into a small C kernel, ``eliasfano_rank.c``: per lane it jumps
+to the nearest select sample, skips zeros word by word with popcount,
+selects inside the word and walks the bucket's values comparing low parts
+(Vigna, "Broadword implementation of rank/select queries", WEA 2008).
+:class:`EliasFanoSeq` is a view of one sequence of a
+:class:`FlatEliasFano` and stores no words of its own.
+
+The kernel is compiled with ``cffi`` at the first import, into this
+package's ``__pycache__``, under a name derived from its source and the
+interpreter, and reused afterwards.  Without ``cffi`` or a C compiler the
+import raises ``ImportError``.
 """
 
 from __future__ import annotations
+
+import functools
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from .core import FormatError, InvalidInputError
 
 SELECT_SAMPLE = 128
+
+# -- the compiled rank kernel ------------------------------------------------
+
+_KERNEL_SOURCE = Path(__file__).with_name("eliasfano_rank.c")
+_KERNEL_CDEF = """
+int64_t ef_rank_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
+                    const uint64_t *, const uint64_t *, const uint32_t *, int64_t, int64_t,
+                    const int64_t *, const int64_t *, int64_t *, int64_t);
+int64_t ef_rank_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
+                    const uint64_t *, const uint64_t *, const uint32_t *, int64_t, int64_t,
+                    const int64_t *, const int64_t *, int64_t *, int64_t);
+"""
+
+
+def _load_kernel():
+    """Import the rank kernel, compiling it first when no module built from
+    this source for this interpreter sits in ``__pycache__``."""
+    try:
+        import cffi
+    except ImportError as exc:
+        raise ImportError(f"trajindex needs cffi to build its Elias-Fano rank kernel: {exc}") from exc
+    source = _KERNEL_SOURCE.read_text()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    key = "\0".join((source, _KERNEL_CDEF, suffix, cffi.__version__))
+    name = "_eliasfano_rank_" + hashlib.sha256(key.encode()).hexdigest()[:16]
+    cache = _KERNEL_SOURCE.with_name("__pycache__")
+    path = cache / (name + suffix)
+    if not path.exists():
+        ffi = cffi.FFI()
+        ffi.cdef(_KERNEL_CDEF)
+        ffi.set_source(name, source, extra_compile_args=["-O2", "-Wall", "-Wextra"])
+        try:
+            cache.mkdir(exist_ok=True)
+            # build aside and move the finished module in, so that a
+            # concurrent first import never loads a half-written file
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                os.replace(ffi.compile(tmpdir=tmp), path)
+        except (cffi.VerificationError, OSError) as exc:
+            raise ImportError(f"trajindex could not compile its Elias-Fano rank kernel from "
+                              f"{_KERNEL_SOURCE.name} (a C compiler is required): {exc}") from exc
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_KERNEL = _load_kernel()
+_ffi, _lib = _KERNEL.ffi, _KERNEL.lib
 
 
 class EliasFanoSeq:
@@ -94,22 +159,10 @@ class EliasFanoSeq:
 
 
 # -- many sequences packed back to back ------------------------------------
-#
-# The batched rank below reads 64-bit words byte by byte through
-# ``ndarray.view(np.uint8)``, which assumes a little-endian host.
 
-SCAN_WORDS = 8  # high-bitvector words one select reads past its sample
-_SCAN = np.arange(SCAN_WORDS)
+SCAN_WORDS = 8  # zero words after the last high part; the rank kernel does not need them
 _SAMPLE_SHIFT = SELECT_SAMPLE.bit_length() - 1
-_L8 = np.uint64(0x0101_0101_0101_0101)
-_H8 = np.uint64(0x8080_8080_8080_8080)
-_FROM_BIT = np.array([(0xFFFF_FFFF_FFFF_FFFF << i) & 0xFFFF_FFFF_FFFF_FFFF for i in range(64)], dtype=np.uint64)
 _LOW_MASK = np.array([(1 << i) - 1 for i in range(64)], dtype=np.uint64)
-# _SELECT8[(byte << 3) | r] is the position of the r-th set bit of byte
-_SELECT8 = np.zeros(256 * 8, dtype=np.uint8)
-for _byte in range(256):
-    for _r, _bit in enumerate(b for b in range(8) if _byte >> b & 1):
-        _SELECT8[(_byte << 3) | _r] = _bit
 
 
 def prefix_offsets(values: np.ndarray) -> np.ndarray:
@@ -137,13 +190,11 @@ class FlatEliasFano:
     follow from ``u`` and ``sizes``, so a file stores only those and the
     two word arrays.
 
-    :meth:`rank` answers one rank per lane for any number of lanes with a
-    fixed number of numpy calls: one batched select finds both bucket
-    bounds of every lane, and one pass compares the low parts of the
-    values inside the buckets.
+    :meth:`rank` answers one rank per lane for any number of lanes in one
+    call into the compiled kernel, which reads these arrays in place.
     """
 
-    __slots__ = ("u", "widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples")
+    __slots__ = ("u", "widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples", "_rank")
 
     def __init__(self, u: int, sizes, lows: np.ndarray, highs: np.ndarray, samples: np.ndarray):
         """``lows`` ends with two spare words (a width-0 value may sit past
@@ -160,6 +211,20 @@ class FlatEliasFano:
         bases = [prefix_offsets(n) for n in self._section_lengths(u, sizes, widths)]
         dtype = np.uint32 if max(int(b[-1]) for b in bases) < 1 << 32 else np.int64
         self.low_base, self.high_base, self.sample_base = (b.astype(dtype) for b in bases)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Hand the arrays to the rank kernel once, as the entry point for
+        their offset type with every argument but the lanes bound."""
+        wide = self.low_base.dtype == np.int64
+        offset = np.int64 if wide else np.uint32
+        arrays = ((self.widths, np.uint8), (self.low_base, offset), (self.high_base, offset),
+                  (self.sample_base, offset), (self.lows, np.uint64), (self.highs, np.uint64),
+                  (self.samples, np.uint32))
+        handles = [_ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", np.ascontiguousarray(a, dtype))
+                   for a, dtype in arrays]
+        entry = _lib.ef_rank_i64 if wide else _lib.ef_rank_u32
+        self._rank = functools.partial(entry, *handles, len(self.widths), self.u)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -256,37 +321,16 @@ class FlatEliasFano:
 
     def rank(self, seq: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Per lane, how many values of sequence ``seq[i]`` are <= ``x[i]``."""
-        lanes = len(seq)
-        if not lanes:
-            return np.zeros(0, dtype=np.int64)
-        x = np.minimum(x, self.u - 1)
-        width = self.widths[seq]
-        high = x >> width  # negative for a negative x, whose rank is 0
-        # the bucket of x holds the values between zeros high - 1 and high of
-        # the high part; both are found from zero number j
-        positive = high > 0
-        j = np.maximum(high - 1, 0)
-        k = j >> _SAMPLE_SHIFT
-        sampled = self.samples[self.sample_base[seq] + (k - 1)]  # a valid entry even where k == 0
-        high_base = self.high_base[seq].astype(np.int64)
-        # from zero k*SELECT_SAMPLE (or the first bit), skip j - k*SELECT_SAMPLE zeros
-        target = np.empty((2, lanes), dtype=np.int64)
-        target[0] = j - (k << _SAMPLE_SHIFT)
-        target[1] = target[0] + positive
-        zero = self._find_zeros(high_base + sampled * (k > 0), target)
-        base = high_base + j
-        start = (zero[0] - base) * positive
-        end = (zero[1] - base - positive) * (high >= 0)
-        # values start..end-1 share x's high part; count those whose low part is <= x's
-        size = end - start
-        index = concat_ranges(start, size)
-        if not len(index):
-            return start
-        lane = np.arange(lanes).repeat(size)
-        w = width[lane]
-        low = self.read_lows(self.low_base[seq][lane] + index * w, w)
-        limit = (x & _LOW_MASK.view(np.int64)[width])[lane]
-        return start + np.bincount(lane[low <= limit], minlength=lanes)
+        seq = np.ascontiguousarray(seq, dtype=np.int64)
+        x = np.ascontiguousarray(x, dtype=np.int64)
+        if seq.shape != x.shape or seq.ndim != 1:
+            raise ValueError("rank needs one x per lane")
+        out = np.empty(len(seq), dtype=np.int64)
+        bad = self._rank(_ffi.from_buffer("int64_t[]", seq), _ffi.from_buffer("int64_t[]", x),
+                         _ffi.from_buffer("int64_t[]", out), len(seq))
+        if bad:
+            raise IndexError(f"rank lane {bad - 1}: no sequence {seq[bad - 1]}")
+        return out
 
     def read_lows(self, pos: np.ndarray, width: np.ndarray) -> np.ndarray:
         """Per lane, the ``width``-bit low part (one width or one per lane)
@@ -295,45 +339,6 @@ class FlatEliasFano:
         shift = (pos & 63).astype(np.uint64)
         low = (self.lows[word] >> shift) | ((self.lows[word + 1] << np.uint64(1)) << (np.uint64(63) - shift))
         return (low & _LOW_MASK[width]).view(np.int64)
-
-    def _find_zeros(self, bit: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """Per lane i and row r, the position of the zero that follows
-        ``skip[r, i]`` zeros from bit ``bit[i]`` on."""
-        lanes = len(bit)
-        first = bit >> 6
-        zeros = ~self.highs[first[:, None] + _SCAN]
-        zeros[:, 0] &= _FROM_BIT[bit & 63]
-        zeros = zeros.ravel()
-        count = np.bitwise_count(zeros)
-        through = count.cumsum().view(np.int64)
-        row = np.arange(0, len(zeros), SCAN_WORDS)
-        target = skip + (through[row] - count[row])  # counted from the first lane's window
-        at = through.searchsorted(target, side="right")  # the window word holding each zero
-        word = at - row
-        past = word >= SCAN_WORDS
-        if not past.any():
-            return ((first + word) << 6) + self._select_in_words(zeros[at], target - through[at] + count[at])
-        # rare: some zeros lie past their window, so scan on from its end
-        pos = np.empty_like(target)
-        inside = ~past
-        at = at[inside]
-        pos[inside] = (((first + word) << 6)[inside]
-                       + self._select_in_words(zeros[at], target[inside] - through[at] + count[at]))
-        lane = np.nonzero(past)[1]
-        rest = target[past] - through[row[lane] + SCAN_WORDS - 1]
-        pos[past] = self._find_zeros((first[lane] + SCAN_WORDS) << 6, rest[None, :])[0]
-        return pos
-
-    @staticmethod
-    def _select_in_words(words: np.ndarray, skip: np.ndarray) -> np.ndarray:
-        """Per lane, the position of the set bit of ``words[i]`` that has
-        ``skip[i]`` set bits below it (broadword select over byte counts)."""
-        skip = skip.view(np.uint64)
-        sums = np.bitwise_count(words.view(np.uint8)).view(np.uint64) * _L8  # byte i: set bits in bytes 0..i
-        byte8 = np.bitwise_count((((skip * _L8) | _H8) - sums) & _H8) << np.uint8(3)
-        rest = skip - (((sums << np.uint64(8)) >> byte8) & np.uint64(0xFF))
-        byte = (words >> byte8) & np.uint64(0xFF)
-        return byte8 + _SELECT8[(byte << np.uint64(3)) | rest]
 
     # -- views and accounting ----------------------------------------------------
 

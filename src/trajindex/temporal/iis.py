@@ -183,20 +183,22 @@ class IISIndex(TemporalIndexBase):
         ``segments`` (all segments by default)."""
         check_query(l, r)
         if segments is None:
-            sets = np.arange(self.m)
+            lanes = np.arange(2 * self.m)
         else:
+            # the sets of a segment are contiguous, and so are their sequences
             first = self.seg_sets[segments]
-            sets = concat_ranges(first, self.seg_sets[segments + 1] - first)
-        n = len(sets)
-        if n == 0:
+            lanes = concat_ranges(2 * first, 2 * (self.seg_sets[segments + 1] - first))
+        if not len(lanes):
             return _EMPTY
         top = self.u - 1
-        # one lane per (set, endpoint): rank of the starts at r, of the ends at l - 1
-        lanes = np.concatenate((sets << 1, (sets << 1) | 1))
-        x = np.array((max(min(r, top), -1), max(min(l - 1, top), -1))).repeat(n)
+        # lane 2k ranks set k's starts at r, lane 2k + 1 its ends at l - 1
+        x = np.array((max(min(r, top), -1), max(min(l - 1, top), -1)))[lanes & 1]
         ranks = self.seqs.rank(lanes, x)
-        first = ranks[n:]
-        rows = concat_ranges(self.set_rows[sets] + first, ranks[:n] - first)
+        first = ranks[1::2]
+        # never negative on a valid index; flipped low bits, which load
+        # unchecked, can put an end before its start
+        count = np.maximum(ranks[::2] - first, 0)
+        rows = concat_ranges(self.set_rows[lanes[::2] >> 1] + first, count)
         return rows if self.row_ids is None else self.row_ids[rows].astype(np.int64)
 
     # -- accounting ----------------------------------------------------

@@ -1,10 +1,15 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajindex import EliasFanoSeq, FormatError, InvalidInputError
-from trajindex.eliasfano import FlatEliasFano
+from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano
 
 
 def bound_bits(n: int, u: int) -> int:
@@ -173,3 +178,130 @@ class TestFlat:
         moved[-1] |= np.uint64(1) << np.uint64(63)  # a bit past the last sequence
         with pytest.raises(FormatError):
             FlatEliasFano.from_words(universe, sizes, lows, moved)
+
+
+def decoded_rank(flat: FlatEliasFano, lanes, x) -> list:
+    """The oracle: ``np.searchsorted`` on each lane's decoded values."""
+    values = [flat.sequence(q).to_array() for q in range(len(flat.widths))]
+    return [int(np.searchsorted(values[q], min(v, flat.u - 1), side="right")) if v >= 0 else 0
+            for q, v in zip(np.asarray(lanes).tolist(), np.asarray(x).tolist())]
+
+
+def every_lane(flat: FlatEliasFano, x) -> tuple:
+    """Every sequence against every x."""
+    lanes = np.repeat(np.arange(len(flat.widths)), len(x))
+    return lanes, np.tile(np.asarray(x, dtype=np.int64), len(flat.widths))
+
+
+class TestKernelEdges:
+    def test_width_zero_and_unit_universe(self):
+        dense = np.arange(50)  # n = u: every bucket holds at most one value and no low bits
+        flat = FlatEliasFano.from_values(np.concatenate([dense, [0], [0]]), [50, 1, 1], 50)
+        assert flat.widths.tolist() == [0, 5, 5]
+        lanes, x = every_lane(flat, np.arange(-2, 53))
+        assert flat.rank(lanes, x).tolist() == decoded_rank(flat, lanes, x)
+        unit = FlatEliasFano.from_values([0, 0], [1, 1], 1)
+        lanes, x = every_lane(unit, [-5, -1, 0, 1, 2**40])
+        assert unit.rank(lanes, x).tolist() == [0, 0, 1, 1, 1] * 2
+
+    def test_x_at_the_universe_edges(self):
+        universe = 10**5
+        seqs = family(5, universe, 8)
+        flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
+        lanes, x = every_lane(flat, [-(2**62), -2, -1, 0, universe - 2, universe - 1, universe, universe + 1, 2**62])
+        got = flat.rank(lanes, x).tolist()
+        assert got == decoded_rank(flat, lanes, x)
+        assert got[6::9] == [len(v) for v in seqs]  # x = u - 1 counts every value
+
+    def test_bucket_at_a_select_sample(self):
+        rng = np.random.default_rng(6)
+        universe = 10**6
+        values = np.sort(rng.choice(universe, size=1000, replace=False))
+        flat = FlatEliasFano.from_values(values, [1000], universe)
+        width = int(flat.widths[0])
+        assert ((universe - 1) >> width) + 1 > 10 * SELECT_SAMPLE
+        x = []
+        for k in range(1, 11):  # x's bucket starts at sampled zero k * 128, or just before or after it
+            for high in (k * SELECT_SAMPLE - 1, k * SELECT_SAMPLE, k * SELECT_SAMPLE + 1, k * SELECT_SAMPLE + 2):
+                x += [high << width, (high << width) - 1, (high << width) + (1 << width) - 1]
+        lanes = np.zeros(len(x), dtype=np.int64)
+        assert flat.rank(lanes, x).tolist() == decoded_rank(flat, lanes, x)
+
+    def test_buckets_longer_than_a_word(self):
+        universe = 10**6
+        rng = np.random.default_rng(8)
+        spread = np.sort(rng.choice(universe, size=1000, replace=False))
+        width = int(FlatEliasFano.from_values(spread, [1000], universe).widths[0])
+        bucket = (37 << width) + np.arange(0, 1 << width, 2)  # 256 values share bucket 37
+        values = np.union1d(spread[(spread >> width) != 37][: 1000 - len(bucket)], bucket)
+        flat = FlatEliasFano.from_values(values, [len(values)], universe)
+        assert flat.widths[0] == width
+        x = np.arange((36 << width) - 3, (39 << width) + 3)
+        lanes = np.zeros(len(x), dtype=np.int64)
+        assert flat.rank(lanes, x).tolist() == decoded_rank(flat, lanes, x)
+
+    def test_int64_offsets(self):
+        universe = 10**6
+        seqs = family(10, universe, 9)
+        flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
+        rng = np.random.default_rng(2)
+        lanes, x = rng.integers(0, len(seqs), 3000), rng.integers(-1, universe + 1, 3000)
+        want = flat.rank(lanes, x).tolist()
+        # the bases an index gets once it passes 2^32 bits
+        flat.low_base, flat.high_base, flat.sample_base = (
+            b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
+        flat._bind()
+        assert flat.rank(lanes, x).tolist() == want == decoded_rank(flat, lanes, x)
+
+    def test_lane_out_of_range_raises(self):
+        flat = FlatEliasFano.from_values([1, 5, 2, 3], [2, 2], 10)
+        for q in (2, -1, 2**40):
+            with pytest.raises(IndexError, match="no sequence"):
+                flat.rank(np.array([0, q, 1]), np.array([3, 3, 3]))
+        with pytest.raises(ValueError):
+            flat.rank(np.array([0, 1]), np.array([3]))
+        assert flat.rank(np.array([0, 1]), np.array([3, 3])).tolist() == [1, 2]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_copy(tmp_path) -> dict:
+    """A copy of the package without a built kernel, and an environment importing it."""
+    shutil.copytree(SRC / "trajindex", tmp_path / "trajindex", ignore=shutil.ignore_patterns("__pycache__"))
+    return {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+
+def test_kernel_builds_once_without_warnings(tmp_path):
+    """A fresh copy of the package compiles its rank kernel, warning-free,
+    at the first import into ``__pycache__`` and reuses it at the next."""
+    env = fresh_copy(tmp_path)
+    show = "import os, trajindex.eliasfano as ef; p = ef._KERNEL.__file__; print(p, os.stat(p).st_mtime_ns)"
+
+    def run():
+        proc = subprocess.run([sys.executable, "-c", show], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    first = run()
+    assert "warning" not in (first.stdout + first.stderr).lower(), first.stdout + first.stderr
+    path, mtime = first.stdout.split()
+    assert Path(path).parent == tmp_path / "trajindex" / "__pycache__"
+    second = run()
+    assert second.stdout.split() == [path, mtime]
+    assert second.stderr == ""
+
+
+def test_import_names_a_missing_cffi_or_compiler(tmp_path):
+    env = fresh_copy(tmp_path)
+    (tmp_path / "stub").mkdir()
+    (tmp_path / "stub" / "cffi.py").write_text("raise ImportError('stubbed out')\n")
+    cases = (({"PYTHONPATH": os.pathsep.join((str(tmp_path / "stub"), str(tmp_path)))}, "needs cffi"),
+             ({"CC": str(tmp_path / "no-such-compiler")}, "a C compiler is required"))
+    for extra, cause in cases:
+        proc = subprocess.run([sys.executable, "-c", "import trajindex"], env={**env, **extra}, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode != 0
+        assert "ImportError" in proc.stderr and cause in proc.stderr, proc.stderr[-2000:]
+    assert not list((tmp_path / "trajindex" / "__pycache__").glob("_eliasfano_rank_*"))

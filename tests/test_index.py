@@ -1,5 +1,9 @@
+import json
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from trajindex.eliasfano import FlatEliasFano
 from trajindex.temporal.iis import IISIndex
 
 from helpers import FullScanOracle, full_scan_objects
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 REC = IntervalRecord
 
@@ -462,6 +468,60 @@ class TestFormatChecks:
                    for w in windows]
             assert got == want
         assert 0 < loaded < len(mutants)
+
+    def test_temporal_block_fuzz(self, saved, tmp_path):
+        """A flipped, cut or excised byte in the set index block either fails
+        at load or leaves every query answering, with ids the index holds.
+        The mutants run in a child process, so a crash fails the test."""
+        index, data, _ = saved
+        start = self.layout(index, data)["block"]
+        rng = np.random.default_rng(29)
+        mutants = []
+        for pos in rng.integers(start, len(data), 150).tolist():
+            flipped = bytearray(data)
+            flipped[pos] ^= int(rng.integers(1, 256))
+            mutants.append(bytes(flipped))
+        for pos in rng.integers(start, len(data), 50).tolist():
+            mutants.append(data[:pos])
+            mutants.append(data[:pos] + data[pos + int(rng.integers(1, 9)):])
+        (tmp_path / "original.tjix").write_bytes(data)
+        for i, mutant in enumerate(mutants):
+            (tmp_path / f"mutant{i}.tjix").write_bytes(mutant)
+        child = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from trajindex import FormatError, Rect, TrajIndex
+            folder, count = sys.argv[1], int(sys.argv[2])
+            original = TrajIndex.load(f"{folder}/original.tjix")
+            ids = set(original.object_ids.tolist())
+            rng = np.random.default_rng(31)
+            box = original.network.bounds()
+            queries = []
+            for _ in range(300):
+                x0, x1 = np.sort(rng.uniform(box.xmin - 0.5, box.xmax + 0.5, 2))
+                y0, y1 = np.sort(rng.uniform(box.ymin - 0.5, box.ymax + 0.5, 2))
+                t0, t1 = np.sort(rng.uniform(0.0, 31.0, 2))
+                queries.append((Rect(x0, y0, x1, y1), t0, t1))
+            want = [original.range_query(*q).object_ids for q in queries]
+            loaded = wrong = 0
+            for i in range(count):
+                try:
+                    index = TrajIndex.load(f"{folder}/mutant{i}.tjix")
+                except FormatError:
+                    continue
+                loaded += 1
+                got = [index.range_query(*q).object_ids for q in queries]
+                assert all(found <= ids for found in got), f"mutant {i} answered an id the index lacks"
+                wrong += got != want
+            print(json.dumps({"loaded": loaded, "wrong": wrong}))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [os.fspath(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, os.fspath(tmp_path), str(len(mutants))], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        print(f"{len(mutants)} temporal-block mutants: {result['loaded']} loaded, {result['wrong']} answered wrongly")
+        assert 0 < result["loaded"] < len(mutants)
 
     def test_cleared_high_bit(self, saved):
         index, data, bad = saved
