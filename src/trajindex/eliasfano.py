@@ -160,7 +160,6 @@ class EliasFanoSeq:
 
 # -- many sequences packed back to back ------------------------------------
 
-SCAN_WORDS = 8  # zero words after the last high part; the rank kernel does not need them
 _SAMPLE_SHIFT = SELECT_SAMPLE.bit_length() - 1
 _LOW_MASK = np.array([(1 << i) - 1 for i in range(64)], dtype=np.uint64)
 
@@ -198,7 +197,7 @@ class FlatEliasFano:
 
     def __init__(self, u: int, sizes, lows: np.ndarray, highs: np.ndarray, samples: np.ndarray):
         """``lows`` ends with two spare words (a width-0 value may sit past
-        the last word), ``highs`` with SCAN_WORDS and ``samples`` with one."""
+        the last word) and ``samples`` with one."""
         self.u = u
         self.lows = lows
         self.highs = highs
@@ -304,7 +303,7 @@ class FlatEliasFano:
 
     @classmethod
     def _with_samples(cls, u, sizes, widths, lows, highs, high_values) -> "FlatEliasFano":
-        """Add the select samples and the scan padding."""
+        """Add the select samples."""
         num_zeros = ((u - 1) >> widths) + 1
         n_samples = cls._section_lengths(u, sizes, widths)[2]
         # zero z of sequence q follows every value of q whose high part is
@@ -315,7 +314,7 @@ class FlatEliasFano:
         zero = (np.arange(len(seq)) - prefix_offsets(n_samples)[seq] + 1) << _SAMPLE_SHIFT
         before = np.searchsorted(keys, zero_base[seq] + zero, side="right") - prefix_offsets(sizes)[seq]
         samples = np.append((zero + before).astype(np.uint32), np.uint32(0))
-        return cls(u, sizes, lows, np.append(highs, np.zeros(SCAN_WORDS, dtype=np.uint64)), samples)
+        return cls(u, sizes, lows, highs, samples)
 
     # -- queries -----------------------------------------------------------------
 

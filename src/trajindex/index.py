@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -92,14 +91,6 @@ class IndexStats:
         return self.spatial_bytes + self.temporal_bytes + self.data_bytes
 
 
-class SegmentRecords(NamedTuple):
-    """One segment's slice of the record table."""
-
-    object_ids: np.ndarray
-    t_start: np.ndarray
-    t_end: np.ndarray
-
-
 class _PerSegment:
     """One temporal structure per loaded segment, each over its segment's
     slice of the record table; answers with record-table rows."""
@@ -152,17 +143,6 @@ class TrajIndex:
         self.rtree = make_rtree(np.column_stack((
             np.minimum(self._ax, self._bx), np.minimum(self._ay, self._by),
             np.maximum(self._ax, self._bx), np.maximum(self._ay, self._by))))
-
-    @property
-    def segments(self) -> dict[int, SegmentRecords]:
-        """Per loaded segment id, its slice of the record table."""
-        bounds = self.seg_rows.tolist()
-        return {
-            seg: SegmentRecords(self.object_ids[bounds[seg]: bounds[seg + 1]],
-                                self.t_start[bounds[seg]: bounds[seg + 1]],
-                                self.t_end[bounds[seg]: bounds[seg + 1]])
-            for seg in np.flatnonzero(np.diff(self.seg_rows)).tolist()
-        }
 
     # -- construction ----------------------------------------------------
 

@@ -1,154 +1,152 @@
-"""Classic interval tree over discretized record endpoints.
+"""Classic interval tree over discretized record endpoints, held flat.
 
 Each node takes the lower median of all endpoint values in scope, keeps
-the intervals stabbed by it in two arrays (sorted by start and by end)
-and recurses on the strictly-left and strictly-right remainders.  Nodes
-with at most LEAF_MAX intervals are stored flat and scanned.
+the intervals stabbed by it and hands the strictly-left and
+strictly-right remainders to its children; a scope of at most LEAF_MAX
+intervals is a leaf.  There is no object per node:
+
+* a node table holds per node its median ``x_med``, its ``left`` and
+  ``right`` child ids (-1 for none; a child's id is above its parent's)
+  and ``offsets``: node v owns positions ``offsets[v]:offsets[v + 1]``
+  of the sections.  Ids from ``first_leaf`` on are leaves.
+* four shared sections hold, node after node, the start ticks and ids
+  sorted by start and the end ticks and ids sorted by end.  A leaf keeps
+  its intervals in record order: their start and end ticks sit at the
+  same positions and their ids once, in the start section, because the
+  end-order ids stop where the first leaf begins.
+
+A query walks node ids on a stack, makes one binary search in each
+stabbed node's section and scans the leaves it reaches.  The node table
+and the ticks are ``array.array`` columns: ``bisect`` searches them in
+place and reads plain ints, where a numpy scalar per read would cost
+more than the search, and unlike lists they hold no objects for the
+garbage collector to walk.  Ids are ``uint32`` numpy arrays, so a match
+is a slice.
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .base import TemporalIndexBase, check_query
 
 LEAF_MAX = 16
-
-
-class _Node:
-    __slots__ = (
-        "x_med", "left", "right",
-        "by_start", "by_start_idx", "by_end", "by_end_idx",
-        "leaf_starts", "leaf_ends", "leaf_idx",
-    )
-
-    def __init__(self):
-        self.x_med = 0
-        self.left = None
-        self.right = None
-        self.by_start = None
-        self.by_start_idx = None
-        self.by_end = None
-        self.by_end_idx = None
-        self.leaf_starts = None
-        self.leaf_ends = None
-        self.leaf_idx = None
-
-
-def _build(starts: np.ndarray, ends: np.ndarray, idx: np.ndarray) -> _Node:
-    node = _Node()
-    if len(idx) <= LEAF_MAX:
-        node.leaf_starts = starts
-        node.leaf_ends = ends
-        node.leaf_idx = idx
-        return node
-    endpoints = np.concatenate([starts, ends])
-    med_pos = (len(endpoints) - 1) // 2  # lower median
-    x_med = int(np.partition(endpoints, med_pos)[med_pos])
-    node.x_med = x_med
-    stabbed = (starts <= x_med) & (ends >= x_med)
-    left = ends < x_med
-    right = starts > x_med
-    order_s = np.argsort(starts[stabbed], kind="stable")
-    order_e = np.argsort(ends[stabbed], kind="stable")
-    node.by_start = starts[stabbed][order_s]
-    node.by_start_idx = idx[stabbed][order_s]
-    node.by_end = ends[stabbed][order_e]
-    node.by_end_idx = idx[stabbed][order_e]
-    if left.any():
-        node.left = _build(starts[left], ends[left], idx[left])
-    if right.any():
-        node.right = _build(starts[right], ends[right], idx[right])
-    return node
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class IntervalTreeIndex(TemporalIndexBase):
     backend = "interval_tree"
 
-    def __init__(self, root: _Node | None, digits: int, n: int):
-        super().__init__(digits, n)
-        self.root = root
+    # every array the tree holds, by the part of space_report() it counts in
+    TICKS = ("start_ticks", "end_ticks")
+    REFS = ("start_ids", "end_ids")
+    NODES = ("x_med", "left", "right", "offsets")
+
+    def __init__(self, nodes: tuple, sections: tuple, digits: int):
+        """``nodes`` is (x_med, left, right, offsets, first_leaf) and
+        ``sections`` is (start_ticks, start_ids, end_ticks, end_ids)."""
+        self.x_med, self.left, self.right, self.offsets, self.first_leaf = nodes
+        self.start_ticks, self.start_ids, self.end_ticks, self.end_ids = sections
+        super().__init__(digits, len(self.start_ids))
 
     @classmethod
     def from_ticks(cls, starts, ends, digits: int) -> "IntervalTreeIndex":
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
-        n = len(starts)
-        root = _build(starts, ends, np.arange(n, dtype=np.int64)) if n else None
-        return cls(root, digits, n)
+        x_med, left, right = array("q"), array("i"), array("i")
+        by_start, by_end = [], []  # ids per node in start order, per internal node in end order
+
+        def add_node(column, parent: int, x: int, ids: np.ndarray) -> int:
+            node = len(x_med)
+            if column is not None:
+                column[parent] = node
+            x_med.append(x)
+            left.append(-1)
+            right.append(-1)
+            by_start.append(ids)
+            return node
+
+        # (the parent's child column that will point at the scope's node, parent id, scope)
+        work = [(None, -1, np.arange(len(starts)))] if len(starts) else []
+        leaves = []
+        while work:
+            column, parent, idx = work.pop()
+            if len(idx) <= LEAF_MAX:
+                leaves.append((column, parent, idx))
+                continue
+            s, e = starts[idx], ends[idx]
+            endpoints = np.concatenate([s, e])
+            med_pos = (len(endpoints) - 1) // 2  # lower median
+            x = int(np.partition(endpoints, med_pos)[med_pos])
+            stabbed = (s <= x) & (e >= x)
+            kept = idx[stabbed]
+            node = add_node(column, parent, x, kept[np.argsort(s[stabbed], kind="stable")])
+            by_end.append(kept[np.argsort(e[stabbed], kind="stable")])
+            for column, side in ((right, s > x), (left, e < x)):
+                if side.any():
+                    work.append((column, node, idx[side]))
+        first_leaf = len(x_med)
+        for column, parent, idx in leaves:
+            add_node(column, parent, 0, idx)
+        offsets = array("I", np.cumsum([0] + [len(ids) for ids in by_start]).tolist() if by_start else [])
+        start_ids = np.concatenate(by_start or [_EMPTY]).astype(np.uint32)
+        end_ids = np.concatenate(by_end or [_EMPTY]).astype(np.uint32)
+        end_order = np.concatenate((end_ids, start_ids[len(end_ids):]))
+        sections = (array("q", starts[start_ids].tobytes()), start_ids,
+                    array("q", ends[end_order].tobytes()), end_ids)
+        return cls((x_med, left, right, offsets, first_leaf), sections, digits)
 
     def query(self, l: int, r: int) -> np.ndarray:
         check_query(l, r)
-        if self.root is None:
-            return np.zeros(0, dtype=np.int64)
+        x_med, left, right, offsets = self.x_med, self.left, self.right, self.offsets
+        start_ticks, start_ids = self.start_ticks, self.start_ids
+        end_ticks, end_ids = self.end_ticks, self.end_ids
+        first_leaf = self.first_leaf
         out: list[np.ndarray] = []
-        node = self.root
-        stack = [node]
+        report = out.append
+        stack = [0] if x_med else []
+        push = stack.append
         while stack:
             node = stack.pop()
-            if node.leaf_idx is not None:
-                hit = (node.leaf_starts <= r) & (node.leaf_ends >= l)
-                if hit.any():
-                    out.append(node.leaf_idx[hit])
+            a = offsets[node]
+            b = offsets[node + 1]
+            if node >= first_leaf:
+                hit = [i for i in range(a, b) if start_ticks[i] <= r and end_ticks[i] >= l]
+                if hit:
+                    report(start_ids[hit])
                 continue
-            if r < node.x_med:
-                # stabbed intervals end at or after x_med > r, so only the
-                # start condition can fail
-                k = int(np.searchsorted(node.by_start, r, side="right"))
-                if k:
-                    out.append(node.by_start_idx[:k])
-                if node.left is not None:
-                    stack.append(node.left)
-            elif l > node.x_med:
-                k = int(np.searchsorted(node.by_end, l, side="left"))
-                if k < len(node.by_end_idx):
-                    out.append(node.by_end_idx[k:])
-                if node.right is not None:
-                    stack.append(node.right)
+            x = x_med[node]
+            if r < x:
+                # stabbed intervals end at or after x > r, so only the start
+                # condition can fail
+                k = bisect_right(start_ticks, r, a, b)
+                if k > a:
+                    report(start_ids[a:k])
+                if left[node] >= 0:
+                    push(left[node])
+            elif l > x:
+                k = bisect_left(end_ticks, l, a, b)
+                if k < b:
+                    report(end_ids[k:b])
+                if right[node] >= 0:
+                    push(right[node])
             else:
-                # x_med inside the query: every stabbed interval matches
-                if len(node.by_start_idx):
-                    out.append(node.by_start_idx)
-                if l < node.x_med and node.left is not None:
-                    stack.append(node.left)
-                if r > node.x_med and node.right is not None:
-                    stack.append(node.right)
-        if not out:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(out)
-
-    # -- accounting ----------------------------------------------------
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return count
+                # x inside the query: every stabbed interval matches (there
+                # is one, as x is an endpoint in scope)
+                report(start_ids[a:b])
+                if l < x and left[node] >= 0:
+                    push(left[node])
+                if r > x and right[node] >= 0:
+                    push(right[node])
+        return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
     def space_report(self) -> dict:
-        tick_bits = 0
-        ref_bits = 0
-        node_bits = 0
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            node_bits += 64 + 2 * 64  # x_med plus two child references
-            if node.leaf_idx is not None:
-                tick_bits += 64 * 2 * len(node.leaf_idx)
-                ref_bits += 32 * len(node.leaf_idx)
-            else:
-                tick_bits += 64 * (len(node.by_start) + len(node.by_end))
-                ref_bits += 32 * (len(node.by_start_idx) + len(node.by_end_idx))
-                if node.left is not None:
-                    stack.append(node.left)
-                if node.right is not None:
-                    stack.append(node.right)
+        tick_bits, ref_bits, node_bits = (
+            sum(8 * getattr(self, name).itemsize * len(getattr(self, name)) for name in names)
+            for names in (self.TICKS, self.REFS, self.NODES))
         return {
             "backend": self.backend,
             "n": self.n,

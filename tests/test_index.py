@@ -61,7 +61,7 @@ class TestTwoSegmentExample:
         cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(2))
         index = TrajIndex.build(net, records, cfg)
         # each temporal index holds exactly one record
-        assert {seg: len(d.object_ids) for seg, d in index.segments.items()} == {0: 1, 1: 1}
+        assert index.stats().per_segment_records == {0: 1, 1: 1}
         # window covering only segment B, before the object got there
         only_b = Rect(12, -1, 18, 1)
         assert index.range_query(only_b, 0.0, 4.0).object_ids == set()

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from trajindex import (
     build_temporal_index,
 )
 from trajindex.temporal import BACKENDS, LinearScanIndex, record_tick_arrays
-from trajindex.temporal.interval_tree import IntervalTreeIndex
+from trajindex.temporal.interval_tree import LEAF_MAX, IntervalTreeIndex
 from trajindex.temporal.schmidt import SchmidtIndex
 
 from helpers import make_records, scenario_arrays
@@ -44,34 +46,80 @@ class TestIntervalTree:
         index = IntervalTreeIndex.build(THREE, CFG0)
         assert sorted(index.query(0, 100).tolist()) == [0, 1, 2]
 
-    def test_every_record_stored_once_and_node_bound(self):
+    @staticmethod
+    def trees():
+        """Trees over several scenarios and sizes, with their tick arrays."""
         rng = np.random.default_rng(0)
-        starts, lengths = scenario_arrays(rng, "random", 400)
-        records = make_records(starts, lengths)
-        index = IntervalTreeIndex.build(records, ScaleConfig(2))
-        seen = []
-        stack = [index.root]
-        while stack:
-            node = stack.pop()
-            if node.leaf_idx is not None:
-                seen.extend(node.leaf_idx.tolist())
-            else:
-                seen.extend(node.by_start_idx.tolist())
-                stack.extend(c for c in (node.left, node.right) if c is not None)
-        assert sorted(seen) == list(range(400))
-        assert index.node_count() <= 2 * 400
+        for kind, n, digits in [("random", 400, 2), ("random", 300, 1), ("nested", 250, 0),
+                                ("identical", 40, 0), ("fixed", 16, 1), ("trajectory", 3, 1), ("fixed", 0, 0)]:
+            starts, lengths = scenario_arrays(rng, kind, n)
+            sticks, eticks = record_tick_arrays(make_records(starts, lengths), ScaleConfig(digits))
+            yield IntervalTreeIndex.from_ticks(sticks, eticks, digits), sticks, eticks
+
+    def test_every_record_stored_once_and_node_bound(self):
+        for index, sticks, _ in self.trees():
+            n = len(sticks)
+            # start order holds every id once; end order holds the internal nodes' ids once more
+            assert sorted(index.start_ids.tolist()) == list(range(n))
+            assert len(index.end_ids) == (index.offsets[index.first_leaf] if n else 0)
+            for node in range(index.first_leaf):
+                a, b = index.offsets[node], index.offsets[node + 1]
+                assert sorted(index.end_ids[a:b].tolist()) == sorted(index.start_ids[a:b].tolist())
+            assert len(index.x_med) <= 2 * n
 
     def test_median_stabs_all_kept_intervals(self):
-        rng = np.random.default_rng(1)
-        starts, lengths = scenario_arrays(rng, "random", 300)
-        index = IntervalTreeIndex.build(make_records(starts, lengths), ScaleConfig(1))
-        stack = [index.root]
-        while stack:
-            node = stack.pop()
-            if node.leaf_idx is None:
-                assert (node.by_start <= node.x_med).all()
-                assert (node.by_end >= node.x_med).all()
-                stack.extend(c for c in (node.left, node.right) if c is not None)
+        for index, sticks, eticks in self.trees():
+            start_ticks, end_ticks = index.start_ticks.tolist(), index.end_ticks.tolist()
+            assert start_ticks == sticks[index.start_ids].tolist()
+            end_order = np.concatenate((index.end_ids, index.start_ids[len(index.end_ids):]))
+            assert end_ticks == eticks[end_order].tolist()
+            if len(sticks) > LEAF_MAX:
+                endpoints = sorted(sticks.tolist() + eticks.tolist())
+                assert index.x_med[0] == endpoints[(len(endpoints) - 1) // 2]  # the lower median
+            for node in range(index.first_leaf):
+                a, b = index.offsets[node], index.offsets[node + 1]
+                x = index.x_med[node]
+                assert b > a
+                assert all(s <= x for s in start_ticks[a:b])
+                assert all(e >= x for e in end_ticks[a:b])
+                assert start_ticks[a:b] == sorted(start_ticks[a:b])
+                assert end_ticks[a:b] == sorted(end_ticks[a:b])
+
+    def test_children_point_forward_to_one_parent(self):
+        for index, sticks, _ in self.trees():
+            nodes = len(index.x_med)
+            assert len(index.left) == len(index.right) == nodes
+            children = [c for c in index.left.tolist() + index.right.tolist() if c >= 0]
+            assert sorted(children) == list(range(1, nodes))
+            for node in range(nodes):
+                assert all(c == -1 or c > node for c in (index.left[node], index.right[node]))
+                if node >= index.first_leaf:
+                    assert index.left[node] == index.right[node] == -1
+                    assert index.offsets[node + 1] - index.offsets[node] <= LEAF_MAX
+
+    def test_offsets_cover_the_sections(self):
+        for index, sticks, _ in self.trees():
+            n = len(sticks)
+            assert len(index.start_ticks) == len(index.end_ticks) == len(index.start_ids) == n
+            if n == 0:
+                assert len(index.offsets) == len(index.x_med) == 0
+                continue
+            assert len(index.offsets) == len(index.x_med) + 1
+            assert index.offsets[0] == 0 and index.offsets[-1] == n
+            assert all(a < b for a, b in zip(index.offsets, index.offsets[1:]))
+
+    def test_space_report_is_every_array_held(self):
+        widths = {"start_ticks": 64, "end_ticks": 64, "start_ids": 32, "end_ids": 32,
+                  "x_med": 64, "left": 32, "right": 32, "offsets": 32}
+        for index, sticks, _ in self.trees():
+            held = {name: v for name, v in vars(index).items() if isinstance(v, (list, array, np.ndarray))}
+            assert set(held) == set(index.TICKS + index.REFS + index.NODES) == set(widths)
+            assert {name: 8 * v.itemsize for name, v in held.items()} == widths
+            assert index.start_ids.dtype == index.end_ids.dtype == np.uint32
+            report = index.space_report()
+            assert report["total_bits"] == sum(8 * v.itemsize * len(v) for v in held.values())
+            assert report["tick_bits"] == 2 * 64 * len(sticks)
+            assert report["total_bits"] == report["tick_bits"] + report["ref_bits"] + report["node_bits"]
 
 
 class TestSchmidt:
