@@ -10,17 +10,20 @@ SELECT_SAMPLE zeros) so that rank runs in near-constant time.
 
 There is one codec: :class:`FlatEliasFano` packs any number of such
 sequences back to back and ranks any number of (sequence, value) lanes
-in one call into a small C kernel, ``eliasfano_rank.c``: per lane it jumps
-to the nearest select sample, skips zeros word by word with popcount,
-selects inside the word and walks the bucket's values comparing low parts
-(Vigna, "Broadword implementation of rank/select queries", WEA 2008).
-:class:`EliasFanoSeq` is a view of one sequence of a
-:class:`FlatEliasFano` and stores no words of its own.
+in one call into a small C kernel: per lane it jumps to the nearest
+select sample, skips zeros word by word with popcount, selects inside the
+word and walks the bucket's values comparing low parts (Vigna, "Broadword
+implementation of rank/select queries", WEA 2008).  :class:`EliasFanoSeq`
+is a view of one sequence of a :class:`FlatEliasFano` and stores no words
+of its own.
 
-The kernel is compiled with ``cffi`` at the first import, into this
-package's ``__pycache__``, under a name derived from its source and the
-interpreter, and reused afterwards.  Without ``cffi`` or a C compiler the
-import raises ``ImportError``.
+This module also loads the package's query kernels, ``eliasfano_rank.c``:
+the rank above, the R-tree window walk (``rtree.py``) and the ``iis`` row
+output (``temporal/iis.py``), which ranks every probed set with the same
+per-lane loop.  They are compiled with ``cffi`` at the first import, into
+this package's ``__pycache__``, under a name derived from their source and
+the interpreter, and reused afterwards.  Without ``cffi`` or a C compiler
+the import raises ``ImportError``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .core import FormatError, InvalidInputError
 
 SELECT_SAMPLE = 128
 
-# -- the compiled rank kernel ------------------------------------------------
+# -- the compiled query kernels ----------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("eliasfano_rank.c")
 _KERNEL_CDEF = """
@@ -49,16 +52,27 @@ int64_t ef_rank_u32(const uint8_t *, const uint32_t *, const uint32_t *, const u
 int64_t ef_rank_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
                     const uint64_t *, const uint64_t *, const uint32_t *, int64_t, int64_t,
                     const int64_t *, const int64_t *, int64_t *, int64_t);
+int64_t rtree_window(const uint32_t *, const uint32_t *, const uint32_t *, const double *, const double *,
+                     int64_t, double, double, double, double, int64_t *, int64_t *);
+int64_t iis_rows_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
+                     const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
+                     const int64_t *, int64_t, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t,
+                     int64_t **);
+int64_t iis_rows_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
+                     const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
+                     const int64_t *, int64_t, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t,
+                     int64_t **);
+void free(void *);
 """
 
 
 def _load_kernel():
-    """Import the rank kernel, compiling it first when no module built from
-    this source for this interpreter sits in ``__pycache__``."""
+    """Import the query kernels, compiling them first when no module built
+    from this source for this interpreter sits in ``__pycache__``."""
     try:
         import cffi
     except ImportError as exc:
-        raise ImportError(f"trajindex needs cffi to build its Elias-Fano rank kernel: {exc}") from exc
+        raise ImportError(f"trajindex needs cffi to build its query kernels: {exc}") from exc
     source = _KERNEL_SOURCE.read_text()
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     key = "\0".join((source, _KERNEL_CDEF, suffix, cffi.__version__))
@@ -66,17 +80,17 @@ def _load_kernel():
     cache = _KERNEL_SOURCE.with_name("__pycache__")
     path = cache / (name + suffix)
     if not path.exists():
-        ffi = cffi.FFI()
-        ffi.cdef(_KERNEL_CDEF)
-        ffi.set_source(name, source, extra_compile_args=["-O2", "-Wall", "-Wextra"])
+        builder = cffi.FFI()
+        builder.cdef(_KERNEL_CDEF)
+        builder.set_source(name, source, extra_compile_args=["-O2", "-Wall", "-Wextra"])
         try:
             cache.mkdir(exist_ok=True)
             # build aside and move the finished module in, so that a
             # concurrent first import never loads a half-written file
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                os.replace(ffi.compile(tmpdir=tmp), path)
+                os.replace(builder.compile(tmpdir=tmp), path)
         except (cffi.VerificationError, OSError) as exc:
-            raise ImportError(f"trajindex could not compile its Elias-Fano rank kernel from "
+            raise ImportError(f"trajindex could not compile its query kernels from "
                               f"{_KERNEL_SOURCE.name} (a C compiler is required): {exc}") from exc
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -85,7 +99,7 @@ def _load_kernel():
 
 
 _KERNEL = _load_kernel()
-_ffi, _lib = _KERNEL.ffi, _KERNEL.lib
+ffi, lib = _KERNEL.ffi, _KERNEL.lib
 
 
 class EliasFanoSeq:
@@ -213,17 +227,22 @@ class FlatEliasFano:
         self._bind()
 
     def _bind(self) -> None:
-        """Hand the arrays to the rank kernel once, as the entry point for
-        their offset type with every argument but the lanes bound."""
-        wide = self.low_base.dtype == np.int64
-        offset = np.int64 if wide else np.uint32
+        """Hand the arrays to the rank kernel once, with every argument but
+        the lanes bound."""
+        self._rank = self.bind(lib.ef_rank_u32, lib.ef_rank_i64, len(self.widths), self.u)
+
+    def bind(self, narrow, wide, *args) -> functools.partial:
+        """A kernel entry point with this codec's arrays bound as its first
+        arguments, then ``args``: ``narrow`` when the section offsets are
+        ``u32``, ``wide`` when they are ``int64``.  The arrays are handed
+        over once, and the kernel reads them in place."""
+        offset = self.low_base.dtype
         arrays = ((self.widths, np.uint8), (self.low_base, offset), (self.high_base, offset),
                   (self.sample_base, offset), (self.lows, np.uint64), (self.highs, np.uint64),
                   (self.samples, np.uint32))
-        handles = [_ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", np.ascontiguousarray(a, dtype))
+        handles = [ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", np.ascontiguousarray(a, dtype))
                    for a, dtype in arrays]
-        entry = _lib.ef_rank_i64 if wide else _lib.ef_rank_u32
-        self._rank = functools.partial(entry, *handles, len(self.widths), self.u)
+        return functools.partial(wide if offset == np.int64 else narrow, *handles, *args)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -325,8 +344,8 @@ class FlatEliasFano:
         if seq.shape != x.shape or seq.ndim != 1:
             raise ValueError("rank needs one x per lane")
         out = np.empty(len(seq), dtype=np.int64)
-        bad = self._rank(_ffi.from_buffer("int64_t[]", seq), _ffi.from_buffer("int64_t[]", x),
-                         _ffi.from_buffer("int64_t[]", out), len(seq))
+        bad = self._rank(ffi.from_buffer("int64_t[]", seq), ffi.from_buffer("int64_t[]", x),
+                         ffi.from_buffer("int64_t[]", out), len(seq))
         if bad:
             raise IndexError(f"rank lane {bad - 1}: no sequence {seq[bad - 1]}")
         return out

@@ -1,6 +1,8 @@
-/* Batched rank over the sequences of a FlatEliasFano (eliasfano.py).
+/* The compiled query kernels: the batched Elias-Fano rank over the
+ * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
+ * (rtree.py) and the row output of an IISIndex (temporal/iis.py).
  *
- * Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
+ * Rank.  Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
  * high part at bits high_base[q].. of `highs` and its select samples at
  * samples[sample_base[q]..]: sample s is the position, counted from
  * high_base[q], of zero number (s + 1) * 128 of the high part.  Value i
@@ -17,8 +19,33 @@
  * sequence's own, and every value walked is one of its n values, whose low
  * part lies inside `lows` (which ends with two spare words).  The low bits
  * are not checked at load; they only feed comparisons, never addresses.
+ * So a rank is at most the sequence's length.
+ *
+ * Window walk.  Node k's children are rows first[k] .. first[k] + counts[k]
+ * - 1 of the node table when k < n_internal, and leaf slots otherwise; slot
+ * s holds entry order[s].  Reads stay inside the arrays for every tree that
+ * build_rtree builds or RTree.from_bytes accepts: from_bytes checks that
+ * every count lies in [1, fanout], that each level's counts add up to the
+ * next level's width and the leaves' to n_entries, and that `order` is a
+ * permutation of the entries.  So the children of an internal node are
+ * nodes of the next level, a leaf's slots lie below n_entries, and every
+ * entry is written at most once, into n_entries output slots.  The stack
+ * holds, per level of the current path, the siblings not yet walked: at
+ * most (height - 1) * (fanout - 1) + 1 <= height * fanout slots.
+ *
+ * Row output.  Set k holds rows set_rows[k] .. set_rows[k + 1] - 1, its
+ * starts in sequence 2k and its ends in sequence 2k + 1, and segment g holds
+ * sets seg_sets[g] .. seg_sets[g + 1] - 1.  Reads stay inside the arrays for
+ * every index that IISIndex.from_segments builds or IISIndex.from_bytes
+ * accepts: from_bytes checks that the sets per segment add up to the set
+ * count and the rows per set to the row count, that no set is empty and
+ * that every row id lies below the row count.  The kernel rejects a
+ * segment outside [0, n_segments) before reading its offsets, and both
+ * ranks of set k are at most its length (see Rank), so the rows written lie
+ * inside set k's own rows.
  */
 #include <stdint.h>
+#include <stdlib.h>
 
 #define SAMPLE_SHIFT 7 /* log2 of SELECT_SAMPLE */
 
@@ -107,3 +134,93 @@ static inline int64_t rank_lane(int width, int64_t low_at, int64_t high_at, cons
 
 RANK_ENTRY(ef_rank_u32, uint32_t)
 RANK_ENTRY(ef_rank_i64, int64_t)
+
+/* Window walk: writes the entry of every leaf slot whose box overlaps the
+ * window (closed sets) to `out` and returns how many.  Boxes are stored as
+ * (xmin, ymin, -xmax, -ymax) and the window comes as (xmax, ymax, -xmin,
+ * -ymin), so a box overlaps it when each of its four numbers is <= the
+ * window's.  The last overlapping child of a node is walked first, and a
+ * leaf's slots in ascending order. */
+int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32_t *order,
+                     const double *node_boxes, const double *entry_boxes, int64_t n_internal,
+                     double xmax, double ymax, double neg_xmin, double neg_ymin,
+                     int64_t *stack, int64_t *out)
+{
+    int64_t top = 0, n = 0;
+    stack[top++] = 0; /* the root */
+    while (top) {
+        int64_t k = stack[--top];
+        int64_t a = first[k], b = a + counts[k];
+        int leaf = k >= n_internal;
+        const double *box = (leaf ? entry_boxes : node_boxes) + 4 * a;
+        for (int64_t i = a; i < b; i++, box += 4) {
+            if (box[0] <= xmax && box[1] <= ymax && box[2] <= neg_xmin && box[3] <= neg_ymin) {
+                if (leaf)
+                    out[n++] = order[i];
+                else
+                    stack[top++] = i;
+            }
+        }
+    }
+    return n;
+}
+
+/* Row output: per segment as given (all segments in order when `segments`
+ * is NULL), per set of the segment, the set's rows whose start is <= r and
+ * whose end is > l1, ascending, or their row_ids when `row_ids` is not
+ * NULL.  Stores a malloc'ed array of them in *out (NULL when there are
+ * none), for the caller to free, and returns how many.  Returns -1 - i
+ * for the first lane i whose segment is not in [0, n_segments), and
+ * -1 - n_probe when out of memory; *out is then NULL. */
+#define ROWS_ENTRY(name, offset_t)                                                                  \
+    int64_t name(const uint8_t *widths, const offset_t *low_base, const offset_t *high_base,       \
+                 const offset_t *sample_base, const uint64_t *lows, const uint64_t *highs,         \
+                 const uint32_t *samples, int64_t u, const int64_t *seg_sets,                       \
+                 const int64_t *set_rows, int64_t n_segments, const uint32_t *row_ids,             \
+                 const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r, int64_t **out)  \
+    {                                                                                               \
+        int64_t *rows = NULL, cap = 0, n = 0;                                                       \
+        *out = NULL;                                                                                \
+        for (int64_t i = 0; i < n_probe; i++) {                                                     \
+            int64_t g = segments ? segments[i] : i;                                                 \
+            if (g < 0 || g >= n_segments) {                                                         \
+                free(rows);                                                                         \
+                return -1 - i;                                                                      \
+            }                                                                                       \
+            for (int64_t k = seg_sets[g]; k < seg_sets[g + 1]; k++) {                               \
+                int64_t s = 2 * k, e = s + 1;                                                       \
+                int64_t last = rank_lane(widths[s], (int64_t)low_base[s], (int64_t)high_base[s],    \
+                                         samples + sample_base[s], lows, highs, u, r);              \
+                int64_t skip = rank_lane(widths[e], (int64_t)low_base[e], (int64_t)high_base[e],    \
+                                         samples + sample_base[e], lows, highs, u, l1);             \
+                /* never the other way round on a valid index; flipped low                          \
+                 * bits, which load unchecked, can put an end before its start */                   \
+                if (last <= skip)                                                                   \
+                    continue;                                                                       \
+                if (n + last - skip > cap) {                                                        \
+                    int64_t *grown;                                                                 \
+                    cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;                    \
+                    if (cap < 64)                                                                   \
+                        cap = 64;                                                                   \
+                    grown = realloc(rows, (size_t)cap * sizeof *rows);                              \
+                    if (!grown) {                                                                   \
+                        free(rows);                                                                 \
+                        return -1 - n_probe;                                                        \
+                    }                                                                               \
+                    rows = grown;                                                                   \
+                }                                                                                   \
+                int64_t row = set_rows[k] + skip, end = set_rows[k] + last;                         \
+                if (row_ids)                                                                        \
+                    for (; row < end; row++)                                                        \
+                        rows[n++] = row_ids[row];                                                   \
+                else                                                                                \
+                    for (; row < end; row++)                                                        \
+                        rows[n++] = row;                                                            \
+            }                                                                                       \
+        }                                                                                           \
+        *out = rows;                                                                                \
+        return n;                                                                                   \
+    }
+
+ROWS_ENTRY(iis_rows_u32, uint32_t)
+ROWS_ENTRY(iis_rows_i64, int64_t)

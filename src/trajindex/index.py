@@ -10,9 +10,12 @@ discretized with the scale the index was built with, so lossy builds
 stay exact at the tick level.
 
 The records live in one table ordered segment by segment.  The ``iis``
-backend is a single :class:`IISIndex` over that table, which answers a
-query for all candidate segments in one batched call; the other backends
-keep one structure per segment over its slice of the table.
+backend is a single :class:`IISIndex` over that table; the other backends
+keep one structure per segment over its slice of the table.  With
+``iis``, a query makes two calls into compiled code: the R-tree's window
+walk, and the row output that ranks every set of every candidate segment
+and writes the matching rows.  Refinement, the object-id union and the
+``verbose`` matches stay in numpy.
 """
 
 from __future__ import annotations

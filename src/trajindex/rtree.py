@@ -13,8 +13,13 @@ children of node k are the contiguous rows ``first[k] : first[k] +
 counts[k]`` of the level below it, or, for a leaf, of the entry slots;
 ``order`` gives the entry id of each slot.  Every box is stored as
 ``(xmin, ymin, -xmax, -ymax)``, so one comparison against
-``(wxmax, wymax, -wxmin, -wymin)`` tests a whole child slice against a
-window.
+``(wxmax, wymax, -wxmin, -wymin)`` tests a child against a window.
+
+A window query is one call into a compiled kernel (``eliasfano_rank.c``,
+loaded by ``eliasfano.py``).  It descends from the root with an explicit
+stack of node ids, walking the last overlapping child of a node first and
+a leaf's slots in ascending order, and writes the overlapping entries into
+a buffer sized for every entry.
 
 The tree's shape (its height, each level's child counts and the entry
 order) fixes everything else: node boxes are recomputed bottom-up from
@@ -24,16 +29,16 @@ passes the load checks is a correct R-tree over the given boxes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .core import ConfigError, FormatError, Rect
-from .eliasfano import concat_ranges, prefix_offsets
+from .eliasfano import concat_ranges, ffi, lib, prefix_offsets
 
 _U32 = np.dtype("<u4")
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-_EMPTY_IDS = np.zeros(0, dtype=np.int64)
 
 
 def _even_chunks(n: int, cap: int) -> list[int]:
@@ -87,21 +92,21 @@ class RTree:
             below = np.minimum.reduceat(below, prefix_offsets(counts)[:-1], axis=0)
             node_boxes.insert(1, below)
         self.node_boxes = np.concatenate(node_boxes)
+        # the walk's arrays, handed to the kernel once
+        self._walk = functools.partial(lib.rtree_window, *(
+            ffi.from_buffer(ctype, a) for ctype, a in (
+                ("uint32_t[]", self.first), ("uint32_t[]", self.counts), ("uint32_t[]", self.order),
+                ("double[]", self.node_boxes), ("double[]", self.entry_boxes))), self.n_internal)
 
     def window_query(self, w: Rect) -> np.ndarray:
         """Ids of entries whose box overlaps the window (closed sets)."""
-        q = np.array((w.xmax, w.ymax, -w.xmin, -w.ymin))
-        out = [_EMPTY_IDS]
-        stack = [0] if self.n_entries else []
-        while stack:
-            k = stack.pop()
-            a = self.first.item(k)
-            b = a + self.counts.item(k)
-            if k < self.n_internal:
-                stack.extend(((self.node_boxes[a:b] <= q).all(1).nonzero()[0] + a).tolist())
-            else:
-                out.append(self.order[a:b][(self.entry_boxes[a:b] <= q).all(1)])
-        return np.concatenate(out, dtype=np.int64)
+        if not self.n_entries:
+            return np.zeros(0, dtype=np.int64)
+        # the output slots, then the stack's
+        buf = np.empty(self.n_entries + self.height * self.fanout, dtype=np.int64)
+        out = ffi.from_buffer("int64_t[]", buf)
+        n = self._walk(w.xmax, w.ymax, -w.xmin, -w.ymin, out + self.n_entries, out)
+        return buf[:n]
 
     def space_bytes(self) -> int:
         """Accounted bytes: every array the tree holds."""
@@ -152,7 +157,7 @@ def build_rtree(boxes: np.ndarray, fanout: int = 32) -> RTree:
         raise ConfigError(f"fanout must be at least 4, got {fanout}")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     if not len(boxes):
-        return RTree([], _EMPTY_IDS, boxes, fanout)
+        return RTree([], np.zeros(0, dtype=np.int64), boxes, fanout)
     # bottom up: each level's STR order of the level below, and its chunk sizes
     packs = []
     below = boxes * _SIGNS

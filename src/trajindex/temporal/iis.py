@@ -16,9 +16,11 @@ One index covers any number of segments, each decomposed on its own.
 Its rows are the records ordered segment by segment, set by set, and by
 start inside a set, so the answer to a query is a run of rows per set.
 Every set stores its starts and its ends as two Elias-Fano sequences;
-the sequences of all sets live in one :class:`FlatEliasFano`, and a
-query ranks every probed set of every probed segment in one batched
-call.
+the sequences of all sets live in one :class:`FlatEliasFano`.  A query is
+one call into a compiled kernel (``eliasfano_rank.c``, loaded by
+``eliasfano.py``): for every probed segment and every set of it, the
+kernel ranks both sequences and writes the set's run of rows, or the row
+ids they map to, straight into the result.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from bisect import bisect_left
 import numpy as np
 
 from ..core import FormatError
-from ..eliasfano import EliasFanoSeq, FlatEliasFano, concat_ranges, prefix_offsets
+from ..eliasfano import EliasFanoSeq, FlatEliasFano, ffi, lib, prefix_offsets
 from .base import TemporalIndexBase, check_query
 
 # universe, segments, sets, rows, digits, whether row ids follow; padded to 8 bytes
@@ -116,10 +118,15 @@ class IISIndex(TemporalIndexBase):
     def __init__(self, seg_sets: np.ndarray, set_rows: np.ndarray, seqs: FlatEliasFano,
                  digits: int, row_ids: np.ndarray | None = None):
         super().__init__(digits, int(set_rows[-1]))
-        self.seg_sets = seg_sets
-        self.set_rows = set_rows
+        self.seg_sets = np.ascontiguousarray(seg_sets, dtype=np.int64)
+        self.set_rows = np.ascontiguousarray(set_rows, dtype=np.int64)
         self.seqs = seqs
-        self.row_ids = row_ids
+        self.row_ids = None if row_ids is None else np.ascontiguousarray(row_ids, dtype=np.uint32)
+        # the row output's arrays, handed to the kernel once
+        self._rows = seqs.bind(
+            lib.iis_rows_u32, lib.iis_rows_i64, seqs.u, ffi.from_buffer("int64_t[]", self.seg_sets),
+            ffi.from_buffer("int64_t[]", self.set_rows), len(self.seg_sets) - 1,
+            ffi.NULL if row_ids is None else ffi.from_buffer("uint32_t[]", self.row_ids))
 
     @property
     def u(self) -> int:
@@ -146,8 +153,7 @@ class IISIndex(TemporalIndexBase):
         """One segment; queries answer with indices into ``starts``/``ends``."""
         starts = np.asarray(starts, dtype=np.int64)
         index, order = cls.from_segments(starts, ends, np.zeros(len(starts), dtype=np.int64), 1, digits)
-        index.row_ids = order.astype(np.uint32)
-        return index
+        return cls(index.seg_sets, index.set_rows, index.seqs, digits, order)
 
     @classmethod
     def from_segments(cls, starts, ends, segments, n_segments: int, digits: int) -> tuple["IISIndex", np.ndarray]:
@@ -180,26 +186,26 @@ class IISIndex(TemporalIndexBase):
 
     def query(self, l: int, r: int, segments: np.ndarray | None = None) -> np.ndarray:
         """Rows intersecting [l, r] among the segments numbered in the array
-        ``segments`` (all segments by default)."""
+        ``segments`` (all segments by default): segment by segment as given,
+        set by set inside a segment, ascending inside a set."""
         check_query(l, r)
         if segments is None:
-            lanes = np.arange(2 * self.m)
+            probe, count = ffi.NULL, len(self.seg_sets) - 1
         else:
-            # the sets of a segment are contiguous, and so are their sequences
-            first = self.seg_sets[segments]
-            lanes = concat_ranges(2 * first, 2 * (self.seg_sets[segments + 1] - first))
-        if not len(lanes):
-            return _EMPTY
+            segments = np.ascontiguousarray(segments, dtype=np.int64)
+            probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
         top = self.u - 1
-        # lane 2k ranks set k's starts at r, lane 2k + 1 its ends at l - 1
-        x = np.array((max(min(r, top), -1), max(min(l - 1, top), -1)))[lanes & 1]
-        ranks = self.seqs.rank(lanes, x)
-        first = ranks[1::2]
-        # never negative on a valid index; flipped low bits, which load
-        # unchecked, can put an end before its start
-        count = np.maximum(ranks[::2] - first, 0)
-        rows = concat_ranges(self.set_rows[lanes[::2] >> 1] + first, count)
-        return rows if self.row_ids is None else self.row_ids[rows].astype(np.int64)
+        out = ffi.new("int64_t **")
+        # a set's rows are those past its ends <= l - 1 and up to its starts <= r
+        n = self._rows(probe, count, max(min(l - 1, top), -1), max(min(r, top), -1), out)
+        if n < 0:
+            if n == -1 - count:
+                raise MemoryError("no memory for the rows of an interval query")
+            raise IndexError(f"segment lane {-1 - n}: no segment {segments[-1 - n]}")
+        if not n:
+            return _EMPTY
+        # the array owns the kernel's buffer and frees it when it goes
+        return np.frombuffer(ffi.buffer(ffi.gc(out[0], lib.free), 8 * n), dtype=np.int64)
 
     # -- accounting ----------------------------------------------------
 

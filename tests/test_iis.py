@@ -162,6 +162,109 @@ class TestIISIndex:
                 assert sorted(index.query(l, r).tolist()) == want
 
 
+def reference_rows(index, l, r, segments=None):
+    """Rows from per-set ranks of the set's two sequences: segment by
+    segment as given, set by set, ascending inside a set."""
+    segments = range(len(index.seg_sets) - 1) if segments is None else segments
+    out = []
+    for g in segments:
+        for k in range(index.seg_sets[g], index.seg_sets[g + 1]):
+            last = index.seqs.sequence(2 * k).rank(r)
+            first = index.seqs.sequence(2 * k + 1).rank(l - 1)
+            rows = range(index.set_rows[k] + first, index.set_rows[k] + max(last, first))
+            out += list(rows) if index.row_ids is None else index.row_ids[list(rows)].tolist()
+    return out
+
+
+def segment_index(rng, n=600):
+    """An index over segments 0..8 where segments 3 and 5 hold no records."""
+    starts, lengths = scenario_arrays(rng, "random", n)
+    s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(1))
+    return IISIndex.from_segments(s, e, rng.choice([0, 1, 2, 4, 6, 7, 8], len(s)), 9, 1)[0]
+
+
+def assert_rows_alike(index, l, r, segments=None):
+    got = index.query(l, r, segments)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_rows(index, l, r, segments), (l, r, segments)
+
+
+class TestKernelRows:
+    """The compiled row output against per-set ranks: the same rows in the
+    same order."""
+
+    def test_segment_choices(self):
+        rng = np.random.default_rng(7)
+        index = segment_index(rng)
+        assert index.set_counts()[[3, 5]].tolist() == [0, 0]
+        probes = [np.zeros(0, dtype=np.int64), np.array([3]), np.array([5, 3]), np.array([3, 1, 5, 0]),
+                  np.array([8, 0, 8]), np.arange(9)[::-1], None]
+        for _ in range(40):
+            l = int(rng.integers(-5, 12_000))
+            r = l + int(rng.integers(0, 3_000))
+            for probe in probes:
+                assert_rows_alike(index, l, r, probe)
+        assert index.query(0, 10**9, np.zeros(0, dtype=np.int64)).tolist() == []
+        assert index.query(0, 10**9, np.array([3, 5])).tolist() == []
+
+    def test_query_bounds(self):
+        rng = np.random.default_rng(8)
+        index = segment_index(rng)
+        u = index.u
+        for l, r in [(0, 0), (0, 50), (0, u - 1), (0, u), (0, 10**30), (-(10**30), 10**30), (u - 1, u - 1),
+                     (u, u), (u + 5, 10**30), (-3, -1), (-1, 0), (100, 100), (4_321, 4_321)]:
+            assert_rows_alike(index, l, r)
+            assert_rows_alike(index, l, r, np.array([2, 0, 7]))
+        assert sorted(index.query(0, u).tolist()) == list(range(index.n))
+
+    def test_unit_universe(self):
+        # every tick 0: identical intervals, one set each
+        segment = np.array([0, 1, 1, 0, 1])
+        index, _ = IISIndex.from_segments(np.zeros(5, int), np.zeros(5, int), segment, 2, 0)
+        assert index.u == 1 and index.m == 5
+        for l, r in [(0, 0), (0, 3), (-2, -1), (1, 1)]:
+            for probe in (None, np.array([1]), np.array([1, 0])):
+                assert_rows_alike(index, l, r, probe)
+        assert index.query(0, 0, np.array([1, 0])).tolist() == [2, 3, 4, 0, 1]
+
+    def test_stand_alone_row_ids(self):
+        rng = np.random.default_rng(9)
+        starts, lengths = scenario_arrays(rng, "random", 500)
+        records = make_records(starts, lengths)
+        index = IISIndex.build(records, ScaleConfig(2))
+        assert index.m > 1 and (index.row_ids != np.arange(500)).any()
+        for _ in range(60):
+            l = int(rng.integers(-10, 10**5))
+            r = l + int(rng.integers(0, 10**4))
+            assert_rows_alike(index, l, r)
+            assert_rows_alike(index, l, r, np.array([0, 0]))
+            assert sorted(index.query(l, r).tolist()) == brute_force_intersect(records, l, r, ScaleConfig(2)).tolist()
+
+    def test_int64_offsets(self):
+        rng = np.random.default_rng(10)
+        index = segment_index(rng, n=2_000)
+        flat = index.seqs
+        # the bases an index gets once it passes 2^32 bits
+        flat.low_base, flat.high_base, flat.sample_base = (
+            b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
+        flat._bind()
+        wide = IISIndex(index.seg_sets, index.set_rows, flat, index.digits)
+        for _ in range(60):
+            l = int(rng.integers(-5, 12_000))
+            r = l + int(rng.integers(0, 3_000))
+            probe = rng.integers(0, 9, int(rng.integers(0, 12)))
+            assert wide.query(l, r, probe).tolist() == index.query(l, r, probe).tolist()
+            assert_rows_alike(wide, l, r, probe)
+
+    def test_segment_out_of_range_raises(self):
+        rng = np.random.default_rng(11)
+        index = segment_index(rng)
+        for g in (9, -1, 2**40):
+            with pytest.raises(IndexError, match="no segment"):
+                index.query(0, 10**6, np.array([0, 4, g, 1]))
+        assert_rows_alike(index, 0, 10**6, np.array([0, 4, 8, 1]))
+
+
 class TestSpaceReport:
     def test_empty(self):
         report = IISIndex.build([], ScaleConfig(4)).space_report()

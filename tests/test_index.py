@@ -427,10 +427,12 @@ class TestFormatChecks:
         with pytest.raises(FormatError, match="edge 5 references unknown node"):
             TrajIndex.load(str(bad))
 
-    def test_spatial_block_fuzz(self, saved):
+    def test_spatial_block_fuzz(self, saved, tmp_path):
         """A flipped or cut byte, or two swapped words, in the R-tree block
-        either fail at load or leave every answer unchanged."""
-        index, data, bad = saved
+        either fail at load or leave every answer unchanged.  The mutants
+        run in a child process, so a crash in the compiled window walk
+        fails the test."""
+        index, data, _ = saved
         at = self.layout(index, data)
         start = at["record_counts"] - len(index.rtree.to_bytes())
         end = at["record_counts"]
@@ -441,7 +443,7 @@ class TestFormatChecks:
             x0, x1 = np.sort(rng.uniform(box.xmin - 0.5, box.xmax + 0.5, 2))
             y0, y1 = np.sort(rng.uniform(box.ymin - 0.5, box.ymax + 0.5, 2))
             windows.append(Rect(x0, y0, x1, y1))
-        want = [(sorted(index.rtree.window_query(w).tolist()), index.range_query(w, 0.0, 30.0).object_ids)
+        want = [(sorted(index.rtree.window_query(w).tolist()), sorted(index.range_query(w, 0.0, 30.0).object_ids))
                 for w in windows]
         mutants = []
         for pos in rng.integers(start, end, 150).tolist():
@@ -456,18 +458,33 @@ class TestFormatChecks:
             a, b = start + 4 * i, start + 4 * j
             swapped[a: a + 4], swapped[b: b + 4] = data[b: b + 4], data[a: a + 4]
             mutants.append(bytes(swapped))
-        loaded = 0
-        for mutant in mutants:
-            bad.write_bytes(mutant)
-            try:
-                back = TrajIndex.load(str(bad))
-            except FormatError:
-                continue
-            loaded += 1
-            got = [(sorted(back.rtree.window_query(w).tolist()), back.range_query(w, 0.0, 30.0).object_ids)
-                   for w in windows]
-            assert got == want
-        assert 0 < loaded < len(mutants)
+        for i, mutant in enumerate(mutants):
+            (tmp_path / f"mutant{i}.tjix").write_bytes(mutant)
+        (tmp_path / "windows.json").write_text(json.dumps([[float(w.xmin), float(w.ymin), float(w.xmax), float(w.ymax)] for w in windows]))
+        child = textwrap.dedent("""
+            import json, sys
+            from trajindex import FormatError, Rect, TrajIndex
+            folder, count = sys.argv[1], int(sys.argv[2])
+            windows = [Rect(*w) for w in json.load(open(f"{folder}/windows.json"))]
+            loaded, answers = 0, {}
+            for i in range(count):
+                try:
+                    index = TrajIndex.load(f"{folder}/mutant{i}.tjix")
+                except FormatError:
+                    continue
+                loaded += 1
+                answers[i] = [(sorted(index.rtree.window_query(w).tolist()),
+                               sorted(index.range_query(w, 0.0, 30.0).object_ids)) for w in windows]
+            print(json.dumps({"loaded": loaded, "answers": answers}))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [os.fspath(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, os.fspath(tmp_path), str(len(mutants))], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        result = json.loads(proc.stdout.splitlines()[-1])
+        for i, got in result["answers"].items():
+            assert [(ids, objects) for ids, objects in got] == want, f"mutant {i} answered differently"
+        assert 0 < result["loaded"] < len(mutants)
 
     def test_temporal_block_fuzz(self, saved, tmp_path):
         """A flipped, cut or excised byte in the set index block either fails

@@ -22,6 +22,30 @@ def random_window(rng):
     return Rect(x0, y0, x1, y1)
 
 
+def reference_walk(tree, w):
+    """The numpy stack walk the compiled kernel replaced: the last
+    overlapping child of a node is walked first, a leaf's slots in order."""
+    q = np.array((w.xmax, w.ymax, -w.xmin, -w.ymin))
+    out = [np.zeros(0, dtype=np.int64)]
+    stack = [0] if tree.n_entries else []
+    while stack:
+        k = stack.pop()
+        a = tree.first.item(k)
+        b = a + tree.counts.item(k)
+        if k < tree.n_internal:
+            stack.extend(((tree.node_boxes[a:b] <= q).all(1).nonzero()[0] + a).tolist())
+        else:
+            out.append(tree.order[a:b][(tree.entry_boxes[a:b] <= q).all(1)])
+    return np.concatenate(out, dtype=np.int64)
+
+
+def assert_walks_alike(tree, windows):
+    for w in windows:
+        got = tree.window_query(w)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_walk(tree, w).tolist(), w
+
+
 def levels(tree):
     """Each level's child counts and first children, root first."""
     out, pos, width = [], 0, 1
@@ -119,6 +143,79 @@ class TestQuery:
         b = build_rtree(boxes.copy())
         for name in ("counts", "first", "order", "node_boxes", "entry_boxes"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestKernelWalk:
+    """The compiled walk against the numpy reference: the same ids in the
+    same order."""
+
+    def test_empty_and_one_entry(self):
+        windows = [Rect(0, 0, 100, 100), Rect(0.5, 0.5, 0.5, 0.5), Rect(1, 1, 2, 2), Rect(5, 5, 6, 6)]
+        for boxes in (np.zeros((0, 4)), [[0, 0, 1, 1]]):
+            tree = build_rtree(boxes)
+            assert_walks_alike(tree, windows)
+        assert build_rtree([[0, 0, 1, 1]]).window_query(Rect(1, 1, 2, 2)).tolist() == [0]
+
+    def test_height_one(self):
+        rng = np.random.default_rng(10)
+        boxes = random_boxes(rng, 20, size=10.0)
+        tree = build_rtree(boxes, fanout=32)
+        assert tree.height == 1 and tree.n_internal == 0
+        assert_walks_alike(tree, [random_window(rng) for _ in range(200)])
+
+    def test_one_entry_leaves(self):
+        # fanout 4 over 5 boxes, saved as a root of two nodes over five one-entry leaves
+        boxes = np.array([[i, 0, i + 1, 1] for i in range(5)], dtype=float)
+        shape = [3, 2, 4, 1, 1, 1, 1, 1, 1, 4, 2, 0, 3, 1]
+        tree, _ = RTree.from_bytes(np.array(shape, dtype="<u4").tobytes(), 0, 4, boxes)
+        assert tree.height == 3 and (tree.counts[-5:] == 1).all()
+        windows = [Rect(x, -1, x + w, 2) for x in np.arange(-1, 6, 0.5) for w in (0, 0.5, 1, 3, 10)]
+        assert_walks_alike(tree, windows)
+        assert tree.window_query(Rect(-1, -1, 10, 10)).tolist() == [1, 3, 0, 2, 4]  # last child first
+
+    def test_shared_edges_and_corners(self):
+        # unit squares tiling a 6 x 6 board: windows on their shared edges and corners
+        boxes = np.array([[i, j, i + 1, j + 1] for i in range(6) for j in range(6)], dtype=float)
+        tree = build_rtree(boxes, fanout=4)
+        windows = [Rect(x, y, x, y) for x in range(7) for y in range(7)]        # corners
+        windows += [Rect(x, 0, x, 6) for x in range(7)]                         # vertical edges
+        windows += [Rect(0, y, 6, y) for y in range(7)]                         # horizontal edges
+        windows += [Rect(x, y, x + 1, y + 1) for x in range(6) for y in range(6)]  # exactly one square
+        assert_walks_alike(tree, windows)
+        assert sorted(tree.window_query(Rect(2, 3, 2, 3)).tolist()) == [8, 9, 14, 15]
+
+    def test_degenerate_boxes_and_windows(self):
+        rng = np.random.default_rng(11)
+        xy = rng.integers(0, 20, (300, 2)).astype(float)
+        points = np.hstack((xy, xy))                                            # zero-size boxes
+        lines = np.hstack((xy, xy + [[0.0, 3.0]]))                              # zero-width boxes
+        tree = build_rtree(np.vstack((points, lines)), fanout=8)
+        windows = [Rect(x, y, x, y) for x, y in rng.integers(0, 20, (100, 2)).tolist()]
+        windows += [Rect(x, 0, x, 20) for x in range(20)] + [Rect(0, y, 20, y) for y in range(20)]
+        assert_walks_alike(tree, windows)
+
+    def test_windows_outside(self):
+        rng = np.random.default_rng(12)
+        tree = build_rtree(random_boxes(rng, 500), fanout=8)
+        windows = [Rect(-10, -10, -1, -1), Rect(200, 0, 300, 100), Rect(0, 101.5, 100, 200),
+                   Rect(-5, 40, -0.001, 60), Rect(101.001, 101.001, 101.001, 101.001)]
+        for w in windows:
+            assert tree.window_query(w).tolist() == reference_walk(tree, w).tolist() == []
+
+    @pytest.mark.parametrize("fanout", [4, 32])
+    def test_thousand_squares(self, fanout):
+        rng = np.random.default_rng(3)
+        tree = build_rtree(random_boxes(rng, 1000), fanout=fanout)
+        assert_walks_alike(tree, [random_window(rng) for _ in range(1000)])
+
+    def test_any_loadable_shape(self):
+        # a shape whose leaf slots hold the entries in any order still walks alike
+        rng = np.random.default_rng(13)
+        boxes = random_boxes(rng, 300)
+        words = np.frombuffer(build_rtree(boxes, fanout=8).to_bytes(), dtype="<u4").copy()
+        words[-300:] = rng.permutation(300)
+        tree, _ = RTree.from_bytes(words.tobytes(), 0, 8, boxes)
+        assert_walks_alike(tree, [random_window(rng) for _ in range(300)])
 
 
 class TestSerialization:
