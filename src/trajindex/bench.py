@@ -6,10 +6,8 @@ the configured repetitions.  Space is the accounted in-structure size
 from the space reports, not process RSS, so rows are reproducible; every
 non-timing column is a pure function of the spec and seed.
 
-Runs are single-threaded by default.  ``workers > 1`` opts in to running
-independent cells in separate processes; queries inside one timed cell
-are never parallelized, but wall-clock columns then reflect whatever
-contention the machine has.
+Cells run one after another in one process and one thread, so a timed
+cell shares the machine with no other cell.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +56,6 @@ class BenchSpec:
     grid_cols: int = 20
     objects: int = 100
     duration: float = 100.0
-    workers: int = 1
 
     def __post_init__(self):
         for s in self.scenarios:
@@ -75,8 +71,6 @@ class BenchSpec:
             raise ConfigError("query extent must be in (0, 100]")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 def _interval_queries(spec: BenchSpec, seed: int, cfg: ScaleConfig) -> list[tuple[int, int]]:
@@ -175,23 +169,12 @@ def _trajectory_cell(spec: BenchSpec, backend: str) -> list[dict]:
 
 
 def run_benchmark(spec: BenchSpec) -> list[dict]:
-    interval_jobs = [
-        (si, scenario, ni, n)
-        for si, scenario in enumerate(spec.scenarios)
-        for ni, n in enumerate(spec.sizes)
-    ]
-    trajectory_jobs = list(spec.backends) if spec.families else []
     rows: list[dict] = []
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_interval_cell, spec, *job) for job in interval_jobs]
-            futures += [pool.submit(_trajectory_cell, spec, backend) for backend in trajectory_jobs]
-            for future in futures:
-                rows.extend(future.result())
-    else:
-        for job in interval_jobs:
-            rows.extend(_interval_cell(spec, *job))
-        for backend in trajectory_jobs:
+    for si, scenario in enumerate(spec.scenarios):
+        for ni, n in enumerate(spec.sizes):
+            rows.extend(_interval_cell(spec, si, scenario, ni, n))
+    if spec.families:
+        for backend in spec.backends:
             rows.extend(_trajectory_cell(spec, backend))
 
     family_counts: dict[tuple, set] = {}

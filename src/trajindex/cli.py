@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--records", required=True)
     p.add_argument("--backend", choices=sorted(_CLI_BACKENDS), default="iis")
     p.add_argument("--scale-digits", type=int, default=8)
-    p.add_argument("--fanout", type=int, default=32)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("query", help="run queries against an index file")
@@ -126,8 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=_grid, default=(20, 20))
     p.add_argument("--objects", type=int, default=100)
     p.add_argument("--duration", type=float, default=100.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="run independent cells in this many processes (timings get noisy)")
     p.add_argument("--out", help="CSV output path (default stdout)")
     return parser
 
@@ -167,11 +164,7 @@ def _cmd_gen(args) -> int:
 def _cmd_build(args) -> int:
     net = read_network(args.network)
     records = read_records(args.records, n_edges=len(net.edges))
-    cfg = TrajIndexConfig(
-        temporal_backend=_CLI_BACKENDS[args.backend],
-        scale=ScaleConfig(args.scale_digits),
-        rtree_fanout=args.fanout,
-    )
+    cfg = TrajIndexConfig(temporal_backend=_CLI_BACKENDS[args.backend], scale=ScaleConfig(args.scale_digits))
     index = TrajIndex.build(net, records, cfg)
     index.save(args.out)
     stats = index.stats()
@@ -234,7 +227,6 @@ def _cmd_bench(args) -> int:
         grid_cols=cols,
         objects=args.objects,
         duration=args.duration,
-        workers=args.workers,
     )
     rows_out = run_benchmark(spec)
     if args.out:

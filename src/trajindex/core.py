@@ -1,12 +1,14 @@
-"""Geometric and temporal domain types shared by every module.
+"""Geometric and temporal domain types shared by every module, the errors,
+and the checked reader every part of an index file is read with.
 
-All types are immutable value types and all functions are pure, so they can
-be shared freely between threads.
+The domain types are immutable value types and the functions are pure, so
+they can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,52 @@ class FormatError(RuntimeError):
 
 class VersionError(FormatError):
     """An index file written by an incompatible format version."""
+
+
+_BLOCK_LENGTH = struct.Struct("<Q")
+
+
+class Reader:
+    """Bounds-checked reads from ``data[start:end]``, one part of a binary
+    index file named ``what``.  A read past the end raises ``FormatError``."""
+
+    def __init__(self, data, what: str = "index file", start: int = 0, end: int | None = None):
+        self.data = data
+        self.what = what
+        self.start = self.pos = start
+        self.end = len(data) if end is None else end
+
+    def _take(self, size: int, what: str | None = None) -> int:
+        """Move past ``size`` bytes of ``what`` (by default, this part),
+        returning where they begin."""
+        at = self.pos
+        if size > self.end - at:
+            raise FormatError(f"truncated {what or self.what}")
+        self.pos = at + size
+        return at
+
+    def unpack(self, st: struct.Struct) -> tuple:
+        return st.unpack_from(self.data, self._take(st.size))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next ``count`` values, a view of the data."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=self._take(dtype.itemsize * count))
+
+    def pad(self) -> None:
+        """Skip to the next multiple of 8 bytes from the start."""
+        self._take(-(self.pos - self.start) % 8)
+
+    def block(self, what: str) -> "Reader":
+        """A reader confined to the next block: a u64 length, then that many bytes."""
+        (size,) = self.unpack(_BLOCK_LENGTH)
+        at = self._take(size, what)
+        return Reader(self.data, what, at, at + size)
+
+    def finish(self) -> None:
+        """Raise unless every byte up to the end has been read."""
+        if self.pos != self.end:
+            raise FormatError(f"{self.what} length mismatch")
 
 
 @dataclass(frozen=True)

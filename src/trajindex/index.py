@@ -34,6 +34,7 @@ from .core import (
     InvalidQueryError,
     MAX_SCALE_DIGITS,
     Point,
+    Reader,
     Rect,
     ScaleConfig,
     Segment,
@@ -62,7 +63,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 class TrajIndexConfig:
     temporal_backend: str = "iis"
     scale: ScaleConfig = field(default_factory=ScaleConfig)
-    rtree_fanout: int = 32
 
     def __post_init__(self):
         if self.temporal_backend not in BACKENDS:
@@ -173,7 +173,7 @@ class TrajIndex:
         else:
             order = np.argsort(seg, kind="stable")
             temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows, digits)
-        return cls(network, lambda boxes: build_rtree(boxes, cfg.rtree_fanout), cfg, seg_rows,
+        return cls(network, build_rtree, cfg, seg_rows,
                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
     # -- queries ---------------------------------------------------------
@@ -261,6 +261,7 @@ def _reject_first_bad_record(records, n_edges: int) -> None:
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
 # network block | R-tree block | record table | temporal block.
+# The fanout is the saved R-tree's; load checks the tree's nodes against it.
 # The R-tree block is a u64 length and the tree's shape (``RTree.to_bytes``);
 # its boxes are recomputed from the network at load.
 # The record table is one u32 record count per network edge, then the
@@ -268,6 +269,8 @@ def _reject_first_bad_record(records, n_edges: int) -> None:
 # ordered by segment.  The temporal block is a u64 length and, for the iis
 # backend, its encoded sets; the other backends are rebuilt from the
 # record table at load.
+# Load reads every part through one ``Reader``: a block's reads stay inside
+# its length, and each block, like the whole file, must be read to its end.
 
 _FILE_HEADER = struct.Struct("<4sHBBH")
 
@@ -276,7 +279,7 @@ def _serialize_index(index: TrajIndex) -> bytes:
     cfg = index.cfg
     out = bytearray(
         _FILE_HEADER.pack(MAGIC, FORMAT_VERSION, _BACKEND_TAGS[cfg.temporal_backend], cfg.scale.digits,
-                          cfg.rtree_fanout)
+                          index.rtree.fanout)
     )
     net = index.network
     out += struct.pack("<II", len(net.nodes), len(net.edges))
@@ -295,30 +298,8 @@ def _serialize_index(index: TrajIndex) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def unpack(self, st: struct.Struct):
-        try:
-            vals = st.unpack_from(self.data, self.pos)
-        except struct.error as exc:
-            raise FormatError(f"truncated index file: {exc}") from None
-        self.pos += st.size
-        return vals
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        size = np.dtype(dtype).itemsize * count
-        if self.pos + size > len(self.data):
-            raise FormatError("truncated index file: array runs past end of data")
-        arr = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.pos)
-        self.pos += size
-        return arr
-
-
 def _deserialize_index(data: bytes) -> TrajIndex:
-    rd = _Reader(data)
+    rd = Reader(data)
     magic, version, backend_tag, digits, fanout = rd.unpack(_FILE_HEADER)
     if magic != MAGIC:
         raise FormatError(f"not an index file (magic {magic!r})")
@@ -328,8 +309,7 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         raise FormatError(f"unknown backend tag {backend_tag}")
     if digits > MAX_SCALE_DIGITS:
         raise FormatError(f"scale digits {digits} out of range 0..{MAX_SCALE_DIGITS}")
-    cfg = TrajIndexConfig(temporal_backend=_TAG_BACKENDS[backend_tag], scale=ScaleConfig(digits),
-                          rtree_fanout=fanout)
+    cfg = TrajIndexConfig(temporal_backend=_TAG_BACKENDS[backend_tag], scale=ScaleConfig(digits))
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))
     coords = rd.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
@@ -339,17 +319,11 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     nodes = [Point(x, y) for x, y in coords.tolist()]
     pairs = [(a, b) for a, b in edge_nodes.tolist()]
     network = Network(nodes, [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(pairs)], pairs)
-
-    (rtree_len,) = rd.unpack(struct.Struct("<Q"))
-    if rd.pos + rtree_len > len(data):
-        raise FormatError("truncated spatial index block")
-    rtree_block = memoryview(data)[rd.pos: rd.pos + rtree_len]
-    rd.pos += rtree_len
+    spatial_block = rd.block("spatial index block")
 
     def load_rtree(boxes: np.ndarray) -> RTree:
-        rtree, end = RTree.from_bytes(rtree_block, 0, fanout, boxes)
-        if end != len(rtree_block):
-            raise FormatError("spatial index block length mismatch")
+        rtree = RTree.from_bytes(spatial_block, fanout, boxes)
+        spatial_block.finish()
         return rtree
 
     seg_rows = prefix_offsets(rd.array("<u4", n_edges))
@@ -357,17 +331,17 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     object_ids = rd.array("<u4", n).astype(np.uint32)
     t_start = rd.array("<f8", n).astype(np.float64)
     t_end = rd.array("<f8", n).astype(np.float64)
-    (temporal_len,) = rd.unpack(struct.Struct("<Q"))
-    if rd.pos + temporal_len != len(data):
-        raise FormatError("temporal block length does not match the file")
+    temporal_block = rd.block("temporal block")
+    rd.finish()
     if cfg.temporal_backend == "iis":
-        temporal, end = IISIndex.from_bytes(data, rd.pos)
-        if end != len(data) or temporal.row_ids is not None or temporal.digits != digits:
+        temporal = IISIndex.from_bytes(temporal_block)
+        temporal_block.finish()
+        if temporal.row_ids is not None or temporal.digits != digits:
             raise FormatError("temporal block does not match its header")
         if len(temporal.seg_sets) != n_edges + 1 or (temporal.set_rows[temporal.seg_sets] != seg_rows).any():
             raise FormatError("temporal block segment offsets disagree with the record table")
     else:
-        if temporal_len:
+        if temporal_block.end > temporal_block.start:
             raise FormatError("unexpected temporal block")
         starts = discretize_times(t_start, cfg.scale)
         ends = discretize_times(t_end, cfg.scale)

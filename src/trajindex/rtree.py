@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, FormatError, Rect
+from .core import ConfigError, FormatError, Reader, Rect
 from .eliasfano import concat_ranges, ffi, lib, prefix_offsets
 
 _U32 = np.dtype("<u4")
@@ -120,23 +120,15 @@ class RTree:
         return np.concatenate(([self.height], self.counts, self.order)).astype(_U32).tobytes()
 
     @classmethod
-    def from_bytes(cls, data, offset: int, fanout: int, boxes: np.ndarray) -> tuple["RTree", int]:
-        """The tree saved at ``offset`` over ``boxes``, and the offset past
-        it.  Raises FormatError unless the shape is an R-tree over all of
-        ``boxes`` whose nodes each hold 1 to ``fanout`` children."""
-
-        def read(count: int) -> np.ndarray:
-            nonlocal offset
-            if offset + 4 * count > len(data):
-                raise FormatError("truncated spatial index")
-            offset += 4 * count
-            return np.frombuffer(data, dtype=_U32, count=count, offset=offset - 4 * count)
-
-        height = int(read(1)[0])
+    def from_bytes(cls, reader: Reader, fanout: int, boxes: np.ndarray) -> "RTree":
+        """The tree that ``reader`` reads next, over ``boxes``.  Raises
+        FormatError unless the shape is an R-tree over all of ``boxes``
+        whose nodes each hold 1 to ``fanout`` children."""
+        height = int(reader.array(_U32, 1)[0])
         levels = []
         width = 1 if height else 0  # nodes on the level being read
         for _ in range(height):
-            counts = read(width)
+            counts = reader.array(_U32, width)
             if counts.min() < 1 or counts.max() > fanout:
                 raise FormatError(f"spatial index node child counts outside [1, {fanout}]")
             levels.append(counts)
@@ -144,10 +136,10 @@ class RTree:
         n = len(boxes)
         if width != n:
             raise FormatError(f"spatial index entries do not match the network's edges ({width} slots, {n} edges)")
-        order = read(n)
+        order = reader.array(_U32, n)
         if not np.array_equal(np.sort(order), np.arange(n)):
             raise FormatError("spatial index entries do not match the network's edges")
-        return cls(levels, order, boxes, fanout), offset
+        return cls(levels, order, boxes, fanout)
 
 
 def build_rtree(boxes: np.ndarray, fanout: int = 32) -> RTree:

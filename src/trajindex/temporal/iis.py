@@ -30,7 +30,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..core import FormatError
+from ..core import FormatError, Reader
 from ..eliasfano import EliasFanoSeq, FlatEliasFano, ffi, lib, prefix_offsets
 from .base import TemporalIndexBase, check_query
 
@@ -47,19 +47,15 @@ def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, i
     eligible tail with the largest end is the optimal shuffled-upsequence
     decomposition of the end values, O(n log m).  With ``groups``, every
     group is decomposed on its own in the same pass, and the sets of a
-    smaller group get smaller ids.
+    smaller group get smaller ids; without, all intervals are one group.
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     n = len(starts)
-    if groups is None:
-        order = np.lexsort((-ends, starts))  # start asc, end desc, index asc
-        cuts = [0, n]
-    else:
-        groups = np.asarray(groups, dtype=np.int64)
-        order = np.lexsort((-ends, starts, groups))
-        sorted_groups = groups[order]
-        cuts = [0, *(np.flatnonzero(sorted_groups[1:] != sorted_groups[:-1]) + 1).tolist(), n]
+    groups = np.zeros(n, dtype=np.int64) if groups is None else np.asarray(groups, dtype=np.int64)
+    order = np.lexsort((-ends, starts, groups))  # group asc, start asc, end desc, index asc
+    sorted_groups = groups[order]
+    cuts = [0, *(np.flatnonzero(sorted_groups[1:] != sorted_groups[:-1]) + 1).tolist(), n]
     # in this order, a tail with a smaller end also has a strictly smaller
     # start, so eligibility reduces to the tail-end comparison alone
     ends_l = ends[order].tolist()
@@ -258,30 +254,15 @@ class IISIndex(TemporalIndexBase):
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["IISIndex", int]:
-        """Decode and check an index, returning it and the offset past it.
-        Raises ``FormatError`` when the block is truncated, its counts do not
-        add up or a high part is malformed; low bits are not checked."""
-        start = offset
-        try:
-            u, n_segments, m, n, digits, has_ids = _IIS_HEADER.unpack_from(data, offset)
-        except struct.error as exc:
-            raise FormatError(f"truncated set index header: {exc}") from None
-        offset += _IIS_HEADER.size
-
-        def take(dtype: str, count: int) -> np.ndarray:
-            nonlocal offset
-            end = offset + np.dtype(dtype).itemsize * count
-            if end > len(data):
-                raise FormatError("truncated set index")
-            arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-            offset = end
-            return arr.astype(np.int64)
-
-        seg_counts = take("<u4", n_segments)
-        set_sizes = take("<u4", m)
-        row_ids = take("<u4", n) if has_ids else None
-        offset += -(offset - start) % 8
+    def from_bytes(cls, reader: Reader) -> "IISIndex":
+        """Decode and check the index that ``reader`` reads next.  Raises
+        ``FormatError`` when it is truncated, its counts do not add up or a
+        high part is malformed; low bits are not checked."""
+        u, n_segments, m, n, digits, has_ids = reader.unpack(_IIS_HEADER)
+        seg_counts = reader.array("<u4", n_segments).astype(np.int64)
+        set_sizes = reader.array("<u4", m).astype(np.int64)
+        row_ids = reader.array("<u4", n).astype(np.int64) if has_ids else None
+        reader.pad()
         if has_ids > 1 or seg_counts.sum() != m or set_sizes.sum() != n or (m and set_sizes.min() == 0):
             raise FormatError("set index offsets do not add up")
         if u >= 1 << 62 or (m and set_sizes.max() > u):
@@ -290,9 +271,8 @@ class IISIndex(TemporalIndexBase):
             raise FormatError("set index row id out of range")
         sizes = np.repeat(set_sizes, 2)
         n_low, n_high = FlatEliasFano.word_counts(u, sizes)
-        lows = take("<u8", n_low).view(np.uint64)
-        highs = take("<u8", n_high).view(np.uint64)
+        lows = reader.array("<u8", n_low).astype(np.uint64)
+        highs = reader.array("<u8", n_high).astype(np.uint64)
         seqs = FlatEliasFano.from_words(u, sizes, lows, highs)
         ids = None if row_ids is None else row_ids.astype(np.uint32)
-        return cls(prefix_offsets(seg_counts), prefix_offsets(set_sizes), seqs, digits, ids), offset
-
+        return cls(prefix_offsets(seg_counts), prefix_offsets(set_sizes), seqs, digits, ids)

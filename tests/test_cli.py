@@ -159,15 +159,3 @@ class TestBench:
         assert code == EXIT_OK
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 4 + 4
-
-    def test_parallel_workers_match_serial(self):
-        base = ("bench", "--sizes", "150,300", "--queries", "15", "--reps", "1",
-                "--seed", "5", "--grid", "5x5", "--objects", "6", "--duration", "8")
-        code_a, out_a = run(*base)
-        code_b, out_b = run(*base, "--workers", "3")
-        assert code_a == code_b == EXIT_OK
-        strip = lambda text: [
-            {k: v for k, v in row.items() if "seconds" not in k}
-            for row in csv.DictReader(io.StringIO(text))
-        ]
-        assert strip(out_a) == strip(out_b)

@@ -1,9 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from trajindex import (
+    FormatError,
     InvalidInputError,
     Point,
     Rect,
@@ -17,6 +19,7 @@ from trajindex import (
     segment_intersects_window,
     segments_intersect_window,
 )
+from trajindex.core import Reader
 
 
 def seg(ax, ay, bx, by, sid=0):
@@ -148,3 +151,55 @@ class TestValidation:
             TimeInterval(-1.0, 2.0)
         with pytest.raises(InvalidInputError):
             TimeInterval(3.0, 2.0)
+
+
+class TestReader:
+    # a u16, then a 16-byte block (a u32, 4 bytes of padding, a u64), then a u16
+    DATA = struct.pack("<HQI4xQH", 7, 16, 5, 9, 3)
+
+    def test_reads_in_order(self):
+        rd = Reader(self.DATA)
+        assert rd.unpack(struct.Struct("<H")) == (7,)
+        block = rd.block("test block")
+        assert block.array("<u4", 1).tolist() == [5]
+        block.pad()  # to the block's 8th byte (the data's 18th), not the data's 16th
+        assert block.array("<u8", 1).tolist() == [9]
+        block.finish()
+        assert rd.array("<u2", 1).tolist() == [3]
+        rd.finish()
+
+    def test_block_confines_reads(self):
+        rd = Reader(self.DATA)
+        rd.unpack(struct.Struct("<H"))
+        block = rd.block("test block")
+        with pytest.raises(FormatError, match="truncated test block"):
+            block.array("<u8", 3)  # 24 bytes from a 16-byte block
+        with pytest.raises(FormatError, match="truncated test block"):
+            block.unpack(struct.Struct("<17s"))
+
+    def test_every_read_past_the_end(self):
+        for cut in range(len(self.DATA)):
+            rd = Reader(self.DATA[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                rd.unpack(struct.Struct("<H"))
+                block = rd.block("test block")
+                block.array("<u4", 1)
+                block.pad()
+                block.array("<u8", 1)
+                rd.array("<u2", 1)
+
+    def test_pad_past_the_end(self):
+        rd = Reader(bytes(5), "tail")
+        rd.array("<u1", 1)
+        with pytest.raises(FormatError, match="truncated tail"):
+            rd.pad()
+
+    def test_unread_bytes_are_a_length_mismatch(self):
+        rd = Reader(self.DATA)
+        rd.unpack(struct.Struct("<H"))
+        block = rd.block("test block")
+        block.array("<u4", 1)
+        with pytest.raises(FormatError, match="test block length mismatch"):
+            block.finish()
+        with pytest.raises(FormatError, match="index file length mismatch"):
+            rd.finish()

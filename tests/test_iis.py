@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trajindex import FormatError, ScaleConfig, brute_force_intersect
+from trajindex.core import Reader
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
@@ -296,8 +297,9 @@ class TestSerialization:
         cfg = ScaleConfig(3)
         index = IISIndex.build(records, cfg)
         data = index.to_bytes()
-        decoded, offset = IISIndex.from_bytes(data)
-        assert offset == len(data)
+        reader = Reader(data)
+        decoded = IISIndex.from_bytes(reader)
+        reader.finish()  # read to the last byte
         assert decoded.m == index.m and decoded.n == index.n
         for _ in range(40):
             l = int(rng.integers(0, 10**6))
@@ -311,4 +313,4 @@ class TestSerialization:
         data = index.to_bytes()
         for cut in (4, len(data) // 2, len(data) - 4):
             with pytest.raises(FormatError):
-                IISIndex.from_bytes(data[:cut])
+                IISIndex.from_bytes(Reader(data[:cut]))

@@ -23,6 +23,7 @@ from trajindex import (
     TrajIndex,
     TrajIndexConfig,
     VersionError,
+    build_rtree,
     gen_grid_network,
     gen_queries,
     gen_trajectories,
@@ -318,16 +319,44 @@ class TestPersistence:
             TrajIndex.load(os.fspath(bad_magic))
 
     def test_every_truncation_is_format_error(self, tmp_path):
-        net, records = two_segment_setup()
+        net = gen_grid_network(4, 4)
+        records = gen_trajectories(net, 4, 20.0, seed=3)
+        target = tmp_path / "cut.tjix"
+        for backend in BACKENDS:
+            index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(4)))
+            index.save(str(target))
+            data = target.read_bytes()
+            for cut in range(len(data)):
+                target.write_bytes(data[:cut])
+                with pytest.raises(FormatError, match="truncated"):
+                    TrajIndex.load(str(target))
+
+    def test_file_with_another_fanout_loads(self, tmp_path):
+        """A file whose R-tree has fanout 8 loads, answers like the fanout-32
+        original and saves back byte for byte."""
+        net = gen_grid_network(10, 10)
+        records = gen_trajectories(net, 20, 30.0, seed=13)
         index = TrajIndex.build(net, records)
         path = tmp_path / "x.tjix"
         index.save(str(path))
         data = path.read_bytes()
-        target = tmp_path / "cut.tjix"
-        for cut in list(range(0, len(data), 7)) + [len(data) - 1]:
-            target.write_bytes(data[:cut])
-            with pytest.raises(FormatError):
-                TrajIndex.load(str(target))
+        boxes = np.array([[min(e.a.x, e.b.x), min(e.a.y, e.b.y), max(e.a.x, e.b.x), max(e.a.y, e.b.y)]
+                          for e in net.edges])
+        shape = build_rtree(boxes, 8).to_bytes()
+        start = 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges)  # the R-tree block's length word
+        end = start + 8 + len(index.rtree.to_bytes())
+        assert struct.unpack_from("<H", data, 8) == (index.rtree.fanout,) == (32,)
+        spliced = data[:8] + struct.pack("<H", 8) + data[10:start] + struct.pack("<Q", len(shape)) + shape + data[end:]
+        path.write_bytes(spliced)
+        loaded = TrajIndex.load(str(path))
+        assert loaded.rtree.fanout == 8 and loaded.rtree.height == index.rtree.height + 1
+        queries = gen_queries(net.bounds(), 30.0, "range_equal", 80, seed=14, spatial_pct=15, temporal_pct=15)
+        for q in queries:
+            got, want = (sorted(ix.range_query(q.window, q.t_start, q.t_end, verbose=True).matches,
+                                key=repr) for ix in (loaded, index))
+            assert got == want
+        loaded.save(str(path))
+        assert path.read_bytes() == spliced
 
     def test_version_mismatch(self, tmp_path):
         net, records = two_segment_setup()
@@ -539,6 +568,46 @@ class TestFormatChecks:
         result = json.loads(proc.stdout.splitlines()[-1])
         print(f"{len(mutants)} temporal-block mutants: {result['loaded']} loaded, {result['wrong']} answered wrongly")
         assert 0 < result["loaded"] < len(mutants)
+
+    def test_unknown_backend_tag(self, saved):
+        _, data, bad = saved
+        bad.write_bytes(data[:6] + bytes([len(BACKENDS)]) + data[7:])
+        with pytest.raises(FormatError, match="unknown backend tag 4"):
+            TrajIndex.load(str(bad))
+
+    def test_spatial_block_one_word_longer(self, saved):
+        index, data, bad = saved
+        end = self.layout(index, data)["record_counts"]
+        start = end - len(index.rtree.to_bytes())
+        longer = data[:start - 8] + struct.pack("<Q", end - start + 4) + data[start:end] + bytes(4) + data[end:]
+        bad.write_bytes(longer)
+        with pytest.raises(FormatError, match="spatial index block length mismatch"):
+            TrajIndex.load(str(bad))
+
+    def test_temporal_block_in_a_linear_file(self, tmp_path):
+        net = gen_grid_network(4, 4)
+        index = TrajIndex.build(net, gen_trajectories(net, 4, 20.0, seed=3), TrajIndexConfig(temporal_backend="linear"))
+        path = tmp_path / "x.tjix"
+        index.save(str(path))
+        data = path.read_bytes()
+        assert data[-8:] == bytes(8)  # an empty temporal block
+        path.write_bytes(data[:-8] + struct.pack("<Q", 8) + bytes(8))
+        with pytest.raises(FormatError, match="unexpected temporal block"):
+            TrajIndex.load(str(path))
+
+    def test_set_index_digits_disagree_with_the_header(self, saved):
+        index, data, bad = saved
+        where = self.layout(index, data)["block"] + 20  # after the universe and three counts
+        assert data[7] == data[where] == 4
+        bad.write_bytes(data[:where] + bytes([5]) + data[where + 1:])
+        with pytest.raises(FormatError, match="temporal block does not match its header"):
+            TrajIndex.load(str(bad))
+
+    def test_trailing_bytes(self, saved):
+        _, data, bad = saved
+        bad.write_bytes(data + bytes(8))
+        with pytest.raises(FormatError, match="index file length mismatch"):
+            TrajIndex.load(str(bad))
 
     def test_cleared_high_bit(self, saved):
         index, data, bad = saved

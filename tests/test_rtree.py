@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trajindex import ConfigError, FormatError, Rect, build_rtree, rects_overlap
+from trajindex.core import Reader
 from trajindex.rtree import RTree
 
 
@@ -167,7 +168,7 @@ class TestKernelWalk:
         # fanout 4 over 5 boxes, saved as a root of two nodes over five one-entry leaves
         boxes = np.array([[i, 0, i + 1, 1] for i in range(5)], dtype=float)
         shape = [3, 2, 4, 1, 1, 1, 1, 1, 1, 4, 2, 0, 3, 1]
-        tree, _ = RTree.from_bytes(np.array(shape, dtype="<u4").tobytes(), 0, 4, boxes)
+        tree = RTree.from_bytes(Reader(np.array(shape, dtype="<u4").tobytes()), 4, boxes)
         assert tree.height == 3 and (tree.counts[-5:] == 1).all()
         windows = [Rect(x, -1, x + w, 2) for x in np.arange(-1, 6, 0.5) for w in (0, 0.5, 1, 3, 10)]
         assert_walks_alike(tree, windows)
@@ -214,7 +215,7 @@ class TestKernelWalk:
         boxes = random_boxes(rng, 300)
         words = np.frombuffer(build_rtree(boxes, fanout=8).to_bytes(), dtype="<u4").copy()
         words[-300:] = rng.permutation(300)
-        tree, _ = RTree.from_bytes(words.tobytes(), 0, 8, boxes)
+        tree = RTree.from_bytes(Reader(words.tobytes()), 8, boxes)
         assert_walks_alike(tree, [random_window(rng) for _ in range(300)])
 
 
@@ -226,8 +227,9 @@ class TestSerialization:
             tree = build_rtree(boxes, fanout=8)
             data = tree.to_bytes()
             assert len(data) == 4 * (1 + len(tree.counts) + n)
-            back, offset = RTree.from_bytes(data, 0, 8, boxes)
-            assert offset == len(data)
+            reader = Reader(data)
+            back = RTree.from_bytes(reader, 8, boxes)
+            reader.finish()  # read to the last byte
             assert back.n_entries == n
             assert back.height == tree.height
             for name in ("counts", "first", "order", "node_boxes", "entry_boxes"):
@@ -242,7 +244,7 @@ class TestSerialization:
         data = build_rtree(boxes).to_bytes()
         for cut in (0, 3, len(data) // 2, len(data) - 1):
             with pytest.raises(FormatError, match="truncated"):
-                RTree.from_bytes(data[:cut], 0, 32, boxes)
+                RTree.from_bytes(Reader(data[:cut]), 32, boxes)
 
     @pytest.mark.parametrize("slot, value, message", [
         (1, 0, "child counts"),                  # the root holds no children
@@ -265,4 +267,4 @@ class TestSerialization:
         else:
             words[slot] = value
         with pytest.raises(FormatError, match=message):
-            RTree.from_bytes(words.tobytes(), 0, 8, boxes)
+            RTree.from_bytes(Reader(words.tobytes()), 8, boxes)
