@@ -190,7 +190,8 @@ def discretize_times(ts, cfg: ScaleConfig) -> np.ndarray:
 
     Uses a float fast path and falls back to exact integer arithmetic for
     values whose product lands near an integer, where float rounding could
-    cross the truncation boundary.
+    cross the truncation boundary.  Raises ``InvalidInputError`` for a tick
+    of 2**62 or more, which no sequence universe holds.
     """
     t = np.asarray(ts, dtype=np.float64)
     if t.size == 0:
@@ -198,8 +199,13 @@ def discretize_times(ts, cfg: ScaleConfig) -> np.ndarray:
     if not np.isfinite(t).all() or (t < 0).any():
         raise InvalidInputError("timestamps must be finite and non-negative")
     scale = cfg.scale
-    x = t * float(scale)
-    if float(x.max()) >= 2.0**53:
+    with np.errstate(over="ignore"):  # an infinite product is rejected below
+        x = t * float(scale)
+    top = float(x.max())
+    if top >= 2.0**62:
+        raise InvalidInputError(f"timestamp {float(t.max())} at {cfg.digits} digits gives a tick of 2**62 "
+                                f"or more, outside the sequence universe")
+    if top >= 2.0**53:
         return np.array([discretize_time(v, cfg) for v in t.ravel()], dtype=np.int64).reshape(t.shape)
     ticks = np.floor(x).astype(np.int64)
     suspect = np.flatnonzero(np.abs(x - np.rint(x)) < 1e-3)

@@ -244,12 +244,6 @@ class FlatEliasFano:
                    for a, dtype in arrays]
         return functools.partial(wide if offset == np.int64 else narrow, *handles, *args)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Values per sequence, recovered from the high parts' lengths."""
-        high_bits = np.diff(self.high_base.astype(np.int64))
-        return high_bits - ((self.u - 1) >> self.widths.astype(np.int64)) - 1
-
     # -- layout --------------------------------------------------------------
 
     @staticmethod

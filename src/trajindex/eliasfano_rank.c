@@ -37,12 +37,15 @@
  * starts in sequence 2k and its ends in sequence 2k + 1, and segment g holds
  * sets seg_sets[g] .. seg_sets[g + 1] - 1.  Reads stay inside the arrays for
  * every index that IISIndex.from_segments builds or IISIndex.from_bytes
- * accepts: from_bytes checks that the sets per segment add up to the set
- * count and the rows per set to the row count, that no set is empty and
- * that every row id lies below the row count.  The kernel rejects a
- * segment outside [0, n_segments) before reading its offsets, and both
- * ranks of set k are at most its length (see Rank), so the rows written lie
- * inside set k's own rows.
+ * accepts: from_bytes checks that no set is empty and that the rows per
+ * set add up to the record table's row count, and takes seg_sets from the
+ * record table's segment offsets, checking that each is a set's first row,
+ * so seg_sets ascends from 0 to the set count.  Row ids never come from a
+ * file: only a stand-alone index (IISIndex.from_ticks) has them, one per
+ * row, each below the row count.  The kernel rejects a segment outside
+ * [0, n_segments) before reading its offsets, and both ranks of set k are
+ * at most its length (see Rank), so the rows written lie inside set k's
+ * own rows.
  */
 #include <stdint.h>
 #include <stdlib.h>

@@ -51,7 +51,7 @@ from .temporal import BACKENDS
 from .temporal.iis import IISIndex
 
 MAGIC = b"TJIX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 
 _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
@@ -104,11 +104,11 @@ class _PerSegment:
         self.seg_rows = seg_rows
 
     @classmethod
-    def from_ticks(cls, backend: str, starts, ends, seg_rows: np.ndarray, digits: int) -> "_PerSegment":
+    def from_ticks(cls, backend: str, starts, ends, seg_rows: np.ndarray) -> "_PerSegment":
         factory = BACKENDS[backend]
         loaded = np.flatnonzero(np.diff(seg_rows)).tolist()
         bounds = seg_rows.tolist()
-        parts = {g: factory.from_ticks(starts[bounds[g]: bounds[g + 1]], ends[bounds[g]: bounds[g + 1]], digits)
+        parts = {g: factory.from_ticks(starts[bounds[g]: bounds[g + 1]], ends[bounds[g]: bounds[g + 1]])
                  for g in loaded}
         return cls(backend, parts, seg_rows)
 
@@ -166,13 +166,12 @@ class TrajIndex:
         t_end = np.fromiter((rec.interval.end for _, rec in records), dtype=np.float64, count=n)
         starts = discretize_times(t_start, cfg.scale)
         ends = discretize_times(t_end, cfg.scale)
-        digits = cfg.scale.digits
         seg_rows = prefix_offsets(np.bincount(seg, minlength=n_edges))
         if cfg.temporal_backend == "iis":
-            temporal, order = IISIndex.from_segments(starts, ends, seg, n_edges, digits)
+            temporal, order = IISIndex.from_segments(starts, ends, seg, n_edges)
         else:
             order = np.argsort(seg, kind="stable")
-            temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows, digits)
+            temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows)
         return cls(network, build_rtree, cfg, seg_rows,
                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
@@ -257,7 +256,7 @@ def _reject_first_bad_record(records, n_edges: int) -> None:
             raise IngestionError(f"{where} has an object id above {MAX_OBJECT_ID}, the largest a u32 holds")
 
 
-# -- binary format (version 3) ---------------------------------------------
+# -- binary format (version 4) ---------------------------------------------
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
 # network block | R-tree block | record table | temporal block.
@@ -267,8 +266,9 @@ def _reject_first_bad_record(records, n_edges: int) -> None:
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
 # ordered by segment.  The temporal block is a u64 length and, for the iis
-# backend, its encoded sets; the other backends are rebuilt from the
-# record table at load.
+# backend, its universe, set sizes and sequence words (``IISIndex.to_bytes``);
+# the sets of each segment follow from the record table at load.  The
+# other backends are rebuilt from the record table at load.
 # Load reads every part through one ``Reader``: a block's reads stay inside
 # its length, and each block, like the whole file, must be read to its end.
 
@@ -334,16 +334,12 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     temporal_block = rd.block("temporal block")
     rd.finish()
     if cfg.temporal_backend == "iis":
-        temporal = IISIndex.from_bytes(temporal_block)
+        temporal = IISIndex.from_bytes(temporal_block, seg_rows)
         temporal_block.finish()
-        if temporal.row_ids is not None or temporal.digits != digits:
-            raise FormatError("temporal block does not match its header")
-        if len(temporal.seg_sets) != n_edges + 1 or (temporal.set_rows[temporal.seg_sets] != seg_rows).any():
-            raise FormatError("temporal block segment offsets disagree with the record table")
     else:
         if temporal_block.end > temporal_block.start:
             raise FormatError("unexpected temporal block")
         starts = discretize_times(t_start, cfg.scale)
         ends = discretize_times(t_end, cfg.scale)
-        temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows, digits)
+        temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows)
     return TrajIndex(network, load_rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)

@@ -42,17 +42,16 @@ class TemporalIndexBase:
 
     backend = "base"
 
-    def __init__(self, digits: int, n: int):
-        self.digits = digits
+    def __init__(self, n: int):
         self.n = n
 
     @classmethod
     def build(cls, records, cfg: ScaleConfig) -> "TemporalIndexBase":
         starts, ends = record_tick_arrays(records, cfg)
-        return cls.from_ticks(starts, ends, cfg.digits)
+        return cls.from_ticks(starts, ends)
 
     @classmethod
-    def from_ticks(cls, starts: np.ndarray, ends: np.ndarray, digits: int) -> "TemporalIndexBase":
+    def from_ticks(cls, starts: np.ndarray, ends: np.ndarray) -> "TemporalIndexBase":
         """Index discretized intervals; queries answer with their positions."""
         raise NotImplementedError
 
@@ -75,14 +74,14 @@ class LinearScanIndex(TemporalIndexBase):
 
     backend = "linear"
 
-    def __init__(self, starts: np.ndarray, ends: np.ndarray, digits: int):
-        super().__init__(digits, len(starts))
+    def __init__(self, starts: np.ndarray, ends: np.ndarray):
+        super().__init__(len(starts))
         self.starts = starts
         self.ends = ends
 
     @classmethod
-    def from_ticks(cls, starts, ends, digits: int) -> "LinearScanIndex":
-        return cls(np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64), digits)
+    def from_ticks(cls, starts, ends) -> "LinearScanIndex":
+        return cls(np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64))
 
     def query(self, l: int, r: int) -> np.ndarray:
         return intersect_ticks(self.starts, self.ends, l, r)

@@ -34,8 +34,8 @@ from ..core import FormatError, Reader
 from ..eliasfano import EliasFanoSeq, FlatEliasFano, ffi, lib, prefix_offsets
 from .base import TemporalIndexBase, check_query
 
-# universe, segments, sets, rows, digits, whether row ids follow; padded to 8 bytes
-_IIS_HEADER = struct.Struct("<QIIIBB10x")
+# universe, set count
+_IIS_HEADER = struct.Struct("<QI")
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -106,14 +106,14 @@ class IISIndex(TemporalIndexBase):
     ``set_rows[k]:set_rows[k + 1]`` the rows of set k.  Sequence ``2k`` of
     ``seqs`` holds the starts of set k and sequence ``2k + 1`` its ends.
     ``row_ids`` maps rows back to the caller's record order; it is None
-    when the caller stores its records in row order itself.
+    when the caller stores its records in row order itself, as a file does.
     """
 
     backend = "iis"
 
     def __init__(self, seg_sets: np.ndarray, set_rows: np.ndarray, seqs: FlatEliasFano,
-                 digits: int, row_ids: np.ndarray | None = None):
-        super().__init__(digits, int(set_rows[-1]))
+                 row_ids: np.ndarray | None = None):
+        super().__init__(int(set_rows[-1]))
         self.seg_sets = np.ascontiguousarray(seg_sets, dtype=np.int64)
         self.set_rows = np.ascontiguousarray(set_rows, dtype=np.int64)
         self.seqs = seqs
@@ -145,14 +145,14 @@ class IISIndex(TemporalIndexBase):
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_ticks(cls, starts, ends, digits: int) -> "IISIndex":
+    def from_ticks(cls, starts, ends) -> "IISIndex":
         """One segment; queries answer with indices into ``starts``/``ends``."""
         starts = np.asarray(starts, dtype=np.int64)
-        index, order = cls.from_segments(starts, ends, np.zeros(len(starts), dtype=np.int64), 1, digits)
-        return cls(index.seg_sets, index.set_rows, index.seqs, digits, order)
+        index, order = cls.from_segments(starts, ends, np.zeros(len(starts), dtype=np.int64), 1)
+        return cls(index.seg_sets, index.set_rows, index.seqs, order)
 
     @classmethod
-    def from_segments(cls, starts, ends, segments, n_segments: int, digits: int) -> tuple["IISIndex", np.ndarray]:
+    def from_segments(cls, starts, ends, segments, n_segments: int) -> tuple["IISIndex", np.ndarray]:
         """Decompose every segment's records on their own.
 
         ``segments[i]`` in ``[0, n_segments)`` is record i's segment.
@@ -176,7 +176,7 @@ class IISIndex(TemporalIndexBase):
         values[at + set_sizes[row_set]] = ends[order]
         u = int(ends.max()) + 1 if n else 0
         seqs = FlatEliasFano.from_values(values, np.repeat(set_sizes, 2), u)
-        return cls(seg_sets, set_rows, seqs, digits), order
+        return cls(seg_sets, set_rows, seqs), order
 
     # -- queries -----------------------------------------------------------
 
@@ -238,41 +238,40 @@ class IISIndex(TemporalIndexBase):
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Header, sets per segment and rows per set (``u32``), the row ids
-        of a stand-alone index (``u32``), padding to 8 bytes, then the low
-        words and the high words of all sequences."""
-        n_low, n_high = FlatEliasFano.word_counts(self.u, self.seqs.sizes)
-        out = bytearray(_IIS_HEADER.pack(self.u, len(self.seg_sets) - 1, self.m, self.n, self.digits,
-                                         self.row_ids is not None))
-        out += np.diff(self.seg_sets).astype("<u4").tobytes()
-        out += np.diff(self.set_rows).astype("<u4").tobytes()
+        """Header, rows per set (``u32``), padding to 8 bytes, then the low
+        words and the high words of all sequences; the sets per segment
+        follow from the file's record table.  A stand-alone index, whose
+        row ids no file holds, raises ``ValueError``."""
         if self.row_ids is not None:
-            out += self.row_ids.astype("<u4").tobytes()
+            raise ValueError("a stand-alone set index maps rows to row ids and is not written to a file")
+        out = bytearray(_IIS_HEADER.pack(self.u, self.m))
+        out += np.diff(self.set_rows).astype("<u4").tobytes()
         out += b"\0" * (-len(out) % 8)
-        out += self.seqs.lows[:n_low].astype("<u8").tobytes()
-        out += self.seqs.highs[:n_high].astype("<u8").tobytes()
+        out += self.seqs.lows[:-2].astype("<u8").tobytes()  # without the two spare words
+        out += self.seqs.highs.astype("<u8").tobytes()
         return bytes(out)
 
     @classmethod
-    def from_bytes(cls, reader: Reader) -> "IISIndex":
-        """Decode and check the index that ``reader`` reads next.  Raises
-        ``FormatError`` when it is truncated, its counts do not add up or a
-        high part is malformed; low bits are not checked."""
-        u, n_segments, m, n, digits, has_ids = reader.unpack(_IIS_HEADER)
-        seg_counts = reader.array("<u4", n_segments).astype(np.int64)
+    def from_bytes(cls, reader: Reader, seg_rows: np.ndarray) -> "IISIndex":
+        """Decode and check the index that ``reader`` reads next, over the
+        segments whose rows ``seg_rows`` delimits.  Raises ``FormatError``
+        when it is truncated, its set sizes do not add up to the rows, a
+        segment's rows do not begin at a set or a high part is malformed;
+        low bits are not checked."""
+        u, m = reader.unpack(_IIS_HEADER)
         set_sizes = reader.array("<u4", m).astype(np.int64)
-        row_ids = reader.array("<u4", n).astype(np.int64) if has_ids else None
         reader.pad()
-        if has_ids > 1 or seg_counts.sum() != m or set_sizes.sum() != n or (m and set_sizes.min() == 0):
-            raise FormatError("set index offsets do not add up")
+        if set_sizes.sum() != seg_rows[-1] or (m and set_sizes.min() == 0):
+            raise FormatError("set index sizes are not all positive or do not add up to the record table's rows")
         if u >= 1 << 62 or (m and set_sizes.max() > u):
             raise FormatError(f"set index universe {u} cannot hold its sets")
-        if row_ids is not None and n and row_ids.max() >= n:
-            raise FormatError("set index row id out of range")
+        set_rows = prefix_offsets(set_sizes)
+        # a segment's sets are contiguous, so its first row is a set's first
+        seg_sets = np.searchsorted(set_rows, seg_rows)
+        if (set_rows[seg_sets] != seg_rows).any():
+            raise FormatError("temporal block segment offsets disagree with the record table")
         sizes = np.repeat(set_sizes, 2)
         n_low, n_high = FlatEliasFano.word_counts(u, sizes)
         lows = reader.array("<u8", n_low).astype(np.uint64)
         highs = reader.array("<u8", n_high).astype(np.uint64)
-        seqs = FlatEliasFano.from_words(u, sizes, lows, highs)
-        ids = None if row_ids is None else row_ids.astype(np.uint32)
-        return cls(prefix_offsets(seg_counts), prefix_offsets(set_sizes), seqs, digits, ids)
+        return cls(seg_sets, set_rows, FlatEliasFano.from_words(u, sizes, lows, highs))

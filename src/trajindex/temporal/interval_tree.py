@@ -45,15 +45,15 @@ class IntervalTreeIndex(TemporalIndexBase):
     REFS = ("start_ids", "end_ids")
     NODES = ("x_med", "left", "right", "offsets")
 
-    def __init__(self, nodes: tuple, sections: tuple, digits: int):
+    def __init__(self, nodes: tuple, sections: tuple):
         """``nodes`` is (x_med, left, right, offsets, first_leaf) and
         ``sections`` is (start_ticks, start_ids, end_ticks, end_ids)."""
         self.x_med, self.left, self.right, self.offsets, self.first_leaf = nodes
         self.start_ticks, self.start_ids, self.end_ticks, self.end_ids = sections
-        super().__init__(digits, len(self.start_ids))
+        super().__init__(len(self.start_ids))
 
     @classmethod
-    def from_ticks(cls, starts, ends, digits: int) -> "IntervalTreeIndex":
+    def from_ticks(cls, starts, ends) -> "IntervalTreeIndex":
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         x_med, left, right = array("q"), array("i"), array("i")
@@ -97,7 +97,7 @@ class IntervalTreeIndex(TemporalIndexBase):
         end_order = np.concatenate((end_ids, start_ids[len(end_ids):]))
         sections = (array("q", starts[start_ids].tobytes()), start_ids,
                     array("q", ends[end_order].tobytes()), end_ids)
-        return cls((x_med, left, right, offsets, first_leaf), sections, digits)
+        return cls((x_med, left, right, offsets, first_leaf), sections)
 
     def query(self, l: int, r: int) -> np.ndarray:
         check_query(l, r)

@@ -37,8 +37,8 @@ class SchmidtIndex(TemporalIndexBase):
     backend = "schmidt"
 
     def __init__(self, starts, ends, father, child_flat, child_offsets, pos_in_parent,
-                 pre_order, pre_pos, sub_size, uniq_starts, start_reps, digits):
-        super().__init__(digits, len(starts))
+                 pre_order, pre_pos, sub_size, uniq_starts, start_reps):
+        super().__init__(len(starts))
         self.starts = starts
         self.ends = ends
         self.father = father
@@ -66,14 +66,14 @@ class SchmidtIndex(TemporalIndexBase):
         self._has_children = has.tolist()
 
     @classmethod
-    def from_ticks(cls, starts, ends, digits: int) -> "SchmidtIndex":
+    def from_ticks(cls, starts, ends) -> "SchmidtIndex":
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
         if n == 0:
             empty = np.zeros(0, np.int64)
             return cls(empty, empty, empty, empty, np.zeros(2, np.int64), empty,
-                       empty, empty, empty, empty, empty, digits)
+                       empty, empty, empty, empty, empty)
 
         sigma = np.lexsort((-ends, starts))  # start asc, end desc, record index asc
         father = np.full(n, -1, dtype=np.int64)
@@ -112,7 +112,7 @@ class SchmidtIndex(TemporalIndexBase):
         is_last[-1] = True
         return cls(starts, ends, father, child_flat, child_offsets, pos_in_parent,
                    pre_order, pre_pos, sub_size,
-                   sorted_starts[is_last], order[is_last], digits)
+                   sorted_starts[is_last], order[is_last])
 
     @staticmethod
     def _preorder(n, father, child_flat, child_offsets):

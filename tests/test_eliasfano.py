@@ -151,7 +151,6 @@ class TestFlat:
         universe = 10**6
         seqs = family(3, universe, 12)
         flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
-        assert flat.sizes.tolist() == [len(v) for v in seqs]
         for q, values in enumerate(seqs):
             view, alone = flat.sequence(q), EliasFanoSeq.from_values(values, universe)
             assert (view.n, view.width) == (alone.n, alone.width)

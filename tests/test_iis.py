@@ -6,6 +6,7 @@ import pytest
 
 from trajindex import FormatError, ScaleConfig, brute_force_intersect
 from trajindex.core import Reader
+from trajindex.eliasfano import prefix_offsets
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
@@ -131,7 +132,7 @@ class TestIISIndex:
         s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(1))
         segment = rng.integers(0, 7, len(s))
         segment[segment == 3] = 4  # segment 3 stays empty
-        index, order = IISIndex.from_segments(s, e, segment, 7, 1)
+        index, order = IISIndex.from_segments(s, e, segment, 7)
         assert sorted(order.tolist()) == list(range(len(s)))
         assert (segment[order][index.set_rows[:-1]] == np.repeat(np.arange(7), index.set_counts())).all()
         assert index.set_counts()[3] == 0
@@ -181,7 +182,7 @@ def segment_index(rng, n=600):
     """An index over segments 0..8 where segments 3 and 5 hold no records."""
     starts, lengths = scenario_arrays(rng, "random", n)
     s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(1))
-    return IISIndex.from_segments(s, e, rng.choice([0, 1, 2, 4, 6, 7, 8], len(s)), 9, 1)[0]
+    return IISIndex.from_segments(s, e, rng.choice([0, 1, 2, 4, 6, 7, 8], len(s)), 9)[0]
 
 
 def assert_rows_alike(index, l, r, segments=None):
@@ -221,7 +222,7 @@ class TestKernelRows:
     def test_unit_universe(self):
         # every tick 0: identical intervals, one set each
         segment = np.array([0, 1, 1, 0, 1])
-        index, _ = IISIndex.from_segments(np.zeros(5, int), np.zeros(5, int), segment, 2, 0)
+        index, _ = IISIndex.from_segments(np.zeros(5, int), np.zeros(5, int), segment, 2)
         assert index.u == 1 and index.m == 5
         for l, r in [(0, 0), (0, 3), (-2, -1), (1, 1)]:
             for probe in (None, np.array([1]), np.array([1, 0])):
@@ -249,7 +250,7 @@ class TestKernelRows:
         flat.low_base, flat.high_base, flat.sample_base = (
             b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
         flat._bind()
-        wide = IISIndex(index.seg_sets, index.set_rows, flat, index.digits)
+        wide = IISIndex(index.seg_sets, index.set_rows, flat)
         for _ in range(60):
             l = int(rng.integers(-5, 12_000))
             r = l + int(rng.integers(0, 3_000))
@@ -290,27 +291,42 @@ class TestSpaceReport:
 
 
 class TestSerialization:
+    @staticmethod
+    def indexed(rng, n=400):
+        """An index over segments 0..6, three of them empty, as
+        ``from_segments`` builds it, and the rows of each segment."""
+        starts, lengths = scenario_arrays(rng, "random", n)
+        s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(3))
+        segment = rng.choice([0, 1, 4, 6], len(s))
+        index, _ = IISIndex.from_segments(s, e, segment, 7)
+        return index, prefix_offsets(np.bincount(segment, minlength=7))
+
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
-        starts, lengths = scenario_arrays(rng, "random", 400)
-        records = make_records(starts, lengths)
-        cfg = ScaleConfig(3)
-        index = IISIndex.build(records, cfg)
+        index, seg_rows = self.indexed(rng)
         data = index.to_bytes()
         reader = Reader(data)
-        decoded = IISIndex.from_bytes(reader)
+        decoded = IISIndex.from_bytes(reader, seg_rows)
         reader.finish()  # read to the last byte
-        assert decoded.m == index.m and decoded.n == index.n
+        assert decoded.seg_sets.tolist() == index.seg_sets.tolist()
+        assert decoded.set_rows.tolist() == index.set_rows.tolist()
         for _ in range(40):
             l = int(rng.integers(0, 10**6))
             r = l + int(rng.integers(0, 10**5))
-            assert sorted(decoded.query(l, r).tolist()) == sorted(index.query(l, r).tolist())
+            probe = rng.integers(0, 7, int(rng.integers(0, 9)))
+            assert decoded.query(l, r, probe).tolist() == index.query(l, r, probe).tolist()
+            assert decoded.query(l, r).tolist() == index.query(l, r).tolist()
         assert decoded.to_bytes() == data
 
     def test_truncated_rejected(self):
-        records = make_records(range(0, 80, 2), [3] * 40)
-        index = IISIndex.build(records, ScaleConfig(0))
+        index, seg_rows = self.indexed(np.random.default_rng(12), 40)
         data = index.to_bytes()
         for cut in (4, len(data) // 2, len(data) - 4):
-            with pytest.raises(FormatError):
-                IISIndex.from_bytes(Reader(data[:cut]))
+            with pytest.raises(FormatError, match="truncated"):
+                IISIndex.from_bytes(Reader(data[:cut]), seg_rows)
+
+    def test_stand_alone_index_is_not_written(self):
+        index = IISIndex.build(make_records(range(0, 80, 2), [3] * 40), ScaleConfig(0))
+        assert index.row_ids is not None
+        with pytest.raises(ValueError, match="stand-alone"):
+            index.to_bytes()

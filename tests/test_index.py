@@ -30,7 +30,6 @@ from trajindex import (
     segments_intersect_window,
 )
 from trajindex.temporal import BACKENDS
-from trajindex.eliasfano import FlatEliasFano
 from trajindex.temporal.iis import IISIndex
 
 from helpers import FullScanOracle, full_scan_objects
@@ -111,6 +110,13 @@ class TestBuild:
         records.append((0, REC(2, TimeInterval(0.0, 5e10))))  # 5e18 ticks at 8 digits, above 2**62
         with pytest.raises(InvalidInputError, match="universe"):
             TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(8)))
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_tick_beyond_int64_rejected(self, backend):
+        net, records = two_segment_setup()
+        records.append((0, REC(2, TimeInterval(0.0, 1e15))))  # 1e23 ticks at 8 digits, above 2**63
+        with pytest.raises(InvalidInputError, match="universe"):
+            TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(8)))
 
     def test_largest_u32_object_id_round_trips(self, tmp_path):
         net, records = two_segment_setup()
@@ -372,7 +378,7 @@ class TestPersistence:
 
 
 class TestFormatChecks:
-    """A corrupt version-3 file fails at load, never at query time."""
+    """A corrupt version-4 file fails at load, never at query time."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -385,34 +391,34 @@ class TestFormatChecks:
 
     @staticmethod
     def layout(index, data: bytes) -> dict:
-        """Byte offsets of the record table and of the set index block."""
+        """Byte offsets of the record table and of the set index block: its
+        universe (u64) and set count (u32), then each set's size (u32)."""
         net = index.network
         records = 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges) + 8 + len(index.rtree.to_bytes())
         block = len(data) - len(index.temporal.to_bytes())
-        n_low, n_high = FlatEliasFano.word_counts(index.temporal.u, index.temporal.seqs.sizes)
         return {
             "record_counts": records,
             "object_ids": records + 4 * len(net.edges),
             "block": block,
-            "set_sizes": block + 32 + 4 * len(net.edges),
-            "highs": len(data) - 8 * n_high,
+            "set_sizes": block + 12,
+            "highs": len(data) - 8 * len(index.temporal.seqs.highs),
         }
 
     def test_truncation_at_every_part(self, saved):
         index, data, bad = saved
         at = self.layout(index, data)
-        cuts = [at["record_counts"] + 2, at["object_ids"] + 5, at["block"] - 3, at["block"] + 20,
+        cuts = [at["record_counts"] + 2, at["object_ids"] + 5, at["block"] - 3, at["block"] + 6,
                 at["set_sizes"] + 4, at["highs"] - 8, at["highs"] + 3, len(data) - 1]
         for cut in cuts:
             bad.write_bytes(data[:cut])
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError, match="truncated"):
                 TrajIndex.load(str(bad))
 
     def test_offsets_past_the_record_table(self, saved):
         index, data, bad = saved
         at = self.layout(index, data)
         for where, value in ((at["record_counts"], 2**31), (at["set_sizes"], len(index.object_ids) + 1),
-                             (at["block"] + 12, 2**20)):  # a segment's records, a set's rows, the set count
+                             (at["block"] + 8, 2**20)):  # a segment's records, a set's rows, the set count
             corrupt = bytearray(data)
             corrupt[where: where + 4] = struct.pack("<I", value)
             bad.write_bytes(bytes(corrupt))
@@ -420,17 +426,31 @@ class TestFormatChecks:
                 TrajIndex.load(str(bad))
 
     def test_sets_moved_between_segments(self, saved):
+        """One row moves across a segment boundary: the last set before it
+        grows by one row and the first set after it shrinks by one."""
         index, data, bad = saved
         at = self.layout(index, data)
-        counts = np.diff(index.temporal.seg_sets)
-        a, b = np.flatnonzero(counts)[:2]
+        sizes = np.diff(index.temporal.set_rows)
+        first = next(k for k in index.temporal.seg_sets[1:-1].tolist() if 0 < k < len(sizes) and sizes[k] > 1)
         corrupt = bytearray(data)
-        for seg, delta in ((a, 1), (b, -1)):
-            where = at["block"] + 32 + 4 * int(seg)
-            corrupt[where: where + 4] = struct.pack("<I", int(counts[seg]) + delta)
+        for k, delta in ((first - 1, 1), (first, -1)):
+            where = at["set_sizes"] + 4 * k
+            corrupt[where: where + 4] = struct.pack("<I", int(sizes[k]) + delta)
         bad.write_bytes(bytes(corrupt))
         with pytest.raises(FormatError, match="segment offsets"):
             TrajIndex.load(str(bad))
+
+    def test_set_sizes_disagree_with_the_record_table(self, saved):
+        index, data, bad = saved
+        at = self.layout(index, data)
+        sizes = np.diff(index.temporal.set_rows)
+        for k, delta in ((0, 1), (len(sizes) - 1, 5)):
+            corrupt = bytearray(data)
+            where = at["set_sizes"] + 4 * k
+            corrupt[where: where + 4] = struct.pack("<I", int(sizes[k]) + delta)
+            bad.write_bytes(bytes(corrupt))
+            with pytest.raises(FormatError, match="add up to the record table's rows"):
+                TrajIndex.load(str(bad))
 
     def test_spatial_entry_id_out_of_range(self, saved):
         index, data, bad = saved
@@ -595,13 +615,17 @@ class TestFormatChecks:
         with pytest.raises(FormatError, match="unexpected temporal block"):
             TrajIndex.load(str(path))
 
-    def test_set_index_digits_disagree_with_the_header(self, saved):
-        index, data, bad = saved
-        where = self.layout(index, data)["block"] + 20  # after the universe and three counts
-        assert data[7] == data[where] == 4
-        bad.write_bytes(data[:where] + bytes([5]) + data[where + 1:])
-        with pytest.raises(FormatError, match="temporal block does not match its header"):
-            TrajIndex.load(str(bad))
+    def test_time_beyond_the_tick_range_in_a_linear_file(self, tmp_path):
+        net, records = two_segment_setup()
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend="linear"))
+        path = tmp_path / "x.tjix"
+        index.save(str(path))
+        data = path.read_bytes()
+        # the last exit time, just before the empty temporal block's length
+        assert struct.unpack_from("<d", data, len(data) - 16) == (9.0,)
+        path.write_bytes(data[:-16] + struct.pack("<d", 1e300) + data[-8:])
+        with pytest.raises(FormatError, match=r"2\*\*62"):
+            TrajIndex.load(str(path))
 
     def test_trailing_bytes(self, saved):
         _, data, bad = saved
@@ -629,7 +653,7 @@ class TestFormatChecks:
 
     def test_version_1_file_rejected(self, saved):
         _, data, bad = saved
-        for version in (1, 2):
+        for version in (1, 2, 3):
             bad.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
             with pytest.raises(VersionError):
                 TrajIndex.load(str(bad))

@@ -54,7 +54,7 @@ class TestIntervalTree:
                                 ("identical", 40, 0), ("fixed", 16, 1), ("trajectory", 3, 1), ("fixed", 0, 0)]:
             starts, lengths = scenario_arrays(rng, kind, n)
             sticks, eticks = record_tick_arrays(make_records(starts, lengths), ScaleConfig(digits))
-            yield IntervalTreeIndex.from_ticks(sticks, eticks, digits), sticks, eticks
+            yield IntervalTreeIndex.from_ticks(sticks, eticks), sticks, eticks
 
     def test_every_record_stored_once_and_node_bound(self):
         for index, sticks, _ in self.trees():
