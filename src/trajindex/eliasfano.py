@@ -17,9 +17,15 @@ implementation of rank/select queries", WEA 2008).  :class:`EliasFanoSeq`
 is a view of one sequence of a :class:`FlatEliasFano` and stores no words
 of its own.
 
-This module also loads the package's query kernels, ``eliasfano_rank.c``:
-the rank above, the R-tree window walk (``rtree.py``) and the ``iis`` row
-output (``temporal/iis.py``), which ranks every probed set with the same
+:meth:`FlatEliasFano.from_values` encodes in one call into a compiled
+loop that checks each value against the universe and writes its low bits
+and its high bit straight into the word arrays (the layout of Vigna,
+"Quasi-succinct indices", WSDM 2013).
+
+This module also loads the package's kernels, ``eliasfano_rank.c``: the
+rank and the encoder above, the R-tree window walk (``rtree.py``), and the
+``iis`` row output, greedy decomposition and set order
+(``temporal/iis.py``); the row output ranks every probed set with the same
 per-lane loop.  They are compiled with ``cffi`` at the first import, into
 this package's ``__pycache__``, under a name derived from their source and
 the interpreter, and reused afterwards.  Without ``cffi`` or a C compiler
@@ -42,7 +48,7 @@ from .core import FormatError, InvalidInputError
 
 SELECT_SAMPLE = 128
 
-# -- the compiled query kernels ----------------------------------------------
+# -- the compiled kernels ----------------------------------------------------
 
 _KERNEL_SOURCE = Path(__file__).with_name("eliasfano_rank.c")
 _KERNEL_CDEF = """
@@ -62,17 +68,21 @@ int64_t iis_rows_i64(const uint8_t *, const int64_t *, const int64_t *, const in
                      const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
                      const int64_t *, int64_t, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t,
                      int64_t **);
+int64_t iis_greedy(const int64_t *, const int64_t *, const int64_t *, int64_t, int64_t *);
+void sort_by_key(const int64_t *, const int64_t *, int64_t, int64_t *, int64_t *);
+int64_t ef_encode(const int64_t *, const int64_t *, const int64_t *, const int64_t *, const int64_t *,
+                  int64_t, int64_t, uint64_t *, uint64_t *, int64_t *);
 void free(void *);
 """
 
 
 def _load_kernel():
-    """Import the query kernels, compiling them first when no module built
+    """Import the kernels, compiling them first when no module built
     from this source for this interpreter sits in ``__pycache__``."""
     try:
         import cffi
     except ImportError as exc:
-        raise ImportError(f"trajindex needs cffi to build its query kernels: {exc}") from exc
+        raise ImportError(f"trajindex needs cffi to build its kernels: {exc}") from exc
     source = _KERNEL_SOURCE.read_text()
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     key = "\0".join((source, _KERNEL_CDEF, suffix, cffi.__version__))
@@ -90,7 +100,7 @@ def _load_kernel():
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
                 os.replace(builder.compile(tmpdir=tmp), path)
         except (cffi.VerificationError, OSError) as exc:
-            raise ImportError(f"trajindex could not compile its query kernels from "
+            raise ImportError(f"trajindex could not compile its kernels from "
                               f"{_KERNEL_SOURCE.name} (a C compiler is required): {exc}") from exc
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -123,8 +133,6 @@ class EliasFanoSeq:
             raise InvalidInputError(f"universe size out of range: {u}")
         if n == 0:
             return cls(None, 0, 0, u)
-        if (values < 0).any() or values[-1] >= u:
-            raise InvalidInputError("values must lie in [0, u)")
         if n > 1 and (np.diff(values) <= 0).any():
             raise InvalidInputError("values must be strictly increasing")
         return cls(FlatEliasFano.from_values(values, [n], u), 0, n, u)
@@ -268,31 +276,33 @@ class FlatEliasFano:
 
     @classmethod
     def from_values(cls, values, sizes, u: int) -> "FlatEliasFano":
-        """Encode ``values``, the sequences concatenated in order.
+        """Encode ``values``, the sequences concatenated in order, in one
+        call into the compiled encoder.
 
-        Each sequence must be strictly increasing inside ``[0, u)``; the
-        caller guarantees it (the ``iis`` decomposition produces exactly
-        that), so it is not checked here.
+        Raises ``InvalidInputError`` unless every size is positive, the sizes
+        add up to the values and every value lies in ``[0, u)``.  Each
+        sequence must also be strictly increasing; the caller guarantees it
+        (the ``iis`` decomposition produces exactly that), so it is not
+        checked here.
         """
-        if u >= 1 << 62:
-            raise InvalidInputError(f"universe size out of range: {u}")
-        values = np.asarray(values, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
+        if not 0 <= u < 1 << 62 or (u == 0 and len(sizes)):
+            raise InvalidInputError(f"universe size out of range: {u}")
+        if (sizes < 1).any() or sizes.sum() != len(values):
+            raise InvalidInputError("sequence sizes must be positive and add up to the values")
         widths = cls._widths(u, sizes)
         low_bits, high_bits, _ = cls._section_lengths(u, sizes, widths)
-        seq = np.repeat(np.arange(len(sizes)), sizes)
-        index = np.arange(len(values)) - prefix_offsets(sizes)[seq]
-        width = widths[seq]
-        pos = prefix_offsets(low_bits)[seq] + index * width
         lows = np.zeros(-(-int(low_bits.sum()) // 64) + 2, dtype=np.uint64)
-        low = (values & ((1 << width) - 1)).astype(np.uint64)
-        shift = (pos & 63).astype(np.uint64)
-        np.bitwise_or.at(lows, pos >> 6, low << shift)
-        np.bitwise_or.at(lows, (pos >> 6) + 1, (low >> np.uint64(1)) >> (np.uint64(63) - shift))
-        bits = np.zeros(-(-int(high_bits.sum()) // 64) * 64, dtype=np.uint8)
-        bits[prefix_offsets(high_bits)[seq] + (values >> width) + index] = 1
-        highs = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
-        return cls._with_samples(u, sizes, widths, lows, highs, values >> width)
+        highs = np.zeros(-(-int(high_bits.sum()) // 64), dtype=np.uint64)
+        high_values = np.empty(len(values), dtype=np.int64)
+        arrays = (values, prefix_offsets(sizes), widths, prefix_offsets(low_bits), prefix_offsets(high_bits))
+        bad = lib.ef_encode(*(ffi.from_buffer("int64_t[]", a) for a in arrays), len(sizes), u,
+                            ffi.from_buffer("uint64_t[]", lows), ffi.from_buffer("uint64_t[]", highs),
+                            ffi.from_buffer("int64_t[]", high_values))
+        if bad:
+            raise InvalidInputError(f"value {bad - 1} ({values[bad - 1]}) lies outside [0, {u})")
+        return cls._with_samples(u, sizes, widths, lows, highs, high_values)
 
     @classmethod
     def from_words(cls, u: int, sizes, lows: np.ndarray, highs: np.ndarray) -> "FlatEliasFano":

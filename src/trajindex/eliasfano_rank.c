@@ -1,6 +1,8 @@
-/* The compiled query kernels: the batched Elias-Fano rank over the
+/* The compiled kernels.  Queries: the batched Elias-Fano rank over the
  * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
- * (rtree.py) and the row output of an IISIndex (temporal/iis.py).
+ * (rtree.py) and the row output of an IISIndex (temporal/iis.py).  Builds:
+ * the greedy decomposition into independent sets and the set-major row
+ * order of an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
  *
  * Rank.  Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
  * high part at bits high_base[q].. of `highs` and its select samples at
@@ -46,6 +48,25 @@
  * [0, n_segments) before reading its offsets, and both ranks of set k are
  * at most its length (see Rank), so the rows written lie inside set k's
  * own rows.
+ *
+ * Greedy.  `order` is a permutation of the n records, as np.lexsort returns
+ * it over `ends` and `groups`, which it checks are n long, so every record
+ * index read lies in [0, n).  A group opens at most one set per record, so
+ * the tails of its open sets fit the n slots allocated.
+ *
+ * Set order.  Every key is a set id in [0, m), as the greedy writes them, and
+ * `cursor` starts at each set's first row, the prefix sums of the set sizes;
+ * `items` is a permutation of the n records.  So set k's cursor moves over
+ * exactly its own rows, and each of the n output slots is written once.
+ *
+ * Encoder.  Sequence q owns values value_base[q] .. value_base[q + 1] - 1,
+ * n of them, which from_values checks add up to the values it is given.  It
+ * owns low bits low_base[q] .. + n * width and high bits high_base[q] ..
+ * + n + ((u - 1) >> width) + 1, which from_values allocates, with two spare
+ * low words.  The kernel checks 0 <= v < u before it writes value i, so
+ * v >> width <= (u - 1) >> width and the high bit (v >> width) + i lies in
+ * the sequence's high part, and the low bits of value i lie in its low
+ * part, spilling at most into the next word, which exists.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -227,3 +248,82 @@ int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32
 
 ROWS_ENTRY(iis_rows_u32, uint32_t)
 ROWS_ENTRY(iis_rows_i64, int64_t)
+
+/* Greedy: visits the records in `order`, by group, start ascending and end
+ * descending, and puts each into the open set of its group whose tail end
+ * is the largest below its end, or into a new set when there is none.
+ * Writes each record's set to `assignment` and returns the set count, or
+ * -1 when out of memory.  Set ids ascend in the order the sets open.  The
+ * tails of a group's open sets are kept descending, so a new set's tail,
+ * which is at most every other, goes last. */
+int64_t iis_greedy(const int64_t *order, const int64_t *ends, const int64_t *groups, int64_t n,
+                   int64_t *assignment)
+{
+    int64_t *tails = malloc((size_t)(2 * n + 1) * sizeof *tails);
+    if (!tails)
+        return -1;
+    int64_t *tail_set = tails + n, open = 0, m = 0;
+    for (int64_t p = 0; p < n; p++) {
+        int64_t i = order[p], e = ends[i];
+        if (p && groups[i] != groups[order[p - 1]])
+            open = 0;
+        /* the first tail below e */
+        int64_t lo = 0, hi = open;
+        while (lo < hi) {
+            int64_t mid = lo + (hi - lo) / 2;
+            if (tails[mid] < e)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        if (lo == open) {
+            tail_set[open] = m;
+            open++;
+            assignment[i] = m++;
+        } else {
+            assignment[i] = tail_set[lo];
+        }
+        tails[lo] = e;
+    }
+    free(tails);
+    return m;
+}
+
+/* Set order: a stable counting sort.  Visits `items` in order and writes
+ * each to the slot `cursor` holds for its key, advancing the cursor. */
+void sort_by_key(const int64_t *keys, const int64_t *items, int64_t n, int64_t *cursor, int64_t *out)
+{
+    for (int64_t p = 0; p < n; p++)
+        out[cursor[keys[items[p]]]++] = items[p];
+}
+
+/* Encoder: writes the low bits of every value to `lows` and its high bit to
+ * `highs`, both zeroed, and its high part to `high_values`.  Returns 0, or
+ * i + 1 for the first value i outside [0, u), which is left unwritten. */
+int64_t ef_encode(const int64_t *values, const int64_t *value_base, const int64_t *widths,
+                  const int64_t *low_base, const int64_t *high_base, int64_t nseq, int64_t u,
+                  uint64_t *lows, uint64_t *highs, int64_t *high_values)
+{
+    for (int64_t q = 0; q < nseq; q++) {
+        int width = (int)widths[q];
+        uint64_t mask = ((uint64_t)1 << width) - 1;
+        int64_t first = value_base[q], n = value_base[q + 1] - first;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t v = values[first + i];
+            if (v < 0 || v >= u)
+                return first + i + 1;
+            int64_t high = v >> width, bit = high_base[q] + high + i;
+            high_values[first + i] = high;
+            highs[bit >> 6] |= (uint64_t)1 << (bit & 63);
+            if (width) {
+                int64_t pos = low_base[q] + i * width;
+                int shift = (int)(pos & 63);
+                uint64_t low = (uint64_t)v & mask;
+                lows[pos >> 6] |= low << shift;
+                if (shift + width > 64)
+                    lows[(pos >> 6) + 1] |= low >> (64 - shift);
+            }
+        }
+    }
+    return 0;
+}

@@ -20,6 +20,7 @@ and writes the matching rows.  Refinement, the object-id union and the
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -155,9 +156,10 @@ class TrajIndex:
         n_edges = len(network.edges)
         n = len(records)
         try:
-            seg = np.fromiter((s for s, _ in records), dtype=np.int64, count=n)
-            obj = np.fromiter((rec.object_id for _, rec in records), dtype=np.int64, count=n)
-        except OverflowError:
+            # operator.index refuses a fractional id, which fromiter would truncate
+            seg = np.fromiter((operator.index(s) for s, _ in records), dtype=np.int64, count=n)
+            obj = np.fromiter((operator.index(rec.object_id) for _, rec in records), dtype=np.int64, count=n)
+        except (OverflowError, TypeError):
             _reject_first_bad_record(records, n_edges)
             raise
         if n and (seg.min() < 0 or seg.max() >= n_edges or obj.max() > MAX_OBJECT_ID):
@@ -250,6 +252,11 @@ class TrajIndex:
 def _reject_first_bad_record(records, n_edges: int) -> None:
     for pos, (seg_id, rec) in enumerate(records):
         where = f"record {pos} (object {rec.object_id}, [{rec.interval.start}, {rec.interval.end}])"
+        for kind, value in (("segment", seg_id), ("object", rec.object_id)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise IngestionError(f"{where} has a {kind} id {value!r} that is not an integer") from None
         if not 0 <= seg_id < n_edges:
             raise IngestionError(f"{where} references unknown segment id {seg_id}")
         if rec.object_id > MAX_OBJECT_ID:

@@ -6,17 +6,21 @@ rank operations: the last candidate is the count of starts <= r, the
 first is one past the count of ends < l, and everything between matches.
 
 A general interval multiset is first split into the minimum number of
-independent sets with a patience-style greedy: intervals are processed
-by (start asc, end desc) and each goes to the eligible set whose tail
-end is largest, a new set opening when none qualifies.  Sets require
-strictly increasing starts AND ends, so identical intervals always land
-in distinct sets.
+independent sets with a patience-style greedy (a minimum cover by
+increasing subsequences; Aldous & Diaconis, Bull. AMS 1999): intervals
+are processed by (start asc, end desc) and each goes to the eligible set
+whose tail end is largest, a new set opening when none qualifies.  Sets
+require strictly increasing starts AND ends, so identical intervals
+always land in distinct sets.  numpy sorts the records into that order
+and one compiled pass (``eliasfano_rank.c``) places them all.
 
 One index covers any number of segments, each decomposed on its own.
 Its rows are the records ordered segment by segment, set by set, and by
 start inside a set, so the answer to a query is a run of rows per set.
-Every set stores its starts and its ends as two Elias-Fano sequences;
-the sequences of all sets live in one :class:`FlatEliasFano`.  A query is
+A compiled counting sort by set, over the records in start order, gives
+that row order.  Every set stores its starts and its ends as two
+Elias-Fano sequences; the sequences of all sets live in one
+:class:`FlatEliasFano`, written by its compiled encoder.  A query is
 one call into a compiled kernel (``eliasfano_rank.c``, loaded by
 ``eliasfano.py``): for every probed segment and every set of it, the
 kernel ranks both sequences and writes the set's run of rows, or the row
@@ -26,7 +30,6 @@ ids they map to, straight into the result.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 
 import numpy as np
 
@@ -37,6 +40,11 @@ from .base import TemporalIndexBase, check_query
 # universe, set count
 _IIS_HEADER = struct.Struct("<QI")
 _EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _int64s(a: np.ndarray):
+    """A contiguous ``int64`` array as a kernel argument."""
+    return ffi.from_buffer("int64_t[]", a)
 
 
 def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, int]:
@@ -50,33 +58,16 @@ def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, i
     smaller group get smaller ids; without, all intervals are one group.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
     n = len(starts)
-    groups = np.zeros(n, dtype=np.int64) if groups is None else np.asarray(groups, dtype=np.int64)
-    order = np.lexsort((-ends, starts, groups))  # group asc, start asc, end desc, index asc
-    sorted_groups = groups[order]
-    cuts = [0, *(np.flatnonzero(sorted_groups[1:] != sorted_groups[:-1]) + 1).tolist(), n]
+    groups = np.zeros(n, dtype=np.int64) if groups is None else np.ascontiguousarray(groups, dtype=np.int64)
     # in this order, a tail with a smaller end also has a strictly smaller
     # start, so eligibility reduces to the tail-end comparison alone
-    ends_l = ends[order].tolist()
-    placed = [0] * n
-    m = 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tails: list[int] = []     # tail end per open set, ascending
-        tail_set: list[int] = []  # set id per tail position
-        for p in range(lo, hi):
-            e = ends_l[p]
-            pos = bisect_left(tails, e)
-            if pos == 0:
-                tails.insert(0, e)
-                tail_set.insert(0, m)
-                placed[p] = m
-                m += 1
-            else:
-                tails[pos - 1] = e
-                placed[p] = tail_set[pos - 1]
+    order = np.lexsort((-ends, starts, groups))  # group asc, start asc, end desc, index asc
     assignment = np.empty(n, dtype=np.int64)
-    assignment[order] = placed
+    m = lib.iis_greedy(_int64s(order), _int64s(ends), _int64s(groups), n, _int64s(assignment))
+    if m < 0:
+        raise MemoryError("no memory for the open sets of the decomposition")
     return assignment, m
 
 
@@ -162,10 +153,14 @@ class IISIndex(TemporalIndexBase):
         ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
         assignment, m = decompose_independent_sets(starts, ends, segments)
-        # members of a set are contiguous and start-ascending; sets follow segments
-        order = np.lexsort((starts, assignment))
+        # members of a set are contiguous and start-ascending; sets follow
+        # segments.  The starts of a set are distinct, so counting the
+        # records out by set in any start-ascending order gives these rows.
         set_sizes = np.bincount(assignment, minlength=m)
         set_rows = prefix_offsets(set_sizes)
+        order = np.empty(n, dtype=np.int64)
+        lib.sort_by_key(_int64s(assignment), _int64s(np.argsort(starts)), n, _int64s(set_rows[:-1].copy()),
+                        _int64s(order))
         set_segment = np.asarray(segments, dtype=np.int64)[order[set_rows[:-1]]]
         seg_sets = prefix_offsets(np.bincount(set_segment, minlength=n_segments))
         # set k's starts, then its ends, at 2 * set_rows[k]

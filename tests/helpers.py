@@ -6,6 +6,8 @@ check: full scans, quadratic DP and exponential enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from trajindex import (
@@ -16,6 +18,7 @@ from trajindex import (
     discretize_time,
     segments_intersect_window,
 )
+from trajindex.eliasfano import FlatEliasFano, prefix_offsets
 
 BACKEND_NAMES = ("linear", "interval_tree", "schmidt", "iis")
 
@@ -133,3 +136,58 @@ def max_antichain_bruteforce(starts, ends) -> int:
         if ok:
             best = max(best, len(members))
     return best
+
+
+def reference_decomposition(starts, ends, groups=None) -> tuple[np.ndarray, int]:
+    """The greedy decomposition as a Python loop with one ``bisect`` per
+    record: the placement the compiled ``decompose_independent_sets`` must
+    reproduce set id for set id."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    n = len(starts)
+    groups = np.zeros(n, dtype=np.int64) if groups is None else np.asarray(groups, dtype=np.int64)
+    order = np.lexsort((-ends, starts, groups))  # group asc, start asc, end desc, index asc
+    sorted_groups = groups[order]
+    cuts = [0, *(np.flatnonzero(sorted_groups[1:] != sorted_groups[:-1]) + 1).tolist(), n]
+    ends_l = ends[order].tolist()
+    placed = [0] * n
+    m = 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        tails: list[int] = []     # tail end per open set, ascending
+        tail_set: list[int] = []  # set id per tail position
+        for p in range(lo, hi):
+            e = ends_l[p]
+            pos = bisect_left(tails, e)
+            if pos == 0:
+                tails.insert(0, e)
+                tail_set.insert(0, m)
+                placed[p] = m
+                m += 1
+            else:
+                tails[pos - 1] = e
+                placed[p] = tail_set[pos - 1]
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = placed
+    return assignment, m
+
+
+def reference_encoding(values, sizes, u: int) -> FlatEliasFano:
+    """Elias-Fano packing with ``np.bitwise_or.at`` and ``np.packbits``: the
+    words the compiled encoder of ``FlatEliasFano.from_values`` must write."""
+    values = np.asarray(values, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    widths = FlatEliasFano._widths(u, sizes)
+    low_bits, high_bits, _ = FlatEliasFano._section_lengths(u, sizes, widths)
+    seq = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.arange(len(values)) - prefix_offsets(sizes)[seq]
+    width = widths[seq]
+    pos = prefix_offsets(low_bits)[seq] + index * width
+    lows = np.zeros(-(-int(low_bits.sum()) // 64) + 2, dtype=np.uint64)
+    low = (values & ((1 << width) - 1)).astype(np.uint64)
+    shift = (pos & 63).astype(np.uint64)
+    np.bitwise_or.at(lows, pos >> 6, low << shift)
+    np.bitwise_or.at(lows, (pos >> 6) + 1, (low >> np.uint64(1)) >> (np.uint64(63) - shift))
+    bits = np.zeros(-(-int(high_bits.sum()) // 64) * 64, dtype=np.uint8)
+    bits[prefix_offsets(high_bits)[seq] + (values >> width) + index] = 1
+    highs = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+    return FlatEliasFano._with_samples(u, sizes, widths, lows, highs, values >> width)

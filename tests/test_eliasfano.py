@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from trajindex import EliasFanoSeq, FormatError, InvalidInputError
-from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano
+from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano, concat_ranges
+
+from helpers import reference_encoding
 
 
 def bound_bits(n: int, u: int) -> int:
@@ -133,11 +135,19 @@ def sequence_bits(seq: EliasFanoSeq) -> tuple:
     return bits(flat.lows, flat.low_base), bits(flat.highs, flat.high_base), samples
 
 
+def assert_words_alike(flat: FlatEliasFano, reference: FlatEliasFano):
+    """The compiled encoder's words against the numpy reference's."""
+    for name in ("widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples"):
+        got, want = getattr(flat, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
 class TestFlat:
     @pytest.mark.parametrize("universe", [1, 3, 100, 10**4, 10**6])
     def test_batched_rank_matches_scalar_rank(self, universe):
         seqs = family(universe, universe, 9)
         flat = FlatEliasFano.from_values(np.concatenate(seqs), [len(v) for v in seqs], universe)
+        assert_words_alike(flat, reference_encoding(np.concatenate(seqs), [len(v) for v in seqs], universe))
         rng = np.random.default_rng(1)
         lanes = rng.integers(0, len(seqs), 3000)
         x = rng.integers(-2, universe + 3, 3000)
@@ -177,6 +187,43 @@ class TestFlat:
         moved[-1] |= np.uint64(1) << np.uint64(63)  # a bit past the last sequence
         with pytest.raises(FormatError):
             FlatEliasFano.from_words(universe, sizes, lows, moved)
+
+
+class TestEncoder:
+    """The compiled encoder against the numpy packing it replaced."""
+
+    @pytest.mark.parametrize("width", range(62))
+    def test_matches_reference_at_every_width(self, width):
+        # u < 2**62, so no sequence has 62 low bits or more
+        rng = np.random.default_rng(width)
+        k = min(10, 61 - width)  # a sequence of 2**k values has this width
+        u = int(rng.integers(1 << (width + k), 1 << (width + k + 1)))
+        sizes = [1 << k, 1, *rng.integers(1, (1 << k) + 1, 5).tolist(), 3]
+        seqs = [np.sort(rng.choice(u, size=n, replace=False)) for n in sizes[:-1]] + [np.array([0, 1, u - 1])]
+        values = np.concatenate(seqs)
+        flat = FlatEliasFano.from_values(values, sizes, u)
+        assert flat.widths[0] == width
+        assert_words_alike(flat, reference_encoding(values, sizes, u))
+        w = np.repeat(flat.widths.astype(np.int64), sizes)
+        index = concat_ranges(np.zeros(len(sizes), dtype=np.int64), np.array(sizes))
+        pos = np.repeat(flat.low_base[:-1].astype(np.int64), sizes) + index * w
+        assert (pos % 64 + w > 64).any()  # some low parts cross a word boundary
+
+    def test_rejects_values_outside_the_universe(self):
+        for bad, at in ((10, 3), (-1, 2), (2**62, 4)):
+            values = [1, 5, 2, 3, 7]
+            values[at] = bad
+            with pytest.raises(InvalidInputError, match=f"value {at} .*outside \\[0, 10\\)"):
+                FlatEliasFano.from_values(values, [2, 3], 10)
+        with pytest.raises(InvalidInputError, match="universe"):
+            FlatEliasFano.from_values([0], [1], 0)
+        for sizes in ([2, 2], [2, 0, 3], [4, 2, -1]):
+            with pytest.raises(InvalidInputError, match="sizes"):
+                FlatEliasFano.from_values([1, 5, 2, 3, 7], sizes, 10)
+        with pytest.raises(InvalidInputError, match="outside"):
+            EliasFanoSeq.from_values([-3, 4], 10)
+        empty = FlatEliasFano.from_values([], [], 0)
+        assert len(empty.widths) == 0 and empty.highs.tolist() == []
 
 
 def decoded_rank(flat: FlatEliasFano, lanes, x) -> list:
@@ -251,6 +298,9 @@ class TestKernelEdges:
             b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
         flat._bind()
         assert flat.rank(lanes, x).tolist() == want == decoded_rank(flat, lanes, x)
+        values = np.concatenate(seqs)
+        reference = reference_encoding(values, [len(v) for v in seqs], universe)
+        assert flat.lows.tolist() == reference.lows.tolist() and flat.highs.tolist() == reference.highs.tolist()
 
     def test_lane_out_of_range_raises(self):
         flat = FlatEliasFano.from_values([1, 5, 2, 3], [2, 2], 10)

@@ -10,7 +10,13 @@ from trajindex.eliasfano import prefix_offsets
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
-from helpers import make_records, max_antichain_bruteforce, min_chain_cover_dp, scenario_arrays
+from helpers import (
+    make_records,
+    max_antichain_bruteforce,
+    min_chain_cover_dp,
+    reference_decomposition,
+    scenario_arrays,
+)
 
 
 def assert_valid_decomposition(starts, ends, assignment, m):
@@ -25,6 +31,16 @@ def assert_valid_decomposition(starts, ends, assignment, m):
         s, e = starts[order], ends[order]
         assert (np.diff(s) > 0).all()
         assert (np.diff(e) > 0).all()
+
+
+def decompose(starts, ends, groups=None):
+    """The compiled decomposition, checked set id for set id against the
+    Python reference."""
+    a, m = decompose_independent_sets(starts, ends, groups)
+    want_a, want_m = reference_decomposition(starts, ends, groups)
+    assert m == want_m
+    assert a.tolist() == want_a.tolist()
+    return a, m
 
 
 class TestDecomposition:
@@ -57,7 +73,7 @@ class TestDecomposition:
             for combo in itertools.combinations_with_replacement(intervals, k):
                 s = np.array([c[0] for c in combo])
                 e = np.array([c[1] for c in combo])
-                a, m = decompose_independent_sets(s, e)
+                a, m = decompose(s, e)
                 assert_valid_decomposition(s, e, a, m)
                 assert m == min_chain_cover_dp(s, e), combo
 
@@ -67,7 +83,7 @@ class TestDecomposition:
             n = int(rng.integers(0, 13))
             s = rng.integers(0, 8, n)
             e = s + rng.integers(0, 8 - s.clip(max=7)) if n else s
-            a, m = decompose_independent_sets(s, e)
+            a, m = decompose(s, e)
             assert_valid_decomposition(s, e, a, m)
             assert m == min_chain_cover_dp(s, e)
 
@@ -77,8 +93,26 @@ class TestDecomposition:
             starts, lengths = scenario_arrays(rng, kind, 600)
             records = make_records(starts, lengths)
             s, e = record_tick_arrays(records, ScaleConfig(2))
-            a, m = decompose_independent_sets(s, e)
+            a, m = decompose(s, e)
             assert_valid_decomposition(s, e, a, m)
+
+    @pytest.mark.parametrize("kind", ["random", "nested", "identical", "shared", "equal_starts"])
+    def test_groups_match_reference(self, kind):
+        # heavy ties, groups numbered out of order, with gaps and singletons
+        rng = np.random.default_rng(12)
+        for n in (0, 1, 2, 7, 300, 2_000):
+            if kind == "equal_starts":
+                s = np.full(n, 40, dtype=np.int64)
+                e = s + rng.integers(0, 6, n)
+            else:
+                s, e = record_tick_arrays(make_records(*scenario_arrays(rng, kind, n)), ScaleConfig(0))
+            groups = rng.choice([9, 2, 2, 5, 0, 2**40], n)
+            order = rng.permutation(n)
+            a, m = decompose(s[order], e[order], groups[order])
+            for g in np.unique(groups).tolist():
+                members = np.flatnonzero(groups[order] == g)
+                assert_valid_decomposition(s[order][members], e[order][members], a[members] - a[members].min(),
+                                           len(np.unique(a[members])))
 
 
 class TestIISIndex:
@@ -133,7 +167,8 @@ class TestIISIndex:
         segment = rng.integers(0, 7, len(s))
         segment[segment == 3] = 4  # segment 3 stays empty
         index, order = IISIndex.from_segments(s, e, segment, 7)
-        assert sorted(order.tolist()) == list(range(len(s)))
+        assignment, _ = decompose_independent_sets(s, e, segment)
+        assert order.tolist() == np.lexsort((s, assignment)).tolist()  # set by set, by start inside a set
         assert (segment[order][index.set_rows[:-1]] == np.repeat(np.arange(7), index.set_counts())).all()
         assert index.set_counts()[3] == 0
         for g in range(7):

@@ -105,6 +105,15 @@ class TestBuild:
             with pytest.raises(IngestionError, match="object id"):
                 TrajIndex.build(net, records + [(0, REC(bad, TimeInterval(1.0, 2.0)))])
 
+    def test_fractional_ids_rejected(self):
+        # fromiter used to truncate them: (1.5, object 2.5) was stored as object 2 on segment 1
+        net, records = two_segment_setup()
+        for bad, kind in (((1.5, REC(2, TimeInterval(1.0, 2.0))), "segment id 1.5"),
+                          ((1, REC(2.5, TimeInterval(1.0, 2.0))), "object id 2.5"),
+                          ((np.float64(1.0), REC(2, TimeInterval(1.0, 2.0))), "segment id")):
+            with pytest.raises(IngestionError, match=f"record {len(records)} .*{kind}.* not an integer"):
+                TrajIndex.build(net, records + [bad])
+
     def test_tick_beyond_sequence_universe_rejected(self):
         net, records = two_segment_setup()
         records.append((0, REC(2, TimeInterval(0.0, 5e10))))  # 5e18 ticks at 8 digits, above 2**62
