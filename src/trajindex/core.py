@@ -185,38 +185,54 @@ def discretize_time(t: float, cfg: ScaleConfig) -> int:
     return num * cfg.scale // den
 
 
+_SPLITTER = 2.0**27 + 1  # Veltkamp's constant for 53-bit significands
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits that add up to it."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
+    """The exact ``a * b - p`` for ``p`` the rounded product ``a * b``
+    (Dekker's two-product, without a fused multiply-add).  Exact unless the
+    product underflows."""
+    a_high, a_low = _split(a)
+    b_high, b_low = _split(b)
+    return ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
 def discretize_times(ts, cfg: ScaleConfig) -> np.ndarray:
     """Vectorized ``discretize_time`` with the same exact-floor semantics.
 
-    Uses a float fast path and falls back to exact integer arithmetic for
-    values whose product lands near an integer, where float rounding could
-    cross the truncation boundary.  Raises ``InvalidInputError`` for a tick
-    of 2**62 or more, which no sequence universe holds.
+    The rounded product ``p`` of a time and ``10**digits`` has the exact
+    product's floor unless ``p`` is an integer: an integer between the
+    two would be nearer to the exact product, and the rounding picks the
+    nearest float.  Where ``p`` is an integer, the product's exact
+    rounding error ``e`` (``_product_error``) gives the floor ``p +
+    floor(e)``.  Raises ``InvalidInputError`` for a tick of 2**62 or more,
+    which no sequence universe holds.
     """
-    t = np.asarray(ts, dtype=np.float64)
+    shape = np.shape(ts)
+    t = np.asarray(ts, dtype=np.float64).ravel()
     if t.size == 0:
         return np.zeros(0, dtype=np.int64)
     if not np.isfinite(t).all() or (t < 0).any():
         raise InvalidInputError("timestamps must be finite and non-negative")
-    scale = cfg.scale
+    scale = float(cfg.scale)
     with np.errstate(over="ignore"):  # an infinite product is rejected below
-        x = t * float(scale)
-    top = float(x.max())
-    if top >= 2.0**62:
+        p = t * scale
+    if float(p.max()) >= 2.0**62:
         raise InvalidInputError(f"timestamp {float(t.max())} at {cfg.digits} digits gives a tick of 2**62 "
                                 f"or more, outside the sequence universe")
-    if top >= 2.0**53:
-        return np.array([discretize_time(v, cfg) for v in t.ravel()], dtype=np.int64).reshape(t.shape)
-    ticks = np.floor(x).astype(np.int64)
-    suspect = np.flatnonzero(np.abs(x - np.rint(x)) < 1e-3)
-    if suspect.size:
-        flat_t = t.ravel()
-        flat_ticks = ticks.ravel()
-        for i in suspect:
-            num, den = float(flat_t[i]).as_integer_ratio()
-            flat_ticks[i] = num * scale // den
-        ticks = flat_ticks.reshape(t.shape)
-    return ticks
+    floor = np.floor(p)
+    ticks = floor.astype(np.int64)
+    rounded = floor == p
+    if rounded.any():
+        ticks[rounded] += np.floor(_product_error(t[rounded], scale, p[rounded])).astype(np.int64)
+    return ticks.reshape(shape)
 
 
 def mbb_of_segment(s: Segment) -> Rect:

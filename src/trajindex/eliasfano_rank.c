@@ -1,8 +1,9 @@
 /* The compiled kernels.  Queries: the batched Elias-Fano rank over the
  * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
  * (rtree.py) and the row output of an IISIndex (temporal/iis.py).  Builds:
- * the greedy decomposition into independent sets and the set-major row
- * order of an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
+ * the record order and greedy decomposition into independent sets and the
+ * set-major row order of an IISIndex, and the Elias-Fano encoder of a
+ * FlatEliasFano.
  *
  * Rank.  Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
  * high part at bits high_base[q].. of `highs` and its select samples at
@@ -249,42 +250,127 @@ int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32
 ROWS_ENTRY(iis_rows_u32, uint32_t)
 ROWS_ENTRY(iis_rows_i64, int64_t)
 
-/* Greedy: visits the records in `order`, by group, start ascending and end
- * descending, and puts each into the open set of its group whose tail end
- * is the largest below its end, or into a new set when there is none.
- * Writes each record's set to `assignment` and returns the set count, or
- * -1 when out of memory.  Set ids ascend in the order the sets open.  The
- * tails of a group's open sets are kept descending, so a new set's tail,
- * which is at most every other, goes last. */
-int64_t iis_greedy(const int64_t *order, const int64_t *ends, const int64_t *groups, int64_t n,
-                   int64_t *assignment)
+/* Decomposition.  A record as the greedy sorts it: by start ascending, then
+ * by -end ascending (end descending); index breaks the remaining ties. */
+typedef struct {
+    int64_t start, neg_end, index;
+} record_t;
+
+#define SORT_RUN 16
+
+/* Whether record a goes before record b; equal keys keep their order. */
+static inline int record_before(const record_t *a, const record_t *b)
 {
-    int64_t *tails = malloc((size_t)(2 * n + 1) * sizeof *tails);
-    if (!tails)
-        return -1;
-    int64_t *tail_set = tails + n, open = 0, m = 0;
-    for (int64_t p = 0; p < n; p++) {
-        int64_t i = order[p], e = ends[i];
-        if (p && groups[i] != groups[order[p - 1]])
-            open = 0;
-        /* the first tail below e */
-        int64_t lo = 0, hi = open;
-        while (lo < hi) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (tails[mid] < e)
-                hi = mid;
-            else
-                lo = mid + 1;
+    return a->start < b->start || (a->start == b->start && a->neg_end < b->neg_end);
+}
+
+/* Sorts recs[0 .. n - 1] stably, using tmp[0 .. n - 1], and returns which of
+ * the two holds the result: runs of SORT_RUN by insertion, then bottom-up
+ * merges that take the left run's record on equal keys. */
+static record_t *sort_records(record_t *recs, record_t *tmp, int64_t n)
+{
+    for (int64_t a = 0; a < n; a += SORT_RUN) {
+        int64_t b = a + SORT_RUN < n ? a + SORT_RUN : n;
+        for (int64_t i = a + 1; i < b; i++) {
+            record_t r = recs[i];
+            int64_t j = i;
+            for (; j > a && record_before(&r, &recs[j - 1]); j--)
+                recs[j] = recs[j - 1];
+            recs[j] = r;
         }
-        if (lo == open) {
-            tail_set[open] = m;
-            open++;
-            assignment[i] = m++;
-        } else {
-            assignment[i] = tail_set[lo];
-        }
-        tails[lo] = e;
     }
+    record_t *src = recs, *dst = tmp;
+    for (int64_t run = SORT_RUN; run < n; run *= 2) {
+        for (int64_t a = 0; a < n; a += 2 * run) {
+            int64_t mid = a + run < n ? a + run : n, b = a + 2 * run < n ? a + 2 * run : n;
+            int64_t i = a, j = mid, k = a;
+            while (i < mid && j < b)
+                dst[k++] = record_before(&src[j], &src[i]) ? src[j++] : src[i++];
+            while (i < mid)
+                dst[k++] = src[i++];
+            while (j < b)
+                dst[k++] = src[j++];
+        }
+        record_t *swap = src;
+        src = dst;
+        dst = swap;
+    }
+    return src;
+}
+
+/* Decomposition: orders the records by group, start ascending, end
+ * descending and index, exactly as np.lexsort((-ends, starts, groups)), and
+ * writes that order to `order`.  A stable counting sort by group keeps the
+ * indices of a group ascending, and a stable sort of each group by (start,
+ * -end) keeps them so on ties.  Visiting the records in that order, it puts
+ * each into the open set of its group whose tail end is the largest below
+ * its end, or into a new set when there is none, and writes each record's
+ * set to `assignment`.  Set ids ascend in the order the sets open.  The
+ * tails of a group's open sets are kept descending, so a new set's tail,
+ * which is at most every other, goes last.  Returns the set count, -1 when
+ * out of memory, or -2 - i for the first record i whose group is not in
+ * [0, n_groups), before anything is written. */
+int64_t iis_decompose(const int64_t *starts, const int64_t *ends, const int64_t *groups, int64_t n,
+                      int64_t n_groups, int64_t *order, int64_t *assignment)
+{
+    int64_t *first = calloc((size_t)n_groups + 1, sizeof *first);
+    record_t *recs = malloc((size_t)(2 * n + 1) * sizeof *recs);
+    int64_t *tails = malloc((size_t)(2 * n + 1) * sizeof *tails);
+    if (!first || !recs || !tails) {
+        free(first);
+        free(recs);
+        free(tails);
+        return -1;
+    }
+    int64_t m = -1;
+    for (int64_t i = 0; i < n; i++) {
+        if (groups[i] < 0 || groups[i] >= n_groups) {
+            m = -2 - i;
+            goto done;
+        }
+        first[groups[i] + 1]++;
+    }
+    for (int64_t g = 0; g < n_groups; g++)
+        first[g + 1] += first[g];
+    /* first[g] is now group g's first slot; counting the group out moves it
+     * one past the group's last, where the placement below finds it */
+    for (int64_t i = 0; i < n; i++) {
+        record_t *r = &recs[first[groups[i]]++];
+        r->start = starts[i];
+        r->neg_end = (int64_t)(0 - (uint64_t)ends[i]); /* np.negative wraps the same way */
+        r->index = i;
+    }
+    int64_t *tail_set = tails + n, a = 0;
+    m = 0;
+    for (int64_t g = 0; g < n_groups; g++) {
+        int64_t b = first[g], open = 0;
+        const record_t *sorted = sort_records(recs + a, recs + n + a, b - a);
+        for (int64_t p = 0; p < b - a; p++) {
+            int64_t i = sorted[p].index, e = (int64_t)(0 - (uint64_t)sorted[p].neg_end);
+            /* the first tail below e */
+            int64_t lo = 0, hi = open;
+            while (lo < hi) {
+                int64_t mid = lo + (hi - lo) / 2;
+                if (tails[mid] < e)
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            if (lo == open) {
+                tail_set[open] = m;
+                open++;
+                assignment[i] = m++;
+            } else {
+                assignment[i] = tail_set[lo];
+            }
+            tails[lo] = e;
+            order[a + p] = i;
+        }
+        a = b;
+    }
+done:
+    free(first);
+    free(recs);
     free(tails);
     return m;
 }

@@ -11,14 +11,15 @@ increasing subsequences; Aldous & Diaconis, Bull. AMS 1999): intervals
 are processed by (start asc, end desc) and each goes to the eligible set
 whose tail end is largest, a new set opening when none qualifies.  Sets
 require strictly increasing starts AND ends, so identical intervals
-always land in distinct sets.  numpy sorts the records into that order
-and one compiled pass (``eliasfano_rank.c``) places them all.
+always land in distinct sets.  One compiled pass (``eliasfano_rank.c``)
+sorts the records into that order, a counting sort by segment and a merge
+sort by (start, -end) inside each, and places them all.
 
 One index covers any number of segments, each decomposed on its own.
 Its rows are the records ordered segment by segment, set by set, and by
 start inside a set, so the answer to a query is a run of rows per set.
-A compiled counting sort by set, over the records in start order, gives
-that row order.  Every set stores its starts and its ends as two
+A compiled counting sort by set, over the records in the decomposition's
+order, gives that row order.  Every set stores its starts and its ends as two
 Elias-Fano sequences; the sequences of all sets live in one
 :class:`FlatEliasFano`, written by its compiled encoder.  A query is
 one call into a compiled kernel (``eliasfano_rank.c``, loaded by
@@ -47,7 +48,8 @@ def _int64s(a: np.ndarray):
     return ffi.from_buffer("int64_t[]", a)
 
 
-def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, int]:
+def decompose_independent_sets(starts, ends, groups=None, *, n_groups: int | None = None,
+                               return_order: bool = False):
     """Assign each interval to one of m independent sets, m minimal.
 
     Returns (assignment, m); within a set, intervals ordered by start are
@@ -56,19 +58,35 @@ def decompose_independent_sets(starts, ends, groups=None) -> tuple[np.ndarray, i
     decomposition of the end values, O(n log m).  With ``groups``, every
     group is decomposed on its own in the same pass, and the sets of a
     smaller group get smaller ids; without, all intervals are one group.
+
+    Groups are numbered densely first, keeping their order, unless
+    ``n_groups`` says they already lie in ``[0, n_groups)``; a group
+    outside that range raises ``IndexError``.  With ``return_order``,
+    also returns the order the records were placed in: by group, start
+    ascending, end descending, then index.
     """
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
     ends = np.ascontiguousarray(ends, dtype=np.int64)
     n = len(starts)
-    groups = np.zeros(n, dtype=np.int64) if groups is None else np.ascontiguousarray(groups, dtype=np.int64)
+    if len(ends) != n or (groups is not None and len(groups) != n):
+        raise ValueError("starts, ends and groups must have one value per interval")
+    if groups is None:
+        groups, n_groups = np.zeros(n, dtype=np.int64), 1
+    elif n_groups is None:
+        distinct, groups = np.unique(np.asarray(groups, dtype=np.int64), return_inverse=True)  # keeps the order
+        n_groups = len(distinct)
+    groups = np.ascontiguousarray(groups, dtype=np.int64)
     # in this order, a tail with a smaller end also has a strictly smaller
     # start, so eligibility reduces to the tail-end comparison alone
-    order = np.lexsort((-ends, starts, groups))  # group asc, start asc, end desc, index asc
+    order = np.empty(n, dtype=np.int64)
     assignment = np.empty(n, dtype=np.int64)
-    m = lib.iis_greedy(_int64s(order), _int64s(ends), _int64s(groups), n, _int64s(assignment))
+    m = lib.iis_decompose(_int64s(starts), _int64s(ends), _int64s(groups), n, n_groups, _int64s(order),
+                          _int64s(assignment))
+    if m == -1:
+        raise MemoryError("no memory for the records of the decomposition")
     if m < 0:
-        raise MemoryError("no memory for the open sets of the decomposition")
-    return assignment, m
+        raise IndexError(f"record {-2 - m}: group {groups[-2 - m]} outside [0, {n_groups})")
+    return (assignment, m, order) if return_order else (assignment, m)
 
 
 class IndependentIntervalSet:
@@ -152,14 +170,16 @@ class IISIndex(TemporalIndexBase):
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         n = len(starts)
-        assignment, m = decompose_independent_sets(starts, ends, segments)
+        assignment, m, by_segment = decompose_independent_sets(starts, ends, segments, n_groups=n_segments,
+                                                               return_order=True)
         # members of a set are contiguous and start-ascending; sets follow
         # segments.  The starts of a set are distinct, so counting the
-        # records out by set in any start-ascending order gives these rows.
+        # records out by set in the decomposition's order, start-ascending
+        # inside a segment, gives these rows.
         set_sizes = np.bincount(assignment, minlength=m)
         set_rows = prefix_offsets(set_sizes)
         order = np.empty(n, dtype=np.int64)
-        lib.sort_by_key(_int64s(assignment), _int64s(np.argsort(starts)), n, _int64s(set_rows[:-1].copy()),
+        lib.sort_by_key(_int64s(assignment), _int64s(by_segment), n, _int64s(set_rows[:-1].copy()),
                         _int64s(order))
         set_segment = np.asarray(segments, dtype=np.int64)[order[set_rows[:-1]]]
         seg_sets = prefix_offsets(np.bincount(set_segment, minlength=n_segments))

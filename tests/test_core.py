@@ -66,6 +66,28 @@ class TestDiscretize:
             bulk = discretize_times(values, cfg)
             assert bulk.tolist() == [discretize_time(v, cfg) for v in values]
 
+    @pytest.mark.parametrize("digits", range(9))
+    def test_vectorized_is_exact_on_adversarial_values(self, digits):
+        # decimal values whose float lies just below or above them, their
+        # float neighbours, and products up to 2**61, where a float's
+        # spacing exceeds 1
+        rng = np.random.default_rng(digits)
+        scale = 10**digits
+        k = rng.integers(0, 2**53 // scale, 600)
+        decimal = k / scale
+        huge = rng.integers(0, 2**61 // scale, 600).astype(np.float64)
+        values = np.concatenate([
+            np.round(rng.uniform(0, 1e5, 600), 8),  # workload-style 8-decimal times
+            np.round(rng.uniform(0, 1e3, 600), 6),
+            decimal, np.nextafter(decimal, np.inf), np.nextafter(decimal, 0),
+            rng.uniform(0, 2.0**61 / scale, 600), huge, np.nextafter(huge, 0), np.nextafter(huge, np.inf),
+            [0.0, 5e-324, 0.145, 2.0**61 / scale, np.nextafter(2.0**62 / scale, 0)],
+        ])
+        values = values[values * scale < 2.0**62]
+        cfg = ScaleConfig(digits)
+        assert discretize_times(values, cfg).tolist() == [discretize_time(v, cfg) for v in values.tolist()]
+        assert discretize_times(values[5], cfg).shape == ()
+
     def test_scale_config_range(self):
         from trajindex import ConfigError
 

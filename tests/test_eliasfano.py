@@ -342,6 +342,16 @@ def test_kernel_builds_once_without_warnings(tmp_path):
     assert second.stderr == ""
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_is_clean_under_strict_warnings():
+    """The kernels compile without a warning under the strict flags, so
+    sign, width and shadowing slips show up at once."""
+    flags = ["-fsyntax-only", "-Wall", "-Wextra", "-Wshadow", "-Wconversion", "-Werror"]
+    proc = subprocess.run(["cc", *flags, str(SRC / "trajindex" / "eliasfano_rank.c")], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 def test_import_names_a_missing_cffi_or_compiler(tmp_path):
     env = fresh_copy(tmp_path)
     (tmp_path / "stub").mkdir()

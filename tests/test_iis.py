@@ -115,6 +115,66 @@ class TestDecomposition:
                                            len(np.unique(a[members])))
 
 
+def ordered(starts, ends, groups, n_groups):
+    """The compiled decomposition with dense groups, checked against
+    ``np.lexsort`` for the order and the Python reference for the sets."""
+    s, e, g = (np.asarray(a, dtype=np.int64) for a in (starts, ends, groups))
+    a, m, order = decompose_independent_sets(s, e, g, n_groups=n_groups, return_order=True)
+    assert order.tolist() == np.lexsort((-e, s, g)).tolist()
+    want_a, want_m = reference_decomposition(s, e, g)
+    assert m == want_m and a.tolist() == want_a.tolist()
+    return order
+
+
+class TestOrderKernel:
+    """The record order the decomposition sorts into: by group, start
+    ascending, end descending, then record index."""
+
+    def test_ties(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 15, 16, 17, 33, 200, 3_000):
+            s = rng.integers(0, 4, n)
+            e = s + rng.integers(0, 3, n)  # ties on start, on end and identical intervals
+            ordered(s, e, rng.integers(0, 3, n), 3)
+            ordered(np.full(n, 7), np.full(n, 9), np.zeros(n), 1)
+            ordered(np.arange(n)[::-1], np.full(n, n + 5), np.zeros(n), 1)
+
+    def test_group_shapes(self):
+        # empty groups, groups of one record and records in the last group
+        rng = np.random.default_rng(31)
+        for n in (1, 5, 40, 1_000):
+            groups = rng.choice([1, 4, 4, 4, 9], n)
+            groups[-1] = 11
+            s = rng.integers(0, 50, n)
+            order = ordered(s, s + rng.integers(0, 50, n), groups, 12)
+            assert groups[order].tolist() == sorted(groups.tolist())
+        ordered([3], [5], [0], 1)
+
+    def test_no_records(self):
+        for n_groups in (0, 1, 5):
+            assert ordered([], [], [], n_groups).tolist() == []
+        a, m = decompose_independent_sets([], [], [])
+        assert m == 0 and len(a) == 0
+
+    def test_ticks_near_the_universe_limit(self):
+        rng = np.random.default_rng(32)
+        top = 2**62 - 1
+        s = top - rng.integers(0, 40, 500)
+        e = np.minimum(s + rng.integers(0, 40, 500), top)
+        ordered(s, e, rng.integers(0, 2, 500), 2)
+        ordered([0, top, 0, top], [top, top, 0, top], [0, 0, 0, 0], 1)
+
+    def test_group_outside_the_range_raises(self):
+        s = np.array([1, 2, 3, 4])
+        for bad in (-1, 3, 2**40):
+            with pytest.raises(IndexError, match=f"record 2: group {bad} outside"):
+                decompose_independent_sets(s, s + 1, np.array([0, 2, bad, 1]), n_groups=3)
+        with pytest.raises(IndexError):
+            IISIndex.from_segments(s, s + 1, np.array([0, 1, 2, 1]), 2)
+        with pytest.raises(ValueError, match="one value per interval"):
+            decompose_independent_sets(s, s[:3] + 1)
+
+
 class TestIISIndex:
     def test_empty(self):
         index = IISIndex.build([], ScaleConfig(0))
