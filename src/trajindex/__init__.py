@@ -50,7 +50,7 @@ from .datagen import (
     gen_trajectories,
     read_network,
     read_queries,
-    read_records,
+    read_record_columns,
     write_network,
     write_queries,
     write_records,
@@ -102,7 +102,7 @@ __all__ = [
     "mbb_of_segment",
     "read_network",
     "read_queries",
-    "read_records",
+    "read_record_columns",
     "rects_overlap",
     "run_benchmark",
     "segment_intersects_window",

@@ -31,7 +31,7 @@ from .datagen import (
     gen_trajectories,
     read_network,
     read_queries,
-    read_records,
+    read_record_columns,
     write_network,
     write_queries,
     write_records,
@@ -163,9 +163,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_build(args) -> int:
     net = read_network(args.network)
-    records = read_records(args.records, n_edges=len(net.edges))
+    columns = read_record_columns(args.records)
     cfg = TrajIndexConfig(temporal_backend=_CLI_BACKENDS[args.backend], scale=ScaleConfig(args.scale_digits))
-    index = TrajIndex.build(net, records, cfg)
+    index = TrajIndex.from_columns(net, *columns, cfg)
     index.save(args.out)
     stats = index.stats()
     print(json.dumps({

@@ -149,12 +149,10 @@ class TimeInterval:
 
 @dataclass(frozen=True)
 class IntervalRecord:
+    """One object's stay on a segment; ``TrajIndex.from_columns`` checks its ids."""
+
     object_id: int
     interval: TimeInterval
-
-    def __post_init__(self):
-        if self.object_id < 0:
-            raise InvalidInputError(f"object id must be non-negative, got {self.object_id}")
 
 
 @dataclass(frozen=True)

@@ -227,36 +227,52 @@ def write_network(net: Network, path: str) -> None:
             fh.write(f"e {seg.id} {a} {b}\n")
 
 
-def read_network(path: str) -> Network:
-    nodes: list[Point] = []
-    edges: list[Segment] = []
-    edge_nodes: list[tuple[int, int]] = []
+def _parse_lines(path: str, parse) -> None:
+    """Calls ``parse(line_no, fields)`` on each non-blank line of a text file;
+    a ``ValueError`` or ``OverflowError`` it raises becomes a ``ParseError``."""
     with open(path, encoding="ascii") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "nodes":
-                    continue
-                if parts[0] == "n":
-                    _, nid, x, y = parts
-                    if int(nid) != len(nodes):
-                        raise ValueError(f"node ids must be dense, got {nid}")
-                    nodes.append(Point(float(x), float(y)))
-                elif parts[0] == "e":
-                    _, eid, a, b = parts
-                    if int(eid) != len(edges):
-                        raise ValueError(f"edge ids must be dense, got {eid}")
-                    a, b = int(a), int(b)
-                    if not (0 <= a < len(nodes) and 0 <= b < len(nodes)):
-                        raise ValueError(f"edge {eid} references unknown node")
-                    edges.append(Segment(int(eid), nodes[a], nodes[b]))
-                    edge_nodes.append((a, b))
-                else:
-                    raise ValueError(f"unknown line tag {parts[0]!r}")
-            except (ValueError, InvalidInputError) as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+            if parts:
+                try:
+                    parse(line_no, parts)
+                except (ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
+                    raise ParseError(path, line_no, str(exc)) from None
+
+
+def read_network(path: str) -> Network:
+    """The network of a network file, whose header, if any, counts its nodes and edges."""
+    nodes: list[Point] = []
+    edges: list[Segment] = []
+    edge_nodes: list[tuple[int, int]] = []
+    header: list[int] = []  # line number, node count, edge count
+
+    def parse(line_no: int, parts: list[str]) -> None:
+        if parts[0] == "nodes":
+            if header or len(parts) != 4 or parts[2] != "edges":
+                raise ValueError("expected one 'nodes <N> edges <E>' header")
+            header.extend((line_no, int(parts[1]), int(parts[3])))
+        elif parts[0] == "n":
+            _, nid, x, y = parts
+            if int(nid) != len(nodes):
+                raise ValueError(f"node ids must be dense, got {nid}")
+            nodes.append(Point(float(x), float(y)))
+        elif parts[0] == "e":
+            _, eid, a, b = parts
+            if int(eid) != len(edges):
+                raise ValueError(f"edge ids must be dense, got {eid}")
+            a, b = int(a), int(b)
+            if not (0 <= a < len(nodes) and 0 <= b < len(nodes)):
+                raise ValueError(f"edge {eid} references unknown node")
+            edges.append(Segment(int(eid), nodes[a], nodes[b]))
+            edge_nodes.append((a, b))
+        else:
+            raise ValueError(f"unknown line tag {parts[0]!r}")
+
+    _parse_lines(path, parse)
+    if header and header[1:] != [len(nodes), len(edges)]:
+        raise ParseError(path, header[0], f"header declares {header[1]} nodes and {header[2]} edges, "
+                                          f"the file has {len(nodes)} and {len(edges)}")
     return Network(nodes, edges, edge_nodes)
 
 
@@ -267,24 +283,31 @@ def write_records(records, path: str) -> None:
             fh.write(f"r {rec.object_id} {eid} {iv.start:.8f} {iv.end:.8f}\n")
 
 
-def read_records(path: str, n_edges: int | None = None) -> list[tuple[int, IntervalRecord]]:
-    out: list[tuple[int, IntervalRecord]] = []
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] != "r" or len(parts) != 5:
-                    raise ValueError("expected 'r <object> <edge> <t_entry> <t_exit>'")
-                obj, eid = int(parts[1]), int(parts[2])
-                rec = IntervalRecord(obj, TimeInterval(float(parts[3]), float(parts[4])))
-            except (ValueError, InvalidInputError) as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if n_edges is not None and not 0 <= eid < n_edges:
-                raise ParseError(path, line_no, f"record references unknown edge id {eid}")
-            out.append((eid, rec))
-    return out
+def read_record_columns(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The segment ids and object ids (int64) and entry and exit times
+    (float64) of a record file, in file order.  Only the syntax is checked
+    here, the values by ``TrajIndex.from_columns``.  Raises ``ParseError`` at
+    the first malformed line."""
+    tokens: list[str] = []
+
+    def fields(line_no: int, parts: list[str]) -> None:
+        if parts[0] != "r" or len(parts) != 5:
+            raise ValueError("expected 'r <object> <edge> <t_entry> <t_exit>'")
+        tokens.extend(parts)
+
+    def values(line_no: int, parts: list[str]) -> None:
+        fields(line_no, parts)
+        np.array(parts[1:3], dtype=np.int64), np.array(parts[3:], dtype=np.float64)
+
+    try:
+        _parse_lines(path, fields)
+        return (np.array(tokens[2::5], dtype=np.int64), np.array(tokens[1::5], dtype=np.int64),
+                np.array(tokens[3::5], dtype=np.float64), np.array(tokens[4::5], dtype=np.float64))
+    except (OverflowError, ValueError):
+        # a line before the one that failed may hold a number that does not
+        # convert: convert line by line
+        _parse_lines(path, values)
+        raise
 
 
 def write_queries(queries, path: str) -> None:
@@ -296,16 +319,12 @@ def write_queries(queries, path: str) -> None:
 
 def read_queries(path: str) -> list[Query]:
     out: list[Query] = []
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] != "q" or len(parts) != 7:
-                    raise ValueError("expected 'q <xmin> <ymin> <xmax> <ymax> <t_start> <t_end>'")
-                vals = [float(v) for v in parts[1:]]
-                out.append(Query(Rect(*vals[:4]), vals[4], vals[5]))
-            except (ValueError, InvalidInputError) as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+
+    def parse(line_no: int, parts: list[str]) -> None:
+        if parts[0] != "q" or len(parts) != 7:
+            raise ValueError("expected 'q <xmin> <ymin> <xmax> <ymax> <t_start> <t_end>'")
+        vals = [float(v) for v in parts[1:]]
+        out.append(Query(Rect(*vals[:4]), vals[4], vals[5]))
+
+    _parse_lines(path, parse)
     return out

@@ -50,10 +50,13 @@
  * at most its length (see Rank), so the rows written lie inside set k's
  * own rows.
  *
- * Greedy.  `order` is a permutation of the n records, as np.lexsort returns
- * it over `ends` and `groups`, which it checks are n long, so every record
- * index read lies in [0, n).  A group opens at most one set per record, so
- * the tails of its open sets fit the n slots allocated.
+ * Greedy.  Every group id is checked against [0, n_groups) before anything
+ * is written, so the counting sort's slots first[g] stay within [0, n] and
+ * each record is placed once, below n.  `recs` and `tails` hold 2n + 1
+ * entries: group g's records recs + a .. recs + b - 1 merge through the
+ * buffer recs + n + a, which ends by 2n as b <= n, and a group opens at most
+ * one set per record, so its tails fit tails[0 .. n - 1] and their set ids
+ * tails[n .. 2n - 1].
  *
  * Set order.  Every key is a set id in [0, m), as the greedy writes them, and
  * `cursor` starts at each set's first row, the prefix sums of the set sizes;

@@ -152,20 +152,32 @@ class TrajIndex:
 
     @classmethod
     def build(cls, network: Network, records, cfg: TrajIndexConfig | None = None) -> "TrajIndex":
-        cfg = cfg or TrajIndexConfig()
-        n_edges = len(network.edges)
+        """The index over ``(segment id, IntervalRecord)`` pairs; see ``from_columns``."""
         n = len(records)
         try:
             # operator.index refuses a fractional id, which fromiter would truncate
             seg = np.fromiter((operator.index(s) for s, _ in records), dtype=np.int64, count=n)
             obj = np.fromiter((operator.index(rec.object_id) for _, rec in records), dtype=np.int64, count=n)
         except (OverflowError, TypeError):
-            _reject_first_bad_record(records, n_edges)
+            _reject_first_bad_id(records)
             raise
-        if n and (seg.min() < 0 or seg.max() >= n_edges or obj.max() > MAX_OBJECT_ID):
-            _reject_first_bad_record(records, n_edges)
         t_start = np.fromiter((rec.interval.start for _, rec in records), dtype=np.float64, count=n)
         t_end = np.fromiter((rec.interval.end for _, rec in records), dtype=np.float64, count=n)
+        return cls.from_columns(network, seg, obj, t_start, t_end, cfg)
+
+    @classmethod
+    def from_columns(cls, network: Network, segments, object_ids, t_start, t_end,
+                     cfg: TrajIndexConfig | None = None) -> "TrajIndex":
+        """The index over records given as four columns of one length: segment
+        and object ids of an integer dtype, and entry and exit times.  Raises
+        ``IngestionError`` or, for its times, ``InvalidInputError`` naming the
+        first record it cannot index."""
+        cfg = cfg or TrajIndexConfig()
+        n_edges = len(network.edges)
+        seg, obj = np.asarray(segments), np.asarray(object_ids)
+        t_start, t_end = np.asarray(t_start, dtype=np.float64), np.asarray(t_end, dtype=np.float64)
+        _check_columns(seg, obj, t_start, t_end, n_edges)
+        seg, obj = seg.astype(np.int64, copy=False), obj.astype(np.int64, copy=False)
         starts = discretize_times(t_start, cfg.scale)
         ends = discretize_times(t_end, cfg.scale)
         seg_rows = prefix_offsets(np.bincount(seg, minlength=n_edges))
@@ -249,18 +261,42 @@ class TrajIndex:
             raise FormatError(f"corrupt index file: {exc}") from exc
 
 
-def _reject_first_bad_record(records, n_edges: int) -> None:
+def _record(pos: int, obj, start, end) -> str:
+    return f"record {pos} (object {obj}, [{start}, {end}])"
+
+
+def _reject_first_bad_id(records) -> None:
     for pos, (seg_id, rec) in enumerate(records):
-        where = f"record {pos} (object {rec.object_id}, [{rec.interval.start}, {rec.interval.end}])"
         for kind, value in (("segment", seg_id), ("object", rec.object_id)):
             try:
-                operator.index(value)
+                fits = -(1 << 63) <= operator.index(value) < 1 << 63
             except TypeError:
-                raise IngestionError(f"{where} has a {kind} id {value!r} that is not an integer") from None
-        if not 0 <= seg_id < n_edges:
-            raise IngestionError(f"{where} references unknown segment id {seg_id}")
-        if rec.object_id > MAX_OBJECT_ID:
-            raise IngestionError(f"{where} has an object id above {MAX_OBJECT_ID}, the largest a u32 holds")
+                fits = False
+            if not fits:
+                raise IngestionError(f"{_record(pos, rec.object_id, rec.interval.start, rec.interval.end)}: "
+                                     f"{kind} id {value!r} is not an integer, or no int64 holds it")
+
+
+def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, n_edges: int) -> None:
+    """Raises for the first record ``from_columns`` cannot index.  The ids
+    are compared in their own dtype, before a cast could wrap them."""
+    if not (seg.ndim == obj.ndim == t_start.ndim == t_end.ndim == 1 and len(seg) == len(obj) == len(t_start) == len(t_end)):
+        raise IngestionError("the record columns must be one-dimensional and of one length")
+    for kind, ids in (("segment", seg), ("object", obj)):
+        if len(ids) and ids.dtype.kind not in "iu":
+            raise IngestionError(f"{_record(0, obj[0], t_start[0], t_end[0])}: {kind} ids come in dtype {ids.dtype}, "
+                                 f"not an integer dtype")
+    bad = (seg < 0) | (seg >= n_edges) | (obj < 0) | (obj > MAX_OBJECT_ID)
+    bad |= ~((t_start >= 0) & (t_start <= t_end) & (t_end < np.inf))  # NaN fails every comparison
+    if not bad.any():
+        return
+    pos = int(np.argmax(bad))
+    where = _record(pos, obj[pos], t_start[pos], t_end[pos])
+    if not 0 <= seg[pos] < n_edges:
+        raise IngestionError(f"{where}: unknown segment id {seg[pos]}")
+    if not 0 <= obj[pos] <= MAX_OBJECT_ID:
+        raise IngestionError(f"{where}: object id {obj[pos]} is outside 0..{MAX_OBJECT_ID}, the range a u32 holds")
+    raise InvalidInputError(f"{where}: times must be finite with 0 <= start <= end")
 
 
 # -- binary format (version 4) ---------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 
 from trajindex import (
     IntervalRecord,
+    ParseError,
     Rect,
     ScaleConfig,
     TimeInterval,
@@ -28,6 +29,33 @@ def make_records(starts, lengths) -> list[IntervalRecord]:
         IntervalRecord(i, TimeInterval(float(s), float(s) + float(ln)))
         for i, (s, ln) in enumerate(zip(starts, lengths))
     ]
+
+
+def reference_record_columns(path: str):
+    """The record reader as a loop of per-line ``int`` and ``float`` calls:
+    the columns ``read_record_columns`` must return, and the line of the
+    first ``ParseError`` it must raise."""
+    segments, objects, starts, ends = [], [], [], []
+    with open(path, encoding="ascii") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                if parts[0] != "r" or len(parts) != 5:
+                    raise ValueError("expected 'r <object> <edge> <t_entry> <t_exit>'")
+                obj, eid = int(parts[1]), int(parts[2])
+                if not (-(2**63) <= obj < 2**63 and -(2**63) <= eid < 2**63):
+                    raise ValueError("an id outside the int64 range")
+                start, end = float(parts[3]), float(parts[4])
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            segments.append(eid)
+            objects.append(obj)
+            starts.append(start)
+            ends.append(end)
+    return (np.array(segments, dtype=np.int64), np.array(objects, dtype=np.int64),
+            np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64))
 
 
 def scenario_arrays(rng: np.random.Generator, kind: str, n: int, horizon: float = 1000.0):

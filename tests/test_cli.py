@@ -4,7 +4,15 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from trajindex import ScaleConfig, TrajIndex, TrajIndexConfig, read_network, read_records
+from trajindex import (
+    ScaleConfig,
+    TrajIndex,
+    TrajIndexConfig,
+    gen_grid_network,
+    gen_trajectories,
+    read_queries,
+    write_network,
+)
 from trajindex.bench import BENCH_COLUMNS
 from trajindex.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
@@ -23,6 +31,13 @@ def dataset(tmp_path_factory):
                   "--seed", "7", "--out-dir", str(out))
     assert code == EXIT_OK
     return out
+
+
+def in_memory(backend: str, digits: int) -> TrajIndex:
+    """The dataset's index built from the generator's objects, without the text files."""
+    net = gen_grid_network(8, 8)
+    records = gen_trajectories(net, 12, 20.0, seed=7)
+    return TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(digits)))
 
 
 class TestGen:
@@ -61,12 +76,7 @@ class TestBuildAndQuery:
         code, out = run("query", "--index", idx_path, "--queries", str(dataset / "queries.txt"))
         assert code == EXIT_OK
 
-        net = read_network(str(dataset / "network.txt"))
-        records = read_records(str(dataset / "records.txt"), n_edges=len(net.edges))
-        memory = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend="iis",
-                                                               scale=ScaleConfig(int(digits))))
-        from trajindex import read_queries
-
+        memory = in_memory("iis", int(digits))
         queries = read_queries(str(dataset / "queries.txt"))
         lines = out.strip().splitlines()
         assert len(lines) == len(queries)
@@ -75,6 +85,17 @@ class TestBuildAndQuery:
             want = sorted(memory.range_query(q.window, q.t_start, q.t_end).object_ids)
             assert parts[1] == str(len(want))
             assert [int(v) for v in parts[2:]] == want
+
+    @pytest.mark.parametrize("digits", [0, 8])
+    @pytest.mark.parametrize("backend", ["linear", "interval_tree", "schmidt", "iis"])
+    def test_file_matches_in_memory_build(self, dataset, tmp_path, backend, digits):
+        cli_path, memory_path = tmp_path / "cli.tjix", tmp_path / "memory.tjix"
+        code, _ = run("build", "--network", str(dataset / "network.txt"),
+                      "--records", str(dataset / "records.txt"), "--backend", backend.replace("_", "-"),
+                      "--scale-digits", str(digits), "--out", str(cli_path))
+        assert code == EXIT_OK
+        in_memory(backend, digits).save(str(memory_path))
+        assert cli_path.read_bytes() == memory_path.read_bytes()
 
     def test_results_identical_across_backends(self, dataset, tmp_path):
         outputs = set()
@@ -127,6 +148,15 @@ class TestBuildAndQuery:
         code, _ = run("build", "--network", str(dataset / "network.txt"),
                       "--records", str(bad), "--out", str(tmp_path / "x.tjix"))
         assert code == EXIT_DATA
+
+    def test_unknown_edge_reference_is_data_error(self, tmp_path, capsys):
+        network, bad, out = tmp_path / "net.txt", tmp_path / "refs.txt", tmp_path / "x.tjix"
+        write_network(gen_grid_network(2, 6), str(network))  # 16 edges
+        bad.write_text("r 0 1 1.0 2.0\nr 0 99 2.0 3.0\n")
+        code, _ = run("build", "--network", str(network), "--records", str(bad), "--out", str(out))
+        assert code == EXIT_DATA
+        assert "record 1 (object 0, [2.0, 3.0]): unknown segment id 99" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

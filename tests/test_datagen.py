@@ -3,7 +3,9 @@ import pytest
 
 from trajindex import (
     ConfigError,
+    IngestionError,
     ParseError,
+    TrajIndex,
     WorkloadSpec,
     gen_grid_network,
     gen_interval_workload,
@@ -11,11 +13,27 @@ from trajindex import (
     gen_trajectories,
     read_network,
     read_queries,
-    read_records,
+    read_record_columns,
     write_network,
     write_queries,
     write_records,
 )
+
+from helpers import reference_record_columns
+
+
+def record_columns(records):
+    """The four columns of (segment id, IntervalRecord) pairs."""
+    return (np.array([eid for eid, _ in records], dtype=np.int64),
+            np.array([rec.object_id for _, rec in records], dtype=np.int64),
+            np.array([rec.interval.start for _, rec in records]),
+            np.array([rec.interval.end for _, rec in records]))
+
+
+def assert_same_columns(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()  # float64 bits included
 
 
 class TestGridNetwork:
@@ -120,7 +138,7 @@ class TestFiles:
         records = gen_trajectories(net, 6, 12.0, seed=8)
         path = str(tmp_path / "records.txt")
         write_records(records, path)
-        assert read_records(path, n_edges=len(net.edges)) == records
+        assert_same_columns(read_record_columns(path), record_columns(records))
 
     def test_queries_roundtrip(self, tmp_path):
         net = gen_grid_network(4, 4)
@@ -133,16 +151,97 @@ class TestFiles:
         path = tmp_path / "bad.txt"
         path.write_text("r 0 0 1.0 2.0\nr 1 oops 1.0 2.0\n")
         with pytest.raises(ParseError, match="bad.txt:2"):
-            read_records(str(path))
+            read_record_columns(str(path))
 
     def test_unknown_edge_reference(self, tmp_path):
+        # the reader parses; the build rejects the reference
         path = tmp_path / "refs.txt"
         path.write_text("r 0 99 1.0 2.0\n")
-        with pytest.raises(ParseError, match="unknown edge id 99"):
-            read_records(str(path), n_edges=10)
+        columns = read_record_columns(str(path))
+        with pytest.raises(IngestionError, match="record 0 .*unknown segment id 99"):
+            TrajIndex.from_columns(gen_grid_network(2, 6), *columns)
 
     def test_malformed_network_line(self, tmp_path):
         path = tmp_path / "net.txt"
         path.write_text("nodes 1 edges 1\nn 0 0.0 0.0\ne 0 0 5\n")
         with pytest.raises(ParseError, match="net.txt:3"):
             read_network(str(path))
+
+    def test_network_missing_its_last_edge(self, tmp_path):
+        # a cut file used to load with 179 of its 180 edges
+        path = tmp_path / "net.txt"
+        write_network(gen_grid_network(10, 10), str(path))
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(ParseError, match="net.txt:1: header declares 100 nodes and 180 edges, "
+                                             "the file has 100 and 179"):
+            read_network(str(path))
+
+    @pytest.mark.parametrize("header", ["nodes 1 edges", "nodes 1 links 1", "nodes one edges 1",
+                                        "nodes 1 edges 1\nnodes 1 edges 1"])
+    def test_malformed_network_header(self, tmp_path, header):
+        path = tmp_path / "net.txt"
+        path.write_text(f"n 0 0.0 0.0\n{header}\nn 1 1.0 0.0\ne 0 0 1\n")
+        with pytest.raises(ParseError, match=f"net.txt:{header.count(chr(10)) + 2}:"):
+            read_network(str(path))
+
+    def test_network_without_header(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("n 0 0.0 0.0\nn 1 1.0 0.0\ne 0 0 1\n")
+        assert read_network(str(path)).edge_nodes == [(0, 1)]
+
+
+class TestRecordColumns:
+    """``read_record_columns`` against the per-line reference reader."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        net = gen_grid_network(8, 8)
+        path = tmp_path / "records.txt"
+        write_records(gen_trajectories(net, 12, 20.0, seed=7), str(path))
+        return path
+
+    def test_columns_match_reference(self, written):
+        assert_same_columns(read_record_columns(str(written)), reference_record_columns(str(written)))
+
+    def test_blank_lines_crlf_and_trailing_spaces(self, written, tmp_path):
+        lines = written.read_text().splitlines()
+        messy = tmp_path / "messy.txt"
+        messy.write_bytes("".join(f"\r\n  \t\r\n{line}  \t\r\n" for line in lines).encode("ascii"))
+        want = reference_record_columns(str(written))
+        assert_same_columns(reference_record_columns(str(messy)), want)
+        assert_same_columns(read_record_columns(str(messy)), want)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("\n  \n")
+        assert [len(c) for c in read_record_columns(str(path))] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("bad", [
+        "r 3 1 1.0", "r 3 1 1.0 2.0 3.0", "q 3 1 1.0 2.0", "R 3 1 1.0 2.0", "r 3.0 1 1.0 2.0",
+        "r 3 oops 1.0 2.0", "r 3 1 oops 2.0", "r 0x10 1 1.0 2.0", f"r {2**63} 1 1.0 2.0",
+        f"r 3 {-(2**63) - 1} 1.0 2.0", "r 3 1 1.0\n2.0",
+    ])
+    def test_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"r 0 0 1.0 2.0\n\nr 1 0 1.0 2.0\n{bad}\nr 2 0 1.0 2.0\n")
+        with pytest.raises(ParseError) as want:
+            reference_record_columns(str(path))
+        with pytest.raises(ParseError) as got:
+            read_record_columns(str(path))
+        assert got.value.line_no == want.value.line_no == 4
+        assert str(got.value).startswith(f"{path}:4: ")
+
+    def test_first_malformed_line_wins(self, tmp_path):
+        # a bad number before a bad field count: the number's line
+        path = tmp_path / "bad.txt"
+        path.write_text("r 0 0 1.0 2.0\nr 1 0 oops 2.0\nr 2 0 1.0 2.0\nr 3 0 1.0\n")
+        with pytest.raises(ParseError, match="bad.txt:2:"):
+            read_record_columns(str(path))
+
+    def test_values_are_not_checked(self, tmp_path):
+        # negative ids and inverted or non-finite times are for the build to reject
+        path = tmp_path / "odd.txt"
+        path.write_text("r -1 -2 5.0 1.0\nr 0 0 nan inf\n")
+        segments, objects, starts, ends = read_record_columns(str(path))
+        assert segments.tolist() == [-2, 0] and objects.tolist() == [-1, 0]
+        assert starts[0] == 5.0 and np.isnan(starts[1]) and ends.tolist() == [1.0, np.inf]

@@ -101,7 +101,7 @@ class TestBuild:
     def test_object_id_beyond_u32_rejected(self):
         # the file stores ids as u32; 2**33 used to save and load back as 0
         net, records = two_segment_setup()
-        for bad in (2**32, 2**33, 2**70):
+        for bad in (-1, 2**32, 2**33, 2**70):
             with pytest.raises(IngestionError, match="object id"):
                 TrajIndex.build(net, records + [(0, REC(bad, TimeInterval(1.0, 2.0)))])
 
@@ -113,6 +113,43 @@ class TestBuild:
                           ((np.float64(1.0), REC(2, TimeInterval(1.0, 2.0))), "segment id")):
             with pytest.raises(IngestionError, match=f"record {len(records)} .*{kind}.* not an integer"):
                 TrajIndex.build(net, records + [bad])
+
+    @pytest.mark.parametrize("column, values, error, match", [
+        (0, np.array([0, 2**63, 0], dtype=np.uint64), IngestionError, "record 1 .*unknown segment id 9223372036854775808"),
+        (1, np.array([1, 2**64 - 1, 2], dtype=np.uint64), IngestionError, "record 1 .*object id 18446744073709551615"),
+        (1, np.array([1, 2**32, 2]), IngestionError, "record 1 .*object id 4294967296"),
+        (0, np.array([0.0, 1.0, 0.0]), IngestionError, "record 0 .*segment ids .*float64"),
+        (1, np.array([1.0, 1.5, 2.0]), IngestionError, "record 0 .*object ids .*float64"),
+        (1, [1, 2**70, 2], IngestionError, "record 0 .*object ids .*dtype object"),
+        (0, np.array([0, -1, 0], dtype=np.int8), IngestionError, "record 1 .*unknown segment id -1"),
+        (1, [1, -1, 2], IngestionError, r"record 1 \(object -1, .*object id -1"),
+        (0, [0, 2, 0], IngestionError, "record 1 .*unknown segment id 2"),
+        (2, [0.0, np.nan, 1.0], InvalidInputError, r"record 1 \(object 1, \[nan, 9.0\]\)"),
+        (3, [5.0, np.nan, 2.0], InvalidInputError, "record 1 .*nan"),
+        (2, [0.0, np.inf, 1.0], InvalidInputError, "record 1 .*inf"),
+        (3, [5.0, np.inf, 2.0], InvalidInputError, "record 1 .*inf"),
+        (2, [0.0, -1.0, 1.0], InvalidInputError, r"record 1 .*\[-1.0, 9.0\]"),
+        (2, [0.0, 9.5, 1.0], InvalidInputError, r"record 1 .*\[9.5, 9.0\]"),
+    ])
+    def test_from_columns_rejects_first_bad_record(self, column, values, error, match):
+        net, _ = two_segment_setup()
+        columns = [[0, 1, 0], [1, 1, 2], [0.0, 5.0, 1.0], [5.0, 9.0, 2.0]]
+        columns[column] = values
+        with pytest.raises(error, match=match):
+            TrajIndex.from_columns(net, *columns)
+
+    def test_from_columns_rejects_columns_of_different_lengths(self):
+        net, _ = two_segment_setup()
+        with pytest.raises(IngestionError, match="one length"):
+            TrajIndex.from_columns(net, np.array([0, 1]), np.array([1]), [0.0], [1.0])
+
+    def test_from_columns_takes_any_integer_dtype(self, tmp_path):
+        net, records = two_segment_setup()
+        records.append((1, REC(2**32 - 1, TimeInterval(6.0, 7.0))))
+        TrajIndex.build(net, records).save(str(tmp_path / "build.tjix"))
+        TrajIndex.from_columns(net, np.array([0, 1, 1], dtype=np.uint8), np.array([1, 1, 2**32 - 1], dtype=np.uint32),
+                               [0.0, 5.0, 6.0], [5.0, 9.0, 7.0]).save(str(tmp_path / "columns.tjix"))
+        assert (tmp_path / "build.tjix").read_bytes() == (tmp_path / "columns.tjix").read_bytes()
 
     def test_tick_beyond_sequence_universe_rejected(self):
         net, records = two_segment_setup()
