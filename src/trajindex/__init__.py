@@ -56,9 +56,18 @@ from .datagen import (
     write_records,
 )
 from .index import IndexStats, QueryResult, TrajIndex, TrajIndexConfig
-from .bench import BenchSpec, run_benchmark, write_csv
 
 __version__ = "0.1.0"
+
+_BENCH_NAMES = ("BenchSpec", "run_benchmark", "write_csv")
+
+
+def __getattr__(name: str):
+    # the benchmark matrix, and the imports only it needs, load at first use
+    if name in _BENCH_NAMES:
+        from . import bench
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BACKENDS",

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 
-from .bench import BenchSpec, run_benchmark, write_csv
 from .core import (
     ConfigError,
     FormatError,
@@ -211,6 +210,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchSpec, run_benchmark, write_csv  # only this command needs the benchmark's imports
+
     backends = tuple(_CLI_BACKENDS.get(b, b) for b in args.backends)
     rows, cols = args.grid
     spec = BenchSpec(

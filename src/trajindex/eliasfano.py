@@ -23,12 +23,13 @@ and its high bit straight into the word arrays (the layout of Vigna,
 "Quasi-succinct indices", WSDM 2013).
 
 This module also loads the package's kernels, ``eliasfano_rank.c``: the
-rank and the encoder above, the R-tree window walk (``rtree.py``), and the
-``iis`` row output, decomposition and set order (``temporal/iis.py``); the
-row output ranks every probed set with the same per-lane loop.  They are compiled with ``cffi`` at the first import, into
-this package's ``__pycache__``, under a name derived from their source and
-the interpreter, and reused afterwards.  Without ``cffi`` or a C compiler
-the import raises ``ImportError``.
+rank and the encoder above, the R-tree window walk (``rtree.py``), the
+``iis`` row output, decomposition and set order (``temporal/iis.py``), and
+the object-id union of a range query (``index.py``); the row output ranks
+every probed set with the same per-lane loop.  They are compiled with
+``cffi`` at the first import, into this package's ``__pycache__``, under a
+name derived from their source and the interpreter, and reused afterwards.
+Without ``cffi`` or a C compiler the import raises ``ImportError``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ int64_t iis_decompose(const int64_t *, const int64_t *, const int64_t *, int64_t
 void sort_by_key(const int64_t *, const int64_t *, int64_t, int64_t *, int64_t *);
 int64_t ef_encode(const int64_t *, const int64_t *, const int64_t *, const int64_t *, const int64_t *,
                   int64_t, int64_t, uint64_t *, uint64_t *, int64_t *);
+int64_t distinct_ids(const uint32_t *, const int64_t *, int64_t, uint32_t *);
 void free(void *);
 """
 

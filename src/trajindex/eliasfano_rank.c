@@ -1,6 +1,7 @@
 /* The compiled kernels.  Queries: the batched Elias-Fano rank over the
  * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
- * (rtree.py) and the row output of an IISIndex (temporal/iis.py).  Builds:
+ * (rtree.py), the row output of an IISIndex (temporal/iis.py) and the
+ * object-id union of a TrajIndex (index.py).  Builds:
  * the record order and greedy decomposition into independent sets and the
  * set-major row order of an IISIndex, and the Elias-Fano encoder of a
  * FlatEliasFano.
@@ -49,6 +50,15 @@
  * [0, n_segments) before reading its offsets, and both ranks of set k are
  * at most its length (see Rank), so the rows written lie inside set k's
  * own rows.
+ *
+ * Union.  Every row is below the record count, the length of object_ids:
+ * the rows come from a row output (see Row output) or from a per-segment
+ * structure, which answers with positions inside its own segment's rows.
+ * `out` holds one slot per row and at most one id is written per row.  The
+ * table has a power of two of slots, at least 2n, and every probe position
+ * is masked with its size minus one, so no slot outside it is read or
+ * written, and as at most n of its slots fill, a probe always meets an
+ * empty one.
  *
  * Greedy.  Every group id is checked against [0, n_groups) before anything
  * is written, so the counting sort's slots first[g] stay within [0, n] and
@@ -252,6 +262,39 @@ int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32
 
 ROWS_ENTRY(iis_rows_u32, uint32_t)
 ROWS_ENTRY(iis_rows_i64, int64_t)
+
+/* Union: writes each distinct object_ids[rows[i]] once to `out`, in the
+ * order of first appearance, and returns how many, or -1 when out of
+ * memory.  The open-addressing table stores id + 1, so that a zeroed slot
+ * is empty and every u32 id, 0 and 2^32 - 1 included, can be stored.  It
+ * is allocated per call, so concurrent calls share nothing. */
+int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out)
+{
+    if (n <= 0)
+        return 0;
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * n)
+        bits++;
+    uint64_t mask = ((uint64_t)1 << bits) - 1;
+    uint64_t *table = calloc((size_t)mask + 1, sizeof *table);
+    if (!table)
+        return -1;
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t id = object_ids[rows[i]];
+        uint64_t key = (uint64_t)id + 1;
+        /* Fibonacci hashing: the top bits of the product mix every bit of the id */
+        uint64_t slot = (key * 0x9E3779B97F4A7C15u) >> (64 - bits);
+        while (table[slot] && table[slot] != key)
+            slot = (slot + 1) & mask;
+        if (!table[slot]) {
+            table[slot] = key;
+            out[k++] = id;
+        }
+    }
+    free(table);
+    return k;
+}
 
 /* Decomposition.  A record as the greedy sorts it: by start ascending, then
  * by -end ascending (end descending); index breaks the remaining ties. */

@@ -12,10 +12,13 @@ stay exact at the tick level.
 The records live in one table ordered segment by segment.  The ``iis``
 backend is a single :class:`IISIndex` over that table; the other backends
 keep one structure per segment over its slice of the table.  With
-``iis``, a query makes two calls into compiled code: the R-tree's window
-walk, and the row output that ranks every set of every candidate segment
-and writes the matching rows.  Refinement, the object-id union and the
-``verbose`` matches stay in numpy.
+``iis``, a query makes three calls into compiled code: the R-tree's window
+walk, the row output that ranks every set of every candidate segment and
+writes the matching rows, and the union that writes each distinct object
+id of those rows once.  When every edge is axis-parallel, as on a grid,
+the window walk's hits need no refinement; otherwise the exact test runs
+in numpy on the hits that are not axis-parallel.  The ``verbose`` matches
+are gathered in numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .core import (
     segments_intersect_window,
 )
 from .datagen import Network
-from .eliasfano import prefix_offsets
+from .eliasfano import ffi, lib, prefix_offsets
 from .rtree import RTree, build_rtree
 from .temporal import BACKENDS
 from .temporal.iis import IISIndex
@@ -58,6 +61,7 @@ MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
 _TAG_BACKENDS = {v: k for k, v in _BACKEND_TAGS.items()}
 _EMPTY = np.zeros(0, dtype=np.int64)
+_new_ids = ffi.new_allocator(should_clear_after_alloc=False)  # the union overwrites what it returns
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class _PerSegment:
 
     def query(self, l: int, r: int, segments: np.ndarray) -> np.ndarray:
         out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
-        return np.concatenate(out) if out else _EMPTY
+        return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
     def space_report(self) -> dict:
         bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
@@ -127,14 +131,16 @@ class TrajIndex:
     ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
     temporal structure answers with those row numbers.  ``make_rtree``
     makes the R-tree from the edges' (n, 4) box array: a new build, or the
-    shape a file saved."""
+    shape a file saved.  ``temporal.query`` answers with a contiguous
+    ``int64`` array of rows, each below the record count."""
 
     def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
                  seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
         self.network = network
         self.cfg = cfg
         self.seg_rows = seg_rows
-        self.object_ids = object_ids
+        self.object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
+        self._ids = ffi.from_buffer("uint32_t[]", self.object_ids)  # the union kernel's argument
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
@@ -144,6 +150,7 @@ class TrajIndex:
         self._by = np.array([s.b.y for s in network.edges])
         # an axis-parallel segment is its own box, so the R-tree's box test is exact
         self._box_exact = (self._ax == self._bx) | (self._ay == self._by)
+        self._all_exact = bool(self._box_exact.all())
         self.rtree = make_rtree(np.column_stack((
             np.minimum(self._ax, self._bx), np.minimum(self._ay, self._by),
             np.maximum(self._ax, self._bx), np.maximum(self._ay, self._by))))
@@ -195,9 +202,9 @@ class TrajIndex:
         """R-tree hits, refined by the exact geometric test where the box
         test alone is not exact."""
         hits = self.rtree.window_query(window)
-        exact = self._box_exact[hits]
-        if exact.all():
+        if self._all_exact:
             return hits
+        exact = self._box_exact[hits]
         rest = hits[~exact]
         keep = segments_intersect_window(self._ax[rest], self._ay[rest], self._bx[rest], self._by[rest], window)
         return np.concatenate((hits[exact], rest[keep]))
@@ -205,10 +212,17 @@ class TrajIndex:
     def range_query(self, window: Rect, t_start: float, t_end: float, verbose: bool = False) -> QueryResult:
         if t_start > t_end:
             raise InvalidQueryError(f"time range [{t_start}, {t_end}] has start > end")
-        l = discretize_time(t_start, self.cfg.scale)
-        r = discretize_time(t_end, self.cfg.scale)
+        scale = self.cfg.scale
+        l = discretize_time(t_start, scale)
+        # equal times give equal ticks, so a time slice is discretized once
+        r = l if t_end == t_start else discretize_time(t_end, scale)
         rows = self.temporal.query(l, r, self._candidate_segments(window))
-        found = set(self.object_ids[rows].tolist())
+        n = len(rows)
+        ids = _new_ids("uint32_t[]", n)
+        k = lib.distinct_ids(self._ids, ffi.from_buffer("int64_t[]", rows), n, ids)
+        if k < 0:
+            raise MemoryError("no memory for the object-id union of a query")
+        found = set(ffi.unpack(ids, k))
         matches = None
         if verbose:
             segment = np.searchsorted(self.seg_rows, rows, side="right") - 1

@@ -205,10 +205,16 @@ class IISIndex(TemporalIndexBase):
         else:
             segments = np.ascontiguousarray(segments, dtype=np.int64)
             probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
-        top = self.u - 1
+        # a set's rows are those past its ends <= l - 1 and up to its starts
+        # <= r; the kernel clamps both ticks to the universe, and clamping
+        # them here too keeps a Python int of any size inside int64
+        top, l1 = self.u - 1, l - 1
+        if not -1 <= l1 <= top:
+            l1 = -1 if l1 < 0 else top
+        if not -1 <= r <= top:
+            r = -1 if r < 0 else top
         out = ffi.new("int64_t **")
-        # a set's rows are those past its ends <= l - 1 and up to its starts <= r
-        n = self._rows(probe, count, max(min(l - 1, top), -1), max(min(r, top), -1), out)
+        n = self._rows(probe, count, l1, r, out)
         if n < 0:
             if n == -1 - count:
                 raise MemoryError("no memory for the rows of an interval query")

@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,18 @@ class TestBench:
         assert code == EXIT_OK
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 4 + 4
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_index_commands_skip_the_benchmark_imports():
+    """``build`` and ``query`` import the CLI; only ``bench`` loads the
+    benchmark matrix and the statistics it needs."""
+    show = ("import sys, trajindex.cli; "
+            "print(sorted(m for m in ('trajindex.bench', 'statistics', 'fractions') if m in sys.modules)); "
+            "import trajindex; trajindex.BenchSpec; print('trajindex.bench' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", show], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

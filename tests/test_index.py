@@ -16,6 +16,7 @@ from trajindex import (
     InvalidQueryError,
     Network,
     Point,
+    Query,
     Rect,
     ScaleConfig,
     Segment,
@@ -24,11 +25,14 @@ from trajindex import (
     TrajIndexConfig,
     VersionError,
     build_rtree,
+    discretize_time,
     gen_grid_network,
     gen_queries,
     gen_trajectories,
     segments_intersect_window,
 )
+import trajindex.index
+from trajindex.eliasfano import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
@@ -310,6 +314,143 @@ class TestEndToEnd:
             t = float(rng.uniform(0, 15))
             w = Rect(x0, y0, x1, y1)
             assert index.time_slice_query(w, t).object_ids == index.range_query(w, t, t).object_ids
+
+    def test_time_slice_at_tick_boundaries(self):
+        # 0.1 + 0.2 is just above 0.3 and 0.3 just below it, so at one
+        # decimal digit they fall on either side of the tick boundary
+        net = gen_grid_network(3, 3)
+        edges = range(len(net.edges))
+        times = [0.1 + 0.2, 0.3, 0.7, 0.1 * 7, 1.1, 0.1 * 11, 0.6, 0.2 * 3, 2.675, 1e-9, 0.0]
+        records = [(e, REC(10 * k + e % 3, TimeInterval(t, t + 0.1 * (e % 4))))
+                   for k, t in enumerate(times) for e in edges if (e + k) % 3 == 0]
+        records += [(e, REC(500 + k, TimeInterval(t / 2, t))) for k, t in enumerate(times) for e in edges[k::4]]
+        window = net.bounds()
+        for digits in (0, 1, 2, 8):
+            scale = ScaleConfig(digits)
+            oracle = FullScanOracle(net, records, scale)
+            index = TrajIndex.build(net, records, TrajIndexConfig(scale=scale))
+            for t in times + [t + 0.05 for t in times] + [float(np.nextafter(t, 0.0)) for t in times]:
+                got = index.time_slice_query(window, t).object_ids
+                assert got == index.range_query(window, t, t).object_ids == oracle.query(window, t, t), (digits, t)
+
+    def test_time_slice_discretizes_its_time_once(self, monkeypatch):
+        net, records = two_segment_setup()
+        index = TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(2)))
+        seen = []
+
+        def counting(t, scale):
+            seen.append(t)
+            return discretize_time(t, scale)
+
+        monkeypatch.setattr(trajindex.index, "discretize_time", counting)
+        assert index.time_slice_query(Rect(-1, -1, 21, 1), 5.0).object_ids == {1}
+        assert seen == [5.0]
+        assert index.range_query(Rect(-1, -1, 21, 1), 4.0, 5.0).object_ids == {1}
+        assert seen == [5.0, 4.0, 5.0]
+
+
+def distinct_ids(object_ids, rows) -> list[int]:
+    """The union kernel's answer: the distinct ids of ``rows``."""
+    object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    out = np.empty(len(rows), dtype=np.uint32)
+    k = lib.distinct_ids(ffi.from_buffer("uint32_t[]", object_ids), ffi.from_buffer("int64_t[]", rows), len(rows),
+                         ffi.from_buffer("uint32_t[]", out))
+    assert 0 <= k <= len(rows)
+    return out[:k].tolist()
+
+
+def first_seen(object_ids, rows) -> list[int]:
+    """The reference: each id of ``rows`` once, in the order it first appears."""
+    return list(dict.fromkeys(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
+
+
+class TestDistinctIds:
+    """The compiled object-id union against a dict over the gathered ids."""
+
+    def test_no_rows_and_one_row(self):
+        ids = np.array([7, 0, 2**32 - 1], dtype=np.uint32)
+        assert distinct_ids(ids, []) == []
+        assert distinct_ids(np.zeros(0, dtype=np.uint32), []) == []
+        for row in range(3):
+            assert distinct_ids(ids, [row]) == [int(ids[row])]
+
+    def test_every_row_the_same_object(self):
+        for obj in (0, 1, 2**31, 2**32 - 1):
+            ids = np.full(1_000, obj, dtype=np.uint32)
+            assert distinct_ids(ids, np.arange(1_000)) == [obj]
+            assert distinct_ids(ids, np.full(5, 999)) == [obj]
+
+    def test_zero_and_the_largest_id_together(self):
+        ids = np.array([2**32 - 1, 0, 1, 2**32 - 2, 0, 2**32 - 1], dtype=np.uint32)
+        assert distinct_ids(ids, np.arange(6)) == [2**32 - 1, 0, 1, 2**32 - 2]
+        assert distinct_ids(ids, [1, 4, 0, 5]) == [0, 2**32 - 1]
+
+    def test_rows_out_of_order_and_repeated(self):
+        ids = np.array([10, 11, 12, 10, 13, 11], dtype=np.uint32)
+        rows = [5, 5, 2, 0, 3, 4, 1, 2, 5, 0]
+        assert distinct_ids(ids, rows) == first_seen(ids, rows) == [11, 12, 10, 13]
+
+    def test_ids_colliding_in_their_low_bits(self):
+        n = 100_000
+        rng = np.random.default_rng(40)
+        for ids in (np.arange(n, dtype=np.uint32) << 16,          # the low 16 bits all zero
+                    (np.arange(n, dtype=np.uint32) % 40_000) << 16,  # and repeated
+                    np.arange(n, dtype=np.uint32) << 15 | 1):
+            rows = rng.permutation(n)
+            got = distinct_ids(ids, rows)
+            assert got == first_seen(ids, rows)
+            assert len(got) == len(np.unique(ids))
+
+    def test_random_against_the_numpy_union(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n_records = int(rng.integers(1, 3_000))
+            pool = int(rng.choice([1, 5, 400, 2**32]))
+            ids = rng.integers(0, pool, n_records, dtype=np.uint64).astype(np.uint32)
+            rows = rng.integers(0, n_records, int(rng.integers(0, 2_000)))
+            got = distinct_ids(ids, rows)
+            assert got == first_seen(ids, rows)
+            assert set(got) == set(ids[rows].tolist())
+
+
+def diagonal_network() -> Network:
+    """Both diagonals of every cell of a 6x6 lattice: no edge is axis-parallel."""
+    nodes = [Point(float(i), float(j)) for i in range(6) for j in range(6)]
+    pairs = [p for i in range(5) for j in range(5) for p in ((6 * i + j, 6 * i + j + 7), (6 * i + j + 1, 6 * i + j + 6))]
+    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+
+
+class TestRangeQueryNetworks:
+    """Every backend, built and then reloaded, against the full scan on
+    networks with mixed, only diagonal and only axis-parallel edges."""
+
+    @pytest.mark.parametrize("name, network, all_exact", [
+        ("jittered", lambda: jittered_network(5), False),
+        ("diagonal", diagonal_network, False),
+        ("grid", lambda: gen_grid_network(6, 6), True),
+    ])
+    def test_backends_match_full_scan(self, tmp_path, name, network, all_exact):
+        net = network()
+        records = gen_trajectories(net, 30, 25.0, seed=17)
+        scale = ScaleConfig(3)
+        oracle = FullScanOracle(net, records, scale)
+        bounds = net.bounds()
+        queries = gen_queries(bounds, 25.0, "range_equal", 60, seed=18, spatial_pct=25, temporal_pct=10)
+        queries += gen_queries(bounds, 25.0, "time_slice", 40, seed=19, spatial_pct=40, temporal_pct=10)
+        queries += [Query(bounds, 0.0, 25.0), Query(Rect(-50, -50, -40, -40), 0.0, 25.0)]
+        for backend in sorted(BACKENDS):
+            index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=scale))
+            path = os.fspath(tmp_path / f"{name}-{backend}.tjix")
+            index.save(path)
+            loaded = TrajIndex.load(path)
+            for idx in (index, loaded):
+                assert idx._all_exact is all_exact
+                for q in queries:
+                    want = oracle.query(q.window, q.t_start, q.t_end)
+                    got = idx.range_query(q.window, q.t_start, q.t_end, verbose=True)
+                    assert got.object_ids == want, (name, backend, q)
+                    assert {o for o, _, _ in got.matches} == want
 
 
 class TestStats:
