@@ -31,7 +31,7 @@ print(f"busiest segment: id {busiest[0]} with {busiest[1]} records")
 window = Rect(5.0, 5.0, 9.0, 9.0)
 print(f"\nwho crossed {window} during [20, 30]?")
 result = index.range_query(window, 20.0, 30.0)
-print(f"  {len(result.object_ids)} objects: {sorted(result.object_ids)[:12]} ...")
+print(f"  {len(result.object_ids)} objects: {result.object_ids.array[:12].tolist()} ...")  # ascending
 
 print(f"who was there at exactly t = 50?")
 result = index.time_slice_query(window, 50.0)

@@ -55,7 +55,7 @@ from .datagen import (
     write_queries,
     write_records,
 )
-from .index import IndexStats, QueryResult, TrajIndex, TrajIndexConfig
+from .index import IndexStats, ObjectIds, QueryResult, TrajIndex, TrajIndexConfig
 
 __version__ = "0.1.0"
 
@@ -84,6 +84,7 @@ __all__ = [
     "InvalidQueryError",
     "LinearScanIndex",
     "Network",
+    "ObjectIds",
     "ParseError",
     "Point",
     "Query",

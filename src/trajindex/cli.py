@@ -201,11 +201,11 @@ def _cmd_query(args) -> int:
         queries = [Query(window, t0, t1)]
     for qid, q in enumerate(queries):
         result = index.range_query(q.window, q.t_start, q.t_end)
-        ids = sorted(result.object_ids)
+        ids = result.object_ids.array  # ascending
         if args.count:
             print(f"{qid} {len(ids)}")
         else:
-            print(" ".join([str(qid), str(len(ids))] + [str(i) for i in ids]))
+            print(" ".join([str(qid), str(len(ids))] + [str(i) for i in ids.tolist()]))
     return EXIT_OK
 
 

@@ -173,10 +173,17 @@ class ScaleConfig:
 def discretize_time(t: float, cfg: ScaleConfig) -> int:
     """Truncate a timestamp to a tick: floor(t * 10**digits).
 
-    The floor is taken of the exact product, via the float's integer ratio,
-    so results do not depend on intermediate rounding.
+    The floor is taken of the exact product, so results do not depend on
+    intermediate rounding.  The rounded product has the exact product's
+    floor unless it is an integer (see ``discretize_times``); that case, and
+    every time it does not cover, takes the float's integer ratio.
     """
     t = float(t)
+    p = t * cfg.scale
+    if 0.0 <= p < 2.0**62:  # not for NaN
+        tick = math.floor(p)
+        if tick != p:
+            return tick
     if not math.isfinite(t) or t < 0:
         raise InvalidInputError(f"timestamp must be finite and non-negative, got {t}")
     num, den = t.as_integer_ratio()

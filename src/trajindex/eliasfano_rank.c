@@ -54,11 +54,13 @@
  * Union.  Every row is below the record count, the length of object_ids:
  * the rows come from a row output (see Row output) or from a per-segment
  * structure, which answers with positions inside its own segment's rows.
- * `out` holds one slot per row and at most one id is written per row.  The
- * table has a power of two of slots, at least 2n, and every probe position
- * is masked with its size minus one, so no slot outside it is read or
- * written, and as at most n of its slots fill, a probe always meets an
- * empty one.
+ * `out` and the scratch array each hold one slot per row.  The gather
+ * writes slot i for row i; the sort moves n ids between the two arrays.
+ * A radix pass's digit is masked to width = ceil(bits / passes) bits,
+ * which is at most 8 for passes = ceil(bits / 8), so it indexes the 256
+ * cursors; the id with digit b goes to b's cursor, which starts at the
+ * count of smaller digits and advances once per id of digit b, so it stays
+ * below n.  The drop of repeats writes only slots it has already read.
  *
  * Greedy.  Every group id is checked against [0, n_groups) before anything
  * is written, so the counting sort's slots first[g] stay within [0, n] and
@@ -84,6 +86,7 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define SAMPLE_SHIFT 7 /* log2 of SELECT_SAMPLE */
 
@@ -263,36 +266,76 @@ int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32
 ROWS_ENTRY(iis_rows_u32, uint32_t)
 ROWS_ENTRY(iis_rows_i64, int64_t)
 
-/* Union: writes each distinct object_ids[rows[i]] once to `out`, in the
- * order of first appearance, and returns how many, or -1 when out of
- * memory.  The open-addressing table stores id + 1, so that a zeroed slot
- * is empty and every u32 id, 0 and 2^32 - 1 included, can be stored.  It
- * is allocated per call, so concurrent calls share nothing. */
+#define ID_INSERTION_MAX 32 /* fewer ids are sorted by insertion */
+
+/* Sorts ids[0 .. n - 1] ascending, using tmp[0 .. n - 1]: by insertion when
+ * they are few, and otherwise by a least-significant-digit radix sort of
+ * id - lo, for lo the smallest id, in as few passes of at most 8 bits as
+ * the largest difference needs, the bits split evenly between them. */
+static void sort_ids(uint32_t *ids, uint32_t *tmp, int64_t n)
+{
+    if (n <= ID_INSERTION_MAX) {
+        for (int64_t i = 1; i < n; i++) {
+            uint32_t id = ids[i];
+            int64_t j = i;
+            for (; j > 0 && ids[j - 1] > id; j--)
+                ids[j] = ids[j - 1];
+            ids[j] = id;
+        }
+        return;
+    }
+    uint32_t lo = ids[0], hi = ids[0];
+    for (int64_t i = 1; i < n; i++) {
+        lo = ids[i] < lo ? ids[i] : lo;
+        hi = ids[i] > hi ? ids[i] : hi;
+    }
+    int bits = 0;
+    while (bits < 32 && ((uint64_t)(hi - lo) >> bits))
+        bits++;
+    if (!bits)
+        return;
+    int passes = (bits + 7) / 8, width = (bits + passes - 1) / passes;
+    uint32_t mask = (1u << width) - 1;
+    int64_t cursor[256];
+    uint32_t *src = ids, *dst = tmp, *swap;
+    for (int shift = 0; shift < bits; shift += width) {
+        memset(cursor, 0, (mask + 1) * sizeof *cursor);
+        for (int64_t i = 0; i < n; i++)
+            cursor[((src[i] - lo) >> shift) & mask]++;
+        for (int64_t b = 0, below = 0; b <= mask; b++) {
+            int64_t count = cursor[b];
+            cursor[b] = below;
+            below += count;
+        }
+        for (int64_t i = 0; i < n; i++)
+            dst[cursor[((src[i] - lo) >> shift) & mask]++] = src[i];
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != ids)
+        memcpy(ids, src, (size_t)n * sizeof *ids);
+}
+
+/* Union: writes each distinct object_ids[rows[i]] once to `out`, ascending,
+ * and returns how many, or -1 when out of memory.  It gathers the ids,
+ * sorts them and drops the repeats; the sort's scratch is allocated per
+ * call, so concurrent calls share nothing, and every u32 is a valid id. */
 int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out)
 {
     if (n <= 0)
         return 0;
-    int bits = 1;
-    while (((int64_t)1 << bits) < 2 * n)
-        bits++;
-    uint64_t mask = ((uint64_t)1 << bits) - 1;
-    uint64_t *table = calloc((size_t)mask + 1, sizeof *table);
-    if (!table)
+    uint32_t *tmp = malloc((size_t)n * sizeof *tmp);
+    if (!tmp)
         return -1;
-    int64_t k = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint32_t id = object_ids[rows[i]];
-        uint64_t key = (uint64_t)id + 1;
-        /* Fibonacci hashing: the top bits of the product mix every bit of the id */
-        uint64_t slot = (key * 0x9E3779B97F4A7C15u) >> (64 - bits);
-        while (table[slot] && table[slot] != key)
-            slot = (slot + 1) & mask;
-        if (!table[slot]) {
-            table[slot] = key;
-            out[k++] = id;
-        }
-    }
-    free(table);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = object_ids[rows[i]];
+    sort_ids(out, tmp, n);
+    free(tmp);
+    int64_t k = 1;
+    for (int64_t i = 1; i < n; i++)
+        if (out[i] != out[k - 1])
+            out[k++] = out[i];
     return k;
 }
 

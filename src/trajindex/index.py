@@ -15,17 +15,21 @@ keep one structure per segment over its slice of the table.  With
 ``iis``, a query makes three calls into compiled code: the R-tree's window
 walk, the row output that ranks every set of every candidate segment and
 writes the matching rows, and the union that writes each distinct object
-id of those rows once.  When every edge is axis-parallel, as on a grid,
-the window walk's hits need no refinement; otherwise the exact test runs
-in numpy on the hits that are not axis-parallel.  The ``verbose`` matches
-are gathered in numpy.
+id of those rows once, in ascending order.  When every edge is
+axis-parallel, as on a grid, the window walk's hits need no refinement;
+otherwise the exact test runs in numpy on the hits that are not
+axis-parallel.  The ``verbose`` matches are gathered in numpy.
+
+A query answers with :class:`ObjectIds`, a read-only set over a copy of
+the sorted ``uint32`` ids the union wrote, which ``.array`` views; no
+Python int is made per id unless the caller iterates.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from collections.abc import Callable
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +66,60 @@ _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
 _TAG_BACKENDS = {v: k for k, v in _BACKEND_TAGS.items()}
 _EMPTY = np.zeros(0, dtype=np.int64)
 _new_ids = ffi.new_allocator(should_clear_after_alloc=False)  # the union overwrites what it returns
+_U32 = np.dtype(np.uint32)  # prebuilt: np.frombuffer resolves a dtype given by type on every call
+
+
+class ObjectIds(Set):
+    """The object ids of a query's answer, as a read-only set.  It holds them
+    sorted, unique and as native ``uint32`` in a ``bytes`` object, taken as
+    given, and ``array`` views them as a read-only numpy array, so no Python
+    int is made per id until the caller asks for one.  Iteration yields
+    Python ints in ascending order; it equals a ``set`` or ``frozenset`` of
+    the same ids, and set operators with one return a ``frozenset``."""
+
+    __slots__ = ("_ids",)
+    __hash__ = None  # unhashable, like the set it stands for
+
+    def __init__(self, ids: bytes):
+        self._ids = ids
+
+    @property
+    def array(self) -> np.ndarray:
+        """The ids, ascending, as a read-only ``uint32`` array."""
+        return np.frombuffer(self._ids, _U32)  # read-only, as bytes are
+
+    def __len__(self) -> int:
+        return len(self._ids) // 4
+
+    def __bool__(self) -> bool:
+        return bool(self._ids)
+
+    def __iter__(self):
+        return iter(self.array.tolist())
+
+    def __contains__(self, value) -> bool:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return False
+        array = self.array
+        i = int(np.searchsorted(array, value))  # the exact test below also rejects ints no u32 holds
+        return i < len(array) and int(array[i]) == value
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ObjectIds):
+            return self._ids == other._ids  # sorted and unique, so equal sets have equal bytes
+        if isinstance(other, (set, frozenset)):
+            # both loops in C: no Python-level pass over the ids
+            return len(other) == len(self) and other.issuperset(self.array.tolist())
+        return super().__eq__(other)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"ObjectIds({self.array.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -78,7 +136,7 @@ class TrajIndexConfig:
 
 @dataclass
 class QueryResult:
-    object_ids: set[int]
+    object_ids: ObjectIds
     matches: list[tuple[int, int, TimeInterval]] | None = None  # (object, segment, interval)
 
 
@@ -222,7 +280,7 @@ class TrajIndex:
         k = lib.distinct_ids(self._ids, ffi.from_buffer("int64_t[]", rows), n, ids)
         if k < 0:
             raise MemoryError("no memory for the object-id union of a query")
-        found = set(ffi.unpack(ids, k))
+        found = ObjectIds(ffi.buffer(ids, 4 * k)[:])
         matches = None
         if verbose:
             segment = np.searchsorted(self.seg_rows, rows, side="right") - 1

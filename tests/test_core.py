@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,35 @@ class TestDiscretize:
             cfg = ScaleConfig(digits)
             bulk = discretize_times(values, cfg)
             assert bulk.tolist() == [discretize_time(v, cfg) for v in values]
+
+    @pytest.mark.parametrize("digits", range(9))
+    def test_scalar_is_the_exact_floor(self, digits):
+        # against rationals: floats of every kind, decimals whose rounded
+        # product is an integer, and products on both sides of 2**62
+        rng = np.random.default_rng(50 + digits)
+        scale = 10**digits
+        sums = [a / 10**d + b / 10**d for d in range(9) for a, b in rng.integers(0, 10**4, (40, 2)).tolist()]
+        below = above = 2.0**62 / scale
+        near_top = [below]
+        for _ in range(40):
+            below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, np.inf))
+            near_top += [below, above]
+        values = [
+            *rng.uniform(0, 1e6, 2000).tolist(), *(rng.random(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist(),
+            *[round(float(t), d) for d in range(9) for t in rng.uniform(0, 1e4, 300)],
+            *[k / 10**d for d in range(9) for k in rng.integers(0, 10**7, 100).tolist()],
+            0.1 + 0.2, 0.7 + 0.1, 1.1 * 3, 0.145, 2.675, 1.0000000000000002, *sums,
+            *near_top, 2.0**61 / scale, 2.0**63 / scale, 1e300, 0.0, -0.0, 5e-324,
+        ]
+        cfg = ScaleConfig(digits)
+        integral = 0
+        for t in values:
+            assert discretize_time(t, cfg) == math.floor(Fraction(t) * scale), (t, digits)
+            integral += t * scale == math.floor(t * scale)
+        assert integral > 400  # the ratio path runs too
+        for bad in (math.nan, math.inf, -math.inf, -1.0, -5e-324, -1e300, -0.5):
+            with pytest.raises(InvalidInputError, match="finite and non-negative"):
+                discretize_time(bad, cfg)
 
     @pytest.mark.parametrize("digits", range(9))
     def test_vectorized_is_exact_on_adversarial_values(self, digits):

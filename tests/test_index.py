@@ -11,6 +11,7 @@ import pytest
 from trajindex import (
     FormatError,
     IngestionError,
+    ObjectIds,
     IntervalRecord,
     InvalidInputError,
     InvalidQueryError,
@@ -36,7 +37,7 @@ from trajindex.eliasfano import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
-from helpers import FullScanOracle, full_scan_objects
+from helpers import FullScanOracle, full_scan_objects, make_records, scenario_arrays
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -360,13 +361,13 @@ def distinct_ids(object_ids, rows) -> list[int]:
     return out[:k].tolist()
 
 
-def first_seen(object_ids, rows) -> list[int]:
-    """The reference: each id of ``rows`` once, in the order it first appears."""
-    return list(dict.fromkeys(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
+def ascending(object_ids, rows) -> list[int]:
+    """The reference: each id of ``rows`` once, in ascending order."""
+    return sorted(set(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
 
 
 class TestDistinctIds:
-    """The compiled object-id union against a dict over the gathered ids."""
+    """The compiled object-id union against a set over the gathered ids."""
 
     def test_no_rows_and_one_row(self):
         ids = np.array([7, 0, 2**32 - 1], dtype=np.uint32)
@@ -383,13 +384,16 @@ class TestDistinctIds:
 
     def test_zero_and_the_largest_id_together(self):
         ids = np.array([2**32 - 1, 0, 1, 2**32 - 2, 0, 2**32 - 1], dtype=np.uint32)
-        assert distinct_ids(ids, np.arange(6)) == [2**32 - 1, 0, 1, 2**32 - 2]
+        assert distinct_ids(ids, np.arange(6)) == [0, 1, 2**32 - 2, 2**32 - 1]
         assert distinct_ids(ids, [1, 4, 0, 5]) == [0, 2**32 - 1]
+        # past the insertion sort's size, so the radix passes sort the top byte
+        rows = np.tile(np.arange(6), 10)
+        assert distinct_ids(ids, rows) == ascending(ids, rows) == [0, 1, 2**32 - 2, 2**32 - 1]
 
     def test_rows_out_of_order_and_repeated(self):
         ids = np.array([10, 11, 12, 10, 13, 11], dtype=np.uint32)
         rows = [5, 5, 2, 0, 3, 4, 1, 2, 5, 0]
-        assert distinct_ids(ids, rows) == first_seen(ids, rows) == [11, 12, 10, 13]
+        assert distinct_ids(ids, rows) == ascending(ids, rows) == [10, 11, 12, 13]
 
     def test_ids_colliding_in_their_low_bits(self):
         n = 100_000
@@ -399,19 +403,151 @@ class TestDistinctIds:
                     np.arange(n, dtype=np.uint32) << 15 | 1):
             rows = rng.permutation(n)
             got = distinct_ids(ids, rows)
-            assert got == first_seen(ids, rows)
+            assert got == ascending(ids, rows)
             assert len(got) == len(np.unique(ids))
 
     def test_random_against_the_numpy_union(self):
         rng = np.random.default_rng(41)
         for _ in range(300):
             n_records = int(rng.integers(1, 3_000))
-            pool = int(rng.choice([1, 5, 400, 2**32]))
+            pool = int(rng.choice([1, 5, 400, 2**20, 2**32]))  # 0 to 4 radix passes
             ids = rng.integers(0, pool, n_records, dtype=np.uint64).astype(np.uint32)
             rows = rng.integers(0, n_records, int(rng.integers(0, 2_000)))
             got = distinct_ids(ids, rows)
-            assert got == first_seen(ids, rows)
-            assert set(got) == set(ids[rows].tolist())
+            assert got == ascending(ids, rows)
+            assert got == np.unique(ids[rows]).tolist()
+
+
+def object_ids(*values) -> ObjectIds:
+    """An answer as a query makes it: the sorted ids as uint32 bytes."""
+    return ObjectIds(np.array(sorted(set(values)), dtype=np.uint32).tobytes())
+
+
+def perfbench_workloads():
+    """Each benchmark workload at its self-test size, with 60 queries."""
+    sys.path.insert(0, os.path.join(os.path.dirname(SRC), "perfbench"))
+    try:
+        from workloads import WORKLOADS, generate
+    finally:
+        sys.path.pop(0)
+    return [(w.name, *generate(trajindex, w, 5, 60, True)) for w in WORKLOADS.values()]
+
+
+def c1_scenario_records(seed: int) -> tuple[Network, list]:
+    """C1's interval shapes as records on a grid, with ids that include
+    0 and 2**32 - 1 and repeat across records."""
+    rng = np.random.default_rng(seed)
+    net = gen_grid_network(5, 5)
+    records = []
+    for kind in ("fixed", "random", "trajectory", "nested", "identical", "shared"):
+        starts, lengths = scenario_arrays(rng, kind, 150)
+        segments = rng.integers(0, len(net.edges), len(starts))
+        ids = rng.choice([0, 1, 2, 77, 2**31, 2**32 - 2, 2**32 - 1, *range(1000, 1040)], len(starts))
+        records += [(int(g), REC(int(o), rec.interval))
+                    for g, o, rec in zip(segments, ids, make_records(starts, lengths))]
+    return net, records
+
+
+class TestObjectIds:
+    """The answer type: a read-only set view of a sorted uint32 array."""
+
+    def test_equality_with_sets_in_both_orders(self):
+        ids = object_ids(3, 0, 2**32 - 1)
+        for same in ({0, 3, 2**32 - 1}, frozenset({0, 3, 2**32 - 1})):
+            assert ids == same and same == ids
+            assert not (ids != same) and not (same != ids)
+        for other in ({0, 3}, {0, 3, 4}, {0, 3, 2**32 - 1, 5}, frozenset(), {0, 3, "x"}):
+            assert ids != other and other != ids
+            assert not (ids == other) and not (other == ids)
+        assert ids == object_ids(0, 3, 2**32 - 1) and not (ids != object_ids(0, 3, 2**32 - 1))
+        assert ids != object_ids(0, 3) and ids != object_ids(0, 3, 2**32 - 2)
+        assert ids != [0, 3, 2**32 - 1] and ids != (0, 3, 2**32 - 1)  # sequences are not sets
+        with pytest.raises(TypeError):
+            hash(ids)
+
+    def test_set_operators_give_frozensets(self):
+        ids, other = object_ids(1, 2, 3), {3, 4}
+        assert ids ^ other == other ^ ids == frozenset({1, 2, 4})
+        assert ids | other == other | ids == frozenset({1, 2, 3, 4})
+        assert ids & other == other & ids == frozenset({3})
+        assert ids - other == frozenset({1, 2}) and other - ids == frozenset({4})
+        for result in (ids ^ other, other ^ ids, ids | other, other & ids, ids - other, other - ids,
+                       ids ^ object_ids(2)):
+            assert type(result) is frozenset
+        assert len(ids ^ object_ids(1, 2, 3)) == 0
+        assert ids <= {1, 2, 3, 9} and ids >= {1} and ids.isdisjoint({0, 4})
+
+    def test_membership(self):
+        ids = object_ids(0, 5, 2**32 - 1)
+        for value in (0, 5, 2**32 - 1, np.uint32(5), np.int64(0), np.uint64(2**32 - 1)):
+            assert value in ids, value
+        for value in (-1, 1, 4, 6, 2**32, 2**32 + 5, 2**64, 2**100, -(2**63), -(2**100), 1.5, 5.0, "x", None, (5,),
+                      np.float64(5.0)):
+            assert value not in ids, value
+        assert 0 not in object_ids() and -1 not in object_ids() and 2**32 not in object_ids()
+
+    def test_iteration_yields_ints_in_ascending_order(self):
+        ids = object_ids(2**32 - 1, 7, 0, 300)
+        got = list(ids)
+        assert got == [0, 7, 300, 2**32 - 1]
+        assert all(type(i) is int for i in got)
+        assert sorted(ids) == got and set(ids) == {0, 7, 300, 2**32 - 1}
+
+    def test_the_empty_answer(self):
+        empty = object_ids()
+        assert len(empty) == 0 and not empty and list(empty) == []
+        assert empty == set() and set() == empty and empty == frozenset() and empty == object_ids()
+        assert empty != {0} and empty ^ {1} == frozenset({1})
+        assert object_ids(0) and len(object_ids(0)) == 1
+
+    def test_a_query_answers_with_a_read_only_sorted_array(self):
+        net, records = c1_scenario_records(3)
+        index = TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(2)))
+        for window, t0, t1 in ((net.bounds(), 0.0, 2000.0), (Rect(-9, -9, -8, -8), 0.0, 1.0)):
+            ids = index.range_query(window, t0, t1).object_ids
+            assert type(ids) is ObjectIds
+            array = ids.array
+            assert array.dtype == np.uint32 and array.ndim == 1
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 1
+            assert np.array_equal(array, np.unique(array))
+
+    @pytest.mark.parametrize("dataset", ["c1_scenarios", "c5_grid", "perfbench_tiny"])
+    def test_every_backend_built_and_reloaded_equals_the_oracle(self, tmp_path, dataset):
+        if dataset == "c1_scenarios":
+            net, records = c1_scenario_records(2)
+            scale = ScaleConfig(4)
+            queries = gen_queries(net.bounds(), 1100.0, "range_equal", 60, seed=3, spatial_pct=30, temporal_pct=5)
+            queries += gen_queries(net.bounds(), 1100.0, "time_slice", 40, seed=4, spatial_pct=50, temporal_pct=5)
+            queries += [Query(net.bounds(), 0.0, 2000.0)]
+            cases = [("c1", net, records, queries)]
+        elif dataset == "c5_grid":
+            net = gen_grid_network(20, 20)
+            records = gen_trajectories(net, 100, 100.0, seed=7)
+            scale = ScaleConfig(6)
+            cases = [("c5", net, records, gen_queries(net.bounds(), 100.0, family, 80, seed=1000 + i,
+                                                      spatial_pct=10.0, temporal_pct=10.0))
+                     for i, family in enumerate(("range_equal", "range_larger_temporal", "time_slice"))]
+        else:
+            scale = ScaleConfig(6)
+            cases = perfbench_workloads()
+        for name, net, records, queries in cases:
+            oracle = FullScanOracle(net, records, scale)
+            want = [oracle.query(q.window, q.t_start, q.t_end) for q in queries]
+            assert any(want)
+            answers = {}
+            for backend in sorted(BACKENDS):
+                index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=scale))
+                path = os.fspath(tmp_path / f"{name}-{backend}.tjix")
+                index.save(path)
+                for idx in (index, TrajIndex.load(path)):
+                    got = [idx.range_query(q.window, q.t_start, q.t_end).object_ids for q in queries]
+                    assert all(type(g) is ObjectIds for g in got)
+                    assert got == want, (name, backend)
+                    assert want == got, (name, backend)
+                    answers.setdefault(name, got)
+                    assert got == answers[name], (name, backend)  # ObjectIds against ObjectIds
 
 
 def diagonal_network() -> Network:
