@@ -24,11 +24,12 @@ and its high bit straight into the word arrays (the layout of Vigna,
 
 This module also loads the package's kernels, ``eliasfano_rank.c``: the
 rank and the encoder above, the R-tree window walk (``rtree.py``), the
-``iis`` row output, decomposition and set order (``temporal/iis.py``), and
-the object-id union of a range query (``index.py``); the row output ranks
-every probed set with the same per-lane loop.  They are compiled with
-``cffi`` at the first import, into this package's ``__pycache__``, under a
-name derived from their source and the interpreter, and reused afterwards.
+``iis`` query, decomposition and set order (``temporal/iis.py``), and the
+object-id union of the other backends' rows (``index.py``); the ``iis``
+query ranks every probed set with the same per-lane loop.  They are
+compiled with ``cffi`` at the first import, into this package's
+``__pycache__``, under a name derived from their source and the
+interpreter, and reused afterwards.
 Without ``cffi`` or a C compiler the import raises ``ImportError``.
 """
 
@@ -60,14 +61,15 @@ int64_t ef_rank_i64(const uint8_t *, const int64_t *, const int64_t *, const int
                     const int64_t *, const int64_t *, int64_t *, int64_t);
 int64_t rtree_window(const uint32_t *, const uint32_t *, const uint32_t *, const double *, const double *,
                      int64_t, double, double, double, double, int64_t *, int64_t *);
-int64_t iis_rows_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
-                     const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
-                     const int64_t *, int64_t, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t,
-                     int64_t **);
-int64_t iis_rows_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
-                     const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
-                     const int64_t *, int64_t, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t,
-                     int64_t **);
+typedef struct { int64_t *rows; uint32_t *ids; int64_t n_rows, n_ids; } iis_answer;
+int64_t iis_query_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
+                      const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
+                      const int64_t *, int64_t, const uint32_t *, const uint32_t *, const int64_t *, int64_t,
+                      int64_t, int64_t, int, iis_answer *);
+int64_t iis_query_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
+                      const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
+                      const int64_t *, int64_t, const uint32_t *, const uint32_t *, const int64_t *, int64_t,
+                      int64_t, int64_t, int, iis_answer *);
 int64_t iis_decompose(const int64_t *, const int64_t *, const int64_t *, int64_t, int64_t, int64_t *,
                       int64_t *);
 void sort_by_key(const int64_t *, const int64_t *, int64_t, int64_t *, int64_t *);

@@ -1,7 +1,8 @@
 /* The compiled kernels.  Queries: the batched Elias-Fano rank over the
  * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
- * (rtree.py), the row output of an IISIndex (temporal/iis.py) and the
- * object-id union of a TrajIndex (index.py).  Builds:
+ * (rtree.py), the query of an IISIndex (temporal/iis.py), which goes from
+ * the candidate segments to their matching rows or their sorted object ids,
+ * and the object-id union of the other backends' rows (index.py).  Builds:
  * the record order and greedy decomposition into independent sets and the
  * set-major row order of an IISIndex, and the Elias-Fano encoder of a
  * FlatEliasFano.
@@ -37,9 +38,9 @@
  * holds, per level of the current path, the siblings not yet walked: at
  * most (height - 1) * (fanout - 1) + 1 <= height * fanout slots.
  *
- * Row output.  Set k holds rows set_rows[k] .. set_rows[k + 1] - 1, its
- * starts in sequence 2k and its ends in sequence 2k + 1, and segment g holds
- * sets seg_sets[g] .. seg_sets[g + 1] - 1.  Reads stay inside the arrays for
+ * Query.  Set k holds rows set_rows[k] .. set_rows[k + 1] - 1, its starts
+ * in sequence 2k and its ends in sequence 2k + 1, and segment g holds sets
+ * seg_sets[g] .. seg_sets[g + 1] - 1.  Reads stay inside the arrays for
  * every index that IISIndex.from_segments builds or IISIndex.from_bytes
  * accepts: from_bytes checks that no set is empty and that the rows per
  * set add up to the record table's row count, and takes seg_sets from the
@@ -48,17 +49,22 @@
  * file: only a stand-alone index (IISIndex.from_ticks) has them, one per
  * row, each below the row count.  The kernel rejects a segment outside
  * [0, n_segments) before reading its offsets, and both ranks of set k are
- * at most its length (see Rank), so the rows written lie inside set k's
- * own rows.
+ * at most its length (see Rank), so every row gathered lies inside set k's
+ * own run of rows, below set_rows[m], the row count, and so does the row id
+ * it maps to.  object_ids holds one id per row, the record table's, so the
+ * id of every row gathered lies inside it.  Each set's run is written at
+ * slots n .. n + run - 1 after the arrays have grown to n + run rows, and
+ * the ids' array holds twice that, so the sort's scratch, its second half,
+ * holds one slot per id gathered.
  *
  * Union.  Every row is below the record count, the length of object_ids:
- * the rows come from a row output (see Row output) or from a per-segment
- * structure, which answers with positions inside its own segment's rows.
- * `out` and the scratch array each hold one slot per row.  The gather
- * writes slot i for row i; the sort moves n ids between the two arrays.
- * A radix pass's digit is masked to width = ceil(bits / passes) bits,
- * which is at most 8 for passes = ceil(bits / 8), so it indexes the 256
- * cursors; the id with digit b goes to b's cursor, which starts at the
+ * the rows come from a per-segment structure, which answers with positions
+ * inside its own segment's rows.  `out` holds one slot per row, and the
+ * scratch array, allocated only for the radix sort, one per row too.  The
+ * gather writes slot i for row i; the sort moves n ids between the two
+ * arrays.  A radix pass's digit is masked to width = ceil(bits / passes)
+ * bits, which is at most 8 for passes = ceil(bits / 8), so it indexes the
+ * 256 cursors; the id with digit b goes to b's cursor, which starts at the
  * count of smaller digits and advances once per id of digit b, so it stays
  * below n.  The drop of repeats writes only slots it has already read.
  *
@@ -206,72 +212,13 @@ int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32
     return n;
 }
 
-/* Row output: per segment as given (all segments in order when `segments`
- * is NULL), per set of the segment, the set's rows whose start is <= r and
- * whose end is > l1, ascending, or their row_ids when `row_ids` is not
- * NULL.  Stores a malloc'ed array of them in *out (NULL when there are
- * none), for the caller to free, and returns how many.  Returns -1 - i
- * for the first lane i whose segment is not in [0, n_segments), and
- * -1 - n_probe when out of memory; *out is then NULL. */
-#define ROWS_ENTRY(name, offset_t)                                                                  \
-    int64_t name(const uint8_t *widths, const offset_t *low_base, const offset_t *high_base,       \
-                 const offset_t *sample_base, const uint64_t *lows, const uint64_t *highs,         \
-                 const uint32_t *samples, int64_t u, const int64_t *seg_sets,                       \
-                 const int64_t *set_rows, int64_t n_segments, const uint32_t *row_ids,             \
-                 const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r, int64_t **out)  \
-    {                                                                                               \
-        int64_t *rows = NULL, cap = 0, n = 0;                                                       \
-        *out = NULL;                                                                                \
-        for (int64_t i = 0; i < n_probe; i++) {                                                     \
-            int64_t g = segments ? segments[i] : i;                                                 \
-            if (g < 0 || g >= n_segments) {                                                         \
-                free(rows);                                                                         \
-                return -1 - i;                                                                      \
-            }                                                                                       \
-            for (int64_t k = seg_sets[g]; k < seg_sets[g + 1]; k++) {                               \
-                int64_t s = 2 * k, e = s + 1;                                                       \
-                int64_t last = rank_lane(widths[s], (int64_t)low_base[s], (int64_t)high_base[s],    \
-                                         samples + sample_base[s], lows, highs, u, r);              \
-                int64_t skip = rank_lane(widths[e], (int64_t)low_base[e], (int64_t)high_base[e],    \
-                                         samples + sample_base[e], lows, highs, u, l1);             \
-                /* never the other way round on a valid index; flipped low                          \
-                 * bits, which load unchecked, can put an end before its start */                   \
-                if (last <= skip)                                                                   \
-                    continue;                                                                       \
-                if (n + last - skip > cap) {                                                        \
-                    int64_t *grown;                                                                 \
-                    cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;                    \
-                    if (cap < 64)                                                                   \
-                        cap = 64;                                                                   \
-                    grown = realloc(rows, (size_t)cap * sizeof *rows);                              \
-                    if (!grown) {                                                                   \
-                        free(rows);                                                                 \
-                        return -1 - n_probe;                                                        \
-                    }                                                                               \
-                    rows = grown;                                                                   \
-                }                                                                                   \
-                int64_t row = set_rows[k] + skip, end = set_rows[k] + last;                         \
-                if (row_ids)                                                                        \
-                    for (; row < end; row++)                                                        \
-                        rows[n++] = row_ids[row];                                                   \
-                else                                                                                \
-                    for (; row < end; row++)                                                        \
-                        rows[n++] = row;                                                            \
-            }                                                                                       \
-        }                                                                                           \
-        *out = rows;                                                                                \
-        return n;                                                                                   \
-    }
-
-ROWS_ENTRY(iis_rows_u32, uint32_t)
-ROWS_ENTRY(iis_rows_i64, int64_t)
-
 #define ID_INSERTION_MAX 32 /* fewer ids are sorted by insertion */
 
-/* Sorts ids[0 .. n - 1] ascending, using tmp[0 .. n - 1]: by insertion when
- * they are few, and otherwise by a least-significant-digit radix sort of
- * id - lo, for lo the smallest id, in as few passes of at most 8 bits as
- * the largest difference needs, the bits split evenly between them. */
+/* Sorts ids[0 .. n - 1] ascending: by insertion when they are few, and
+ * otherwise by a least-significant-digit radix sort of id - lo through
+ * tmp[0 .. n - 1], for lo the smallest id, in as few passes of at most 8
+ * bits as the largest difference needs, the bits split evenly between
+ * them.  The insertion sort leaves tmp alone, so it may then be NULL. */
 static void sort_ids(uint32_t *ids, uint32_t *tmp, int64_t n)
 {
     if (n <= ID_INSERTION_MAX) {
@@ -317,27 +264,154 @@ static void sort_ids(uint32_t *ids, uint32_t *tmp, int64_t n)
         memcpy(ids, src, (size_t)n * sizeof *ids);
 }
 
-/* Union: writes each distinct object_ids[rows[i]] once to `out`, ascending,
- * and returns how many, or -1 when out of memory.  It gathers the ids,
- * sorts them and drops the repeats; the sort's scratch is allocated per
- * call, so concurrent calls share nothing, and every u32 is a valid id. */
-int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out)
+/* Sorts ids[0 .. n - 1] as sort_ids does, drops the repeats and returns
+ * how many ids are left. */
+static int64_t sort_distinct(uint32_t *ids, uint32_t *tmp, int64_t n)
 {
     if (n <= 0)
         return 0;
-    uint32_t *tmp = malloc((size_t)n * sizeof *tmp);
-    if (!tmp)
+    sort_ids(ids, tmp, n);
+    int64_t k = 1;
+    for (int64_t i = 1; i < n; i++)
+        if (ids[i] != ids[k - 1])
+            ids[k++] = ids[i];
+    return k;
+}
+
+/* Union: writes each distinct object_ids[rows[i]] once to `out`, ascending,
+ * and returns how many, or -1 when out of memory.  It gathers the ids,
+ * sorts them and drops the repeats.  The sort's scratch is allocated per
+ * call, and only for more ids than the insertion sort takes, so concurrent
+ * calls share nothing, and every u32 is a valid id. */
+int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out)
+{
+    uint32_t *tmp = NULL;
+    if (n > ID_INSERTION_MAX && !(tmp = malloc((size_t)n * sizeof *tmp)))
         return -1;
     for (int64_t i = 0; i < n; i++)
         out[i] = object_ids[rows[i]];
-    sort_ids(out, tmp, n);
+    int64_t k = sort_distinct(out, tmp, n);
     free(tmp);
-    int64_t k = 1;
-    for (int64_t i = 1; i < n; i++)
-        if (out[i] != out[k - 1])
-            out[k++] = out[i];
     return k;
 }
+
+/* What a query answers.  Each array is malloc'ed for the caller to free, or
+ * NULL when it was not asked for or is empty. */
+typedef struct {
+    int64_t *rows;
+    uint32_t *ids;
+    int64_t n_rows, n_ids;
+} iis_answer;
+
+/* Grows the arrays of a query that are asked for to `cap` rows and 2 * cap
+ * ids.  Returns 0 when out of memory; the arrays are then still the
+ * caller's to free. */
+static int grow_answer(int64_t **rows, int want_rows, uint32_t **ids, int want_ids, int64_t cap)
+{
+    if (want_rows) {
+        int64_t *grown = realloc(*rows, (size_t)cap * sizeof **rows);
+        if (!grown)
+            return 0;
+        *rows = grown;
+    }
+    if (want_ids) {
+        uint32_t *grown = realloc(*ids, (size_t)(2 * cap) * sizeof **ids);
+        if (!grown)
+            return 0;
+        *ids = grown;
+    }
+    return 1;
+}
+
+/* Writes the object ids of rows first .. end - 1, or of the row ids they
+ * map to, to dst. */
+static inline void gather_ids(uint32_t *dst, const uint32_t *object_ids, const uint32_t *row_ids,
+                              int64_t first, int64_t end)
+{
+    if (row_ids)
+        for (int64_t row = first; row < end; row++)
+            *dst++ = object_ids[row_ids[row]];
+    else
+        for (int64_t row = first; row < end; row++)
+            *dst++ = object_ids[row];
+}
+
+/* Writes rows first .. end - 1, or the row ids they map to, to dst. */
+static inline void gather_rows(int64_t *dst, const uint32_t *row_ids, int64_t first, int64_t end)
+{
+    if (row_ids)
+        for (int64_t row = first; row < end; row++)
+            *dst++ = row_ids[row];
+    else
+        for (int64_t row = first; row < end; row++)
+            *dst++ = row;
+}
+
+/* Query: per segment as given (all segments in order when `segments` is
+ * NULL), per set of the segment, the run of the set's rows whose start is
+ * <= r and whose end is > l1, ascending; a row stands for row_ids[row] when
+ * `row_ids` is not NULL.  Stores how many rows match in out->n_rows, and
+ * with `want_rows` the rows themselves in out->rows; they are written only
+ * when asked for.  When `object_ids` is not NULL, stores the distinct
+ * object ids of these rows, ascending, in out->ids and out->n_ids: it
+ * gathers each run's ids, then sorts them and drops the repeats in one
+ * array, whose second half is the sort's scratch.  Returns 0, -1 - i for
+ * the first lane i whose segment is not in [0, n_segments), or -1 - n_probe
+ * when out of memory; out then holds no array. */
+#define QUERY_ENTRY(name, offset_t)                                                                 \
+    int64_t name(const uint8_t *widths, const offset_t *low_base, const offset_t *high_base,       \
+                 const offset_t *sample_base, const uint64_t *lows, const uint64_t *highs,         \
+                 const uint32_t *samples, int64_t u, const int64_t *seg_sets,                       \
+                 const int64_t *set_rows, int64_t n_segments, const uint32_t *row_ids,             \
+                 const uint32_t *object_ids, const int64_t *segments, int64_t n_probe, int64_t l1,  \
+                 int64_t r, int want_rows, iis_answer *out)                                         \
+    {                                                                                               \
+        int64_t *rows = NULL, cap = 0, n = 0, status;                                               \
+        uint32_t *ids = NULL;                                                                       \
+        for (int64_t i = 0; i < n_probe; i++) {                                                     \
+            int64_t g = segments ? segments[i] : i;                                                 \
+            if (g < 0 || g >= n_segments) {                                                         \
+                status = -1 - i;                                                                    \
+                goto fail;                                                                          \
+            }                                                                                       \
+            for (int64_t k = seg_sets[g]; k < seg_sets[g + 1]; k++) {                               \
+                int64_t s = 2 * k, e = s + 1;                                                       \
+                int64_t last = rank_lane(widths[s], (int64_t)low_base[s], (int64_t)high_base[s],    \
+                                         samples + sample_base[s], lows, highs, u, r);              \
+                int64_t skip = rank_lane(widths[e], (int64_t)low_base[e], (int64_t)high_base[e],    \
+                                         samples + sample_base[e], lows, highs, u, l1);             \
+                /* never the other way round on a valid index; flipped low                          \
+                 * bits, which load unchecked, can put an end before its start */                   \
+                if (last <= skip)                                                                   \
+                    continue;                                                                       \
+                if (n + last - skip > cap) {                                                        \
+                    cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;                    \
+                    if (cap < 64)                                                                   \
+                        cap = 64;                                                                   \
+                    if (!grow_answer(&rows, want_rows, &ids, object_ids != NULL, cap)) {            \
+                        status = -1 - n_probe;                                                      \
+                        goto fail;                                                                  \
+                    }                                                                               \
+                }                                                                                   \
+                int64_t first = set_rows[k] + skip, end = set_rows[k] + last;                       \
+                if (ids)                                                                            \
+                    gather_ids(ids + n, object_ids, row_ids, first, end);                           \
+                if (rows)                                                                           \
+                    gather_rows(rows + n, row_ids, first, end);                                     \
+                n += last - skip;                                                                   \
+            }                                                                                       \
+        }                                                                                           \
+        *out = (iis_answer){rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};              \
+        return 0;                                                                                   \
+    fail:                                                                                           \
+        free(rows);                                                                                 \
+        free(ids);                                                                                  \
+        *out = (iis_answer){NULL, NULL, 0, 0};                                                      \
+        return status;                                                                              \
+    }
+
+QUERY_ENTRY(iis_query_u32, uint32_t)
+QUERY_ENTRY(iis_query_i64, int64_t)
 
 /* Decomposition.  A record as the greedy sorts it: by start ascending, then
  * by -end ascending (end descending); index breaks the remaining ties. */

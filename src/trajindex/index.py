@@ -12,16 +12,18 @@ stay exact at the tick level.
 The records live in one table ordered segment by segment.  The ``iis``
 backend is a single :class:`IISIndex` over that table; the other backends
 keep one structure per segment over its slice of the table.  With
-``iis``, a query makes three calls into compiled code: the R-tree's window
-walk, the row output that ranks every set of every candidate segment and
-writes the matching rows, and the union that writes each distinct object
-id of those rows once, in ascending order.  When every edge is
+``iis``, a query makes two calls into compiled code: the R-tree's window
+walk, and the temporal level's query, which ranks every set of every
+candidate segment, gathers the object ids of each matching run of rows,
+sorts them and drops the repeats; it writes the rows themselves only for
+``verbose``.  The other backends answer with rows, whose distinct object
+ids one more call writes in ascending order.  When every edge is
 axis-parallel, as on a grid, the window walk's hits need no refinement;
 otherwise the exact test runs in numpy on the hits that are not
 axis-parallel.  The ``verbose`` matches are gathered in numpy.
 
 A query answers with :class:`ObjectIds`, a read-only set over a copy of
-the sorted ``uint32`` ids the union wrote, which ``.array`` views; no
+the sorted ``uint32`` ids the kernel wrote, which ``.array`` views; no
 Python int is made per id unless the caller iterates.
 """
 
@@ -179,6 +181,19 @@ class _PerSegment:
         out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
         return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
+    def query_ids(self, ids, l: int, r: int, segments: np.ndarray, with_rows: bool = False):
+        """The distinct ``ids[row]`` of the rows ``query`` gives, ascending, as
+        native ``uint32`` bytes, and those rows when ``with_rows`` is set,
+        else None; ``ids`` is a ``uint32_t[]`` kernel argument with one id
+        per row.  The union is one kernel call over the rows."""
+        rows = self.query(l, r, segments)
+        n = len(rows)
+        out = _new_ids("uint32_t[]", n)
+        k = lib.distinct_ids(ids, ffi.from_buffer("int64_t[]", rows), n, out)
+        if k < 0:
+            raise MemoryError("no memory for the object-id union of a query")
+        return ffi.buffer(out, 4 * k)[:], rows if with_rows else None
+
     def space_report(self) -> dict:
         bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
         return {"backend": self.backend, "n": int(self.seg_rows[-1]), "total_bits": bits}
@@ -189,8 +204,10 @@ class TrajIndex:
     ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
     temporal structure answers with those row numbers.  ``make_rtree``
     makes the R-tree from the edges' (n, 4) box array: a new build, or the
-    shape a file saved.  ``temporal.query`` answers with a contiguous
-    ``int64`` array of rows, each below the record count."""
+    shape a file saved.  ``temporal.query_ids`` answers with the distinct
+    object ids of the matching rows, ascending, as ``uint32`` bytes, and
+    for ``verbose`` with those rows too, a contiguous ``int64`` array of
+    rows, each below the record count."""
 
     def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
                  seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
@@ -198,7 +215,7 @@ class TrajIndex:
         self.cfg = cfg
         self.seg_rows = seg_rows
         self.object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
-        self._ids = ffi.from_buffer("uint32_t[]", self.object_ids)  # the union kernel's argument
+        self._ids = ffi.from_buffer("uint32_t[]", self.object_ids)  # the temporal level's ids, bound once
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
@@ -274,13 +291,8 @@ class TrajIndex:
         l = discretize_time(t_start, scale)
         # equal times give equal ticks, so a time slice is discretized once
         r = l if t_end == t_start else discretize_time(t_end, scale)
-        rows = self.temporal.query(l, r, self._candidate_segments(window))
-        n = len(rows)
-        ids = _new_ids("uint32_t[]", n)
-        k = lib.distinct_ids(self._ids, ffi.from_buffer("int64_t[]", rows), n, ids)
-        if k < 0:
-            raise MemoryError("no memory for the object-id union of a query")
-        found = ObjectIds(ffi.buffer(ids, 4 * k)[:])
+        ids, rows = self.temporal.query_ids(self._ids, l, r, self._candidate_segments(window), verbose)
+        found = ObjectIds(ids)
         matches = None
         if verbose:
             segment = np.searchsorted(self.seg_rows, rows, side="right") - 1

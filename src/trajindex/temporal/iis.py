@@ -24,8 +24,11 @@ Elias-Fano sequences; the sequences of all sets live in one
 :class:`FlatEliasFano`, written by its compiled encoder.  A query is
 one call into a compiled kernel (``eliasfano_rank.c``, loaded by
 ``eliasfano.py``): for every probed segment and every set of it, the
-kernel ranks both sequences and writes the set's run of rows, or the row
-ids they map to, straight into the result.
+kernel ranks both sequences and takes the set's run of rows.  Asked for
+object ids, it gathers the id of every row of each run and answers with
+them sorted and without repeats; asked for rows, it writes the runs, or the
+row ids they map to, straight into the result.  ``query`` asks for rows and
+``query_ids`` for ids, and for the rows too only when told to.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ class IISIndex(TemporalIndexBase):
     ``seqs`` holds the starts of set k and sequence ``2k + 1`` its ends.
     ``row_ids`` maps rows back to the caller's record order; it is None
     when the caller stores its records in row order itself, as a file does.
+    Both ``query`` and ``query_ids`` are one call into the same kernel entry,
+    whose arrays are bound once, here.
     """
 
     backend = "iis"
@@ -127,9 +132,9 @@ class IISIndex(TemporalIndexBase):
         self.set_rows = np.ascontiguousarray(set_rows, dtype=np.int64)
         self.seqs = seqs
         self.row_ids = None if row_ids is None else np.ascontiguousarray(row_ids, dtype=np.uint32)
-        # the row output's arrays, handed to the kernel once
-        self._rows = seqs.bind(
-            lib.iis_rows_u32, lib.iis_rows_i64, seqs.u, ffi.from_buffer("int64_t[]", self.seg_sets),
+        # the query's arrays, handed to the kernel once
+        self._query = seqs.bind(
+            lib.iis_query_u32, lib.iis_query_i64, seqs.u, ffi.from_buffer("int64_t[]", self.seg_sets),
             ffi.from_buffer("int64_t[]", self.set_rows), len(self.seg_sets) - 1,
             ffi.NULL if row_ids is None else ffi.from_buffer("uint32_t[]", self.row_ids))
 
@@ -199,30 +204,49 @@ class IISIndex(TemporalIndexBase):
         """Rows intersecting [l, r] among the segments numbered in the array
         ``segments`` (all segments by default): segment by segment as given,
         set by set inside a segment, ascending inside a set."""
+        if segments is not None:
+            segments = np.ascontiguousarray(segments, dtype=np.int64)
+        return self.query_ids(ffi.NULL, l, r, segments, True)[1]
+
+    def query_ids(self, ids, l: int, r: int, segments: np.ndarray | None, with_rows: bool = False):
+        """The distinct ``ids[row]`` of the rows ``query(l, r, segments)``
+        gives, ascending, as native ``uint32`` bytes, and those rows when
+        ``with_rows`` is set, else None.  ``ids`` is a ``uint32_t[]`` kernel
+        argument with one id per row (or NULL for no ids), and ``segments``
+        a contiguous ``int64`` array or None.  One kernel call ranks every
+        set of every segment, gathers the ids of each matching run of rows,
+        sorts them and drops the repeats; it writes the rows only when
+        ``with_rows`` asks for them."""
         check_query(l, r)
         if segments is None:
             probe, count = ffi.NULL, len(self.seg_sets) - 1
         else:
-            segments = np.ascontiguousarray(segments, dtype=np.int64)
-            probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
+            probe = ffi.from_buffer("int64_t[]", segments)
+            count = len(probe)  # the lanes the buffer holds, whatever its dtype
         # a set's rows are those past its ends <= l - 1 and up to its starts
         # <= r; the kernel clamps both ticks to the universe, and clamping
         # them here too keeps a Python int of any size inside int64
-        top, l1 = self.u - 1, l - 1
+        top, l1 = self.seqs.u - 1, l - 1
         if not -1 <= l1 <= top:
             l1 = -1 if l1 < 0 else top
         if not -1 <= r <= top:
             r = -1 if r < 0 else top
-        out = ffi.new("int64_t **")
-        n = self._rows(probe, count, l1, r, out)
-        if n < 0:
-            if n == -1 - count:
-                raise MemoryError("no memory for the rows of an interval query")
-            raise IndexError(f"segment lane {-1 - n}: no segment {segments[-1 - n]}")
-        if not n:
-            return _EMPTY
+        out = ffi.new("iis_answer *")
+        status = self._query(ids, probe, count, l1, r, with_rows, out)
+        if status:
+            if status == -1 - count:
+                raise MemoryError("no memory for the answer of an interval query")
+            raise IndexError(f"segment lane {-1 - status}: no segment {segments[-1 - status]}")
+        found, k = b"", out.n_ids
+        if k:
+            found = ffi.buffer(out.ids, 4 * k)[:]
+            lib.free(out.ids)
+        if not with_rows:
+            return found, None
+        if not out.n_rows:
+            return found, _EMPTY
         # the array owns the kernel's buffer and frees it when it goes
-        return np.frombuffer(ffi.buffer(ffi.gc(out[0], lib.free), 8 * n), dtype=np.int64)
+        return found, np.frombuffer(ffi.buffer(ffi.gc(out.rows, lib.free), 8 * out.n_rows), dtype=np.int64)
 
     # -- accounting ----------------------------------------------------
 

@@ -24,6 +24,11 @@ from trajindex.eliasfano import FlatEliasFano, prefix_offsets
 BACKEND_NAMES = ("linear", "interval_tree", "schmidt", "iis")
 
 
+def ascending(object_ids, rows) -> list[int]:
+    """The reference union: each id of ``rows`` once, in ascending order."""
+    return sorted(set(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
+
+
 def make_records(starts, lengths) -> list[IntervalRecord]:
     return [
         IntervalRecord(i, TimeInterval(float(s), float(s) + float(ln)))
@@ -111,19 +116,36 @@ class FullScanOracle:
         self.obj_ids = np.array([rec.object_id for _, rec in records], dtype=np.int64)
         from trajindex import discretize_times
 
-        self.start_ticks = discretize_times([rec.interval.start for _, rec in records], scale)
-        self.end_ticks = discretize_times([rec.interval.end for _, rec in records], scale)
+        self.t_start = np.array([rec.interval.start for _, rec in records], dtype=np.float64)
+        self.t_end = np.array([rec.interval.end for _, rec in records], dtype=np.float64)
+        self.start_ticks = discretize_times(self.t_start, scale)
+        self.end_ticks = discretize_times(self.t_end, scale)
         self.ax = np.array([s.a.x for s in network.edges])
         self.ay = np.array([s.a.y for s in network.edges])
         self.bx = np.array([s.b.x for s in network.edges])
         self.by = np.array([s.b.y for s in network.edges])
 
-    def query(self, window: Rect, t0: float, t1: float) -> set[int]:
+    def _hits(self, window: Rect, t0: float, t1: float) -> np.ndarray:
         l = discretize_time(t0, self.scale)
         r = discretize_time(t1, self.scale)
         seg_hit = segments_intersect_window(self.ax, self.ay, self.bx, self.by, window)
-        mask = seg_hit[self.seg_ids] & (self.start_ticks <= r) & (self.end_ticks >= l)
-        return set(np.unique(self.obj_ids[mask]).tolist())
+        return seg_hit[self.seg_ids] & (self.start_ticks <= r) & (self.end_ticks >= l)
+
+    def query(self, window: Rect, t0: float, t1: float) -> set[int]:
+        return set(np.unique(self.obj_ids[self._hits(window, t0, t1)]).tolist())
+
+    def matches(self, window: Rect, t0: float, t1: float) -> list[tuple[int, int, TimeInterval]]:
+        """The matching records as ``verbose`` lists them, (object, segment,
+        interval), in ``sorted_matches`` order."""
+        hit = np.flatnonzero(self._hits(window, t0, t1))
+        return sorted_matches((o, s, TimeInterval(a, b)) for o, s, a, b in zip(
+            self.obj_ids[hit].tolist(), self.seg_ids[hit].tolist(), self.t_start[hit].tolist(),
+            self.t_end[hit].tolist()))
+
+
+def sorted_matches(matches) -> list[tuple[int, int, TimeInterval]]:
+    """``verbose`` matches sorted by object, segment, start and end."""
+    return sorted(matches, key=lambda m: (m[0], m[1], m[2].start, m[2].end))
 
 
 def min_chain_cover_dp(starts, ends) -> int:

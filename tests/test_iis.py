@@ -6,11 +6,12 @@ import pytest
 
 from trajindex import FormatError, ScaleConfig, brute_force_intersect
 from trajindex.core import Reader
-from trajindex.eliasfano import prefix_offsets
+from trajindex.eliasfano import ffi, prefix_offsets
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
 from helpers import (
+    ascending,
     make_records,
     max_antichain_bruteforce,
     min_chain_cover_dp,
@@ -360,6 +361,122 @@ class TestKernelRows:
             with pytest.raises(IndexError, match="no segment"):
                 index.query(0, 10**6, np.array([0, 4, g, 1]))
         assert_rows_alike(index, 0, 10**6, np.array([0, 4, 8, 1]))
+
+
+def record_ids(rng, n):
+    """One object id per row: repeats, both ends of the u32 range, and
+    enough distinct ids that long answers take the radix sort."""
+    ids = rng.choice(np.array([0, 1, 7, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32), n)
+    spread = rng.random(n) < 0.5
+    ids[spread] = rng.integers(0, 2**32, int(spread.sum()), dtype=np.uint64).astype(np.uint32)
+    return ids
+
+
+def query_ids(index, object_ids, l, r, segments=None, with_rows=False):
+    """The kernel's ids as a list, and its rows (None unless asked for)."""
+    if segments is not None:
+        segments = np.ascontiguousarray(segments, dtype=np.int64)
+    found, rows = index.query_ids(ffi.from_buffer("uint32_t[]", object_ids), l, r, segments, with_rows)
+    assert type(found) is bytes and len(found) % 4 == 0
+    return np.frombuffer(found, dtype=np.uint32).tolist(), rows
+
+
+def assert_ids_alike(index, object_ids, l, r, segments=None):
+    """The ids, with and without the rows, against the union of the rows
+    ``query`` gives; and those rows as ``query`` gives them."""
+    rows = index.query(l, r, segments)
+    want = ascending(object_ids, rows)
+    got, none = query_ids(index, object_ids, l, r, segments)
+    assert got == want, (l, r, segments)
+    assert none is None
+    got, with_rows = query_ids(index, object_ids, l, r, segments, with_rows=True)
+    assert got == want, (l, r, segments)
+    assert with_rows.dtype == np.int64 and with_rows.tolist() == rows.tolist()
+    return len(rows)
+
+
+class TestKernelIds:
+    """The compiled query's sorted object ids against the union of the rows
+    the same index answers with, for the probes and ticks of TestKernelRows."""
+
+    def test_segment_choices(self):
+        rng = np.random.default_rng(7)
+        index = segment_index(rng)
+        ids = record_ids(rng, index.n)
+        probes = [np.zeros(0, dtype=np.int64), np.array([3]), np.array([5, 3]), np.array([3, 1, 5, 0]),
+                  np.array([8, 0, 8]), np.arange(9)[::-1], np.arange(9), None]
+        sizes = set()
+        for _ in range(40):
+            l = int(rng.integers(-5, 12_000))
+            r = l + int(rng.integers(0, 3_000))
+            for probe in probes:
+                sizes.add(assert_ids_alike(index, ids, l, r, probe))
+        assert 0 in sizes and min(sizes - {0}) <= 32 < max(sizes)  # both sorts, and no rows at all
+        assert query_ids(index, ids, 0, 10**9, np.zeros(0, dtype=np.int64)) == ([], None)
+        assert query_ids(index, ids, 0, 10**9, np.array([3, 5]), with_rows=True)[0] == []
+
+    def test_query_bounds(self):
+        rng = np.random.default_rng(8)
+        index = segment_index(rng)
+        ids = record_ids(rng, index.n)
+        u = index.u
+        for l, r in [(0, 0), (0, 50), (0, u - 1), (0, u), (0, 10**30), (-(10**30), 10**30), (u - 1, u - 1),
+                     (u, u), (u + 5, 10**30), (-3, -1), (-1, 0), (100, 100), (4_321, 4_321)]:
+            assert_ids_alike(index, ids, l, r)
+            assert_ids_alike(index, ids, l, r, np.array([2, 0, 7]))
+        assert query_ids(index, ids, 0, u)[0] == np.unique(ids).tolist()
+
+    def test_unit_universe(self):
+        segment = np.array([0, 1, 1, 0, 1])
+        index, _ = IISIndex.from_segments(np.zeros(5, int), np.zeros(5, int), segment, 2)
+        ids = np.array([4, 9, 4, 2**32 - 1, 0], dtype=np.uint32)
+        assert index.u == 1
+        for l, r in [(0, 0), (0, 3), (-2, -1), (1, 1)]:
+            for probe in (None, np.array([1]), np.array([1, 0])):
+                assert_ids_alike(index, ids, l, r, probe)
+        # rows 2, 3, 4 of segment 1 and rows 0, 1 of segment 0
+        assert query_ids(index, ids, 0, 0, np.array([1, 0])) == ([0, 4, 9, 2**32 - 1], None)
+
+    def test_stand_alone_row_ids(self):
+        rng = np.random.default_rng(9)
+        starts, lengths = scenario_arrays(rng, "random", 500)
+        records = make_records(starts, lengths)
+        index = IISIndex.build(records, ScaleConfig(2))
+        ids = record_ids(rng, 500)  # by record, which the row ids map to
+        assert (index.row_ids != np.arange(500)).any()
+        for _ in range(60):
+            l = int(rng.integers(-10, 10**5))
+            r = l + int(rng.integers(0, 10**4))
+            assert_ids_alike(index, ids, l, r)
+            assert_ids_alike(index, ids, l, r, np.array([0, 0]))
+            assert query_ids(index, ids, l, r)[0] == ascending(ids, brute_force_intersect(records, l, r,
+                                                                                          ScaleConfig(2)))
+
+    def test_int64_offsets(self):
+        rng = np.random.default_rng(10)
+        index = segment_index(rng, n=2_000)
+        ids = record_ids(rng, index.n)
+        flat = index.seqs
+        flat.low_base, flat.high_base, flat.sample_base = (
+            b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
+        flat._bind()
+        wide = IISIndex(index.seg_sets, index.set_rows, flat)
+        for _ in range(60):
+            l = int(rng.integers(-5, 12_000))
+            r = l + int(rng.integers(0, 3_000))
+            probe = rng.integers(0, 9, int(rng.integers(0, 12)))
+            assert query_ids(wide, ids, l, r, probe) == query_ids(index, ids, l, r, probe)
+            assert_ids_alike(wide, ids, l, r, probe)
+
+    def test_segment_out_of_range_raises(self):
+        rng = np.random.default_rng(11)
+        index = segment_index(rng)
+        ids = record_ids(rng, index.n)
+        for g in (9, -1, 2**40):
+            for with_rows in (False, True):
+                with pytest.raises(IndexError, match=f"segment lane 2: no segment {g}"):
+                    query_ids(index, ids, 0, 10**6, np.array([0, 4, g, 1]), with_rows)
+        assert_ids_alike(index, ids, 0, 10**6, np.array([0, 4, 8, 1]))
 
 
 class TestSpaceReport:

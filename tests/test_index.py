@@ -37,7 +37,7 @@ from trajindex.eliasfano import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
-from helpers import FullScanOracle, full_scan_objects, make_records, scenario_arrays
+from helpers import FullScanOracle, ascending, full_scan_objects, make_records, scenario_arrays, sorted_matches
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -361,11 +361,6 @@ def distinct_ids(object_ids, rows) -> list[int]:
     return out[:k].tolist()
 
 
-def ascending(object_ids, rows) -> list[int]:
-    """The reference: each id of ``rows`` once, in ascending order."""
-    return sorted(set(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
-
-
 class TestDistinctIds:
     """The compiled object-id union against a set over the gathered ids."""
 
@@ -587,6 +582,32 @@ class TestRangeQueryNetworks:
                     got = idx.range_query(q.window, q.t_start, q.t_end, verbose=True)
                     assert got.object_ids == want, (name, backend, q)
                     assert {o for o, _, _ in got.matches} == want
+
+
+class TestWorkloadMatches:
+    """Every backend, built and then reloaded, on every benchmark workload at
+    its self-test size: the answer with and without ``verbose`` against the
+    full scan, and the ``verbose`` matches, sorted, against its records."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_answers_and_matches_equal_the_full_scan(self, tmp_path, backend):
+        scale = ScaleConfig(6)
+        for name, net, records, queries in perfbench_workloads():
+            oracle = FullScanOracle(net, records, scale)
+            index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=scale))
+            path = os.fspath(tmp_path / f"{name}.tjix")
+            index.save(path)
+            matched = 0
+            for idx in (index, TrajIndex.load(path)):
+                for q in queries:
+                    want = oracle.query(q.window, q.t_start, q.t_end)
+                    plain = idx.range_query(q.window, q.t_start, q.t_end)
+                    full = idx.range_query(q.window, q.t_start, q.t_end, verbose=True)
+                    assert plain.matches is None
+                    assert plain.object_ids == want == full.object_ids, (name, q)
+                    assert sorted_matches(full.matches) == oracle.matches(q.window, q.t_start, q.t_end), (name, q)
+                    matched += len(full.matches)
+            assert matched, name
 
 
 class TestStats:

@@ -23,9 +23,11 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL_TESTS = [
     "tests/test_rtree.py::TestKernelWalk",
     "tests/test_iis.py::TestKernelRows",
+    "tests/test_iis.py::TestKernelIds",
     "tests/test_iis.py::TestOrderKernel",
     "tests/test_eliasfano.py::TestEncoder",
     "tests/test_index.py::TestDistinctIds",
+    "tests/test_index.py::TestWorkloadMatches",  # every backend's answers and verbose rows
     "tests/test_index.py::TestFormatChecks::test_spatial_block_fuzz",  # queries on corrupt files that load
     "tests/test_index.py::TestFormatChecks::test_temporal_block_fuzz",
 ]
