@@ -26,7 +26,10 @@ This module also loads the package's kernels, ``eliasfano_rank.c``: the
 rank and the encoder above, the R-tree window walk (``rtree.py``), the
 ``iis`` query, decomposition and set order (``temporal/iis.py``), and the
 object-id union of the other backends' rows (``index.py``); the ``iis``
-query ranks every probed set with the same per-lane loop.  They are
+query ranks every probed set with the same per-lane loop.  A codec hands
+its arrays over once, as one ``ef_seqs`` struct that also says whether
+its section offsets are ``u32`` or ``int64``, so each of the rank and the
+``iis`` query has one compiled body for both widths.  They are
 compiled with ``cffi`` at the first import, into this package's
 ``__pycache__``, under a name derived from their source and the
 interpreter, and reused afterwards.
@@ -35,7 +38,6 @@ Without ``cffi`` or a C compiler the import raises ``ImportError``.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -53,23 +55,26 @@ SELECT_SAMPLE = 128
 
 _KERNEL_SOURCE = Path(__file__).with_name("eliasfano_rank.c")
 _KERNEL_CDEF = """
-int64_t ef_rank_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
-                    const uint64_t *, const uint64_t *, const uint32_t *, int64_t, int64_t,
-                    const int64_t *, const int64_t *, int64_t *, int64_t);
-int64_t ef_rank_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
-                    const uint64_t *, const uint64_t *, const uint32_t *, int64_t, int64_t,
-                    const int64_t *, const int64_t *, int64_t *, int64_t);
+typedef struct {
+    const uint8_t *widths;
+    const void *low_base, *high_base, *sample_base;
+    const uint64_t *lows, *highs;
+    const uint32_t *samples;
+    int offset_size;
+    int64_t nseq, u;
+} ef_seqs;
+int64_t ef_rank(const ef_seqs *, const int64_t *, const int64_t *, int64_t *, int64_t);
 int64_t rtree_window(const uint32_t *, const uint32_t *, const uint32_t *, const double *, const double *,
                      int64_t, double, double, double, double, int64_t *, int64_t *);
 typedef struct { int64_t *rows; uint32_t *ids; int64_t n_rows, n_ids; } iis_answer;
-int64_t iis_query_u32(const uint8_t *, const uint32_t *, const uint32_t *, const uint32_t *,
-                      const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
-                      const int64_t *, int64_t, const uint32_t *, const uint32_t *, const int64_t *, int64_t,
-                      int64_t, int64_t, int, iis_answer *);
-int64_t iis_query_i64(const uint8_t *, const int64_t *, const int64_t *, const int64_t *,
-                      const uint64_t *, const uint64_t *, const uint32_t *, int64_t, const int64_t *,
-                      const int64_t *, int64_t, const uint32_t *, const uint32_t *, const int64_t *, int64_t,
-                      int64_t, int64_t, int, iis_answer *);
+typedef struct {
+    const ef_seqs *seqs;
+    const int64_t *seg_sets, *set_rows;
+    int64_t n_segments;
+    const uint32_t *row_ids;
+} iis_index;
+int64_t iis_query(const iis_index *, const uint32_t *, const int64_t *, int64_t, int64_t, int64_t, int,
+                  iis_answer *);
 int64_t iis_decompose(const int64_t *, const int64_t *, const int64_t *, int64_t, int64_t, int64_t *,
                       int64_t *);
 void sort_by_key(const int64_t *, const int64_t *, int64_t, int64_t *, int64_t *);
@@ -216,10 +221,12 @@ class FlatEliasFano:
     two word arrays.
 
     :meth:`rank` answers one rank per lane for any number of lanes in one
-    call into the compiled kernel, which reads these arrays in place.
+    call into the compiled kernel, which reads these arrays in place
+    through the struct :meth:`_bind` fills.
     """
 
-    __slots__ = ("u", "widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples", "_rank")
+    __slots__ = ("u", "widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples", "c_struct",
+                 "c_arrays")
 
     def __init__(self, u: int, sizes, lows: np.ndarray, highs: np.ndarray, samples: np.ndarray):
         """``lows`` ends with two spare words (a width-0 value may sit past
@@ -239,22 +246,18 @@ class FlatEliasFano:
         self._bind()
 
     def _bind(self) -> None:
-        """Hand the arrays to the rank kernel once, with every argument but
-        the lanes bound."""
-        self._rank = self.bind(lib.ef_rank_u32, lib.ef_rank_i64, len(self.widths), self.u)
-
-    def bind(self, narrow, wide, *args) -> functools.partial:
-        """A kernel entry point with this codec's arrays bound as its first
-        arguments, then ``args``: ``narrow`` when the section offsets are
-        ``u32``, ``wide`` when they are ``int64``.  The arrays are handed
-        over once, and the kernel reads them in place."""
+        """Hand the arrays to the kernels once, as the ``ef_seqs`` struct
+        ``c_struct``, which reads the section offsets as ``u32`` or
+        ``int64`` by their dtype.  The struct holds raw pointers, and
+        ``c_arrays`` keeps every array it points to: whoever keeps the
+        struct past a rebind keeps ``c_arrays`` too."""
         offset = self.low_base.dtype
         arrays = ((self.widths, np.uint8), (self.low_base, offset), (self.high_base, offset),
                   (self.sample_base, offset), (self.lows, np.uint64), (self.highs, np.uint64),
                   (self.samples, np.uint32))
-        handles = [ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", np.ascontiguousarray(a, dtype))
-                   for a, dtype in arrays]
-        return functools.partial(wide if offset == np.int64 else narrow, *handles, *args)
+        self.c_arrays = [ffi.from_buffer(f"{np.dtype(dtype).name}_t[]", np.ascontiguousarray(a, dtype))
+                         for a, dtype in arrays]
+        self.c_struct = ffi.new("ef_seqs *", [*self.c_arrays, offset.itemsize, len(self.widths), self.u])
 
     # -- layout --------------------------------------------------------------
 
@@ -352,8 +355,8 @@ class FlatEliasFano:
         if seq.shape != x.shape or seq.ndim != 1:
             raise ValueError("rank needs one x per lane")
         out = np.empty(len(seq), dtype=np.int64)
-        bad = self._rank(ffi.from_buffer("int64_t[]", seq), ffi.from_buffer("int64_t[]", x),
-                         ffi.from_buffer("int64_t[]", out), len(seq))
+        bad = lib.ef_rank(self.c_struct, ffi.from_buffer("int64_t[]", seq), ffi.from_buffer("int64_t[]", x),
+                          ffi.from_buffer("int64_t[]", out), len(seq))
         if bad:
             raise IndexError(f"rank lane {bad - 1}: no sequence {seq[bad - 1]}")
         return out

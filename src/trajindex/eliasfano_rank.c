@@ -12,10 +12,17 @@
  * samples[sample_base[q]..]: sample s is the position, counted from
  * high_base[q], of zero number (s + 1) * 128 of the high part.  Value i
  * of a sequence with high part h sits at bit h + i of the high part, so
- * the values of bucket h lie between zeros h - 1 and h.
+ * the values of bucket h lie between zeros h - 1 and h.  The rank reads
+ * these arrays through the ef_seqs struct that FlatEliasFano fills once,
+ * and the three section offsets through its offset_size field: as uint32_t
+ * when it is 4 and as int64_t when it is 8, which FlatEliasFano sets from
+ * the offsets' own dtype, so an offset is read at the width it is stored.
  *
  * Reads stay inside the arrays for every index that FlatEliasFano.from_values
- * builds or FlatEliasFano.from_words accepts.  from_words checks that each
+ * builds or FlatEliasFano.from_words accepts.  ef_rank rejects a lane whose
+ * sequence is not in [0, nseq), the length of widths and one less than the
+ * length of each offset array, before it reads that lane's width or
+ * offsets.  from_words checks that each
  * high part holds exactly one set bit per value and ends with a zero, so
  * it holds exactly ((u - 1) >> width) + 1 zeros, and the samples are
  * recomputed from those bits.  A lane's x is clamped to [0, u), so its
@@ -47,8 +54,12 @@
  * record table's segment offsets, checking that each is a set's first row,
  * so seg_sets ascends from 0 to the set count.  Row ids never come from a
  * file: only a stand-alone index (IISIndex.from_ticks) has them, one per
- * row, each below the row count.  The kernel rejects a segment outside
- * [0, n_segments) before reading its offsets, and both ranks of set k are
+ * row, each below the row count.  The query reads these arrays through
+ * the iis_index struct that IISIndex fills once, and the sequences through
+ * the codec's ef_seqs that struct points to, offsets at their stored width
+ * as in Rank.  It rejects a segment outside [0, n_segments) before reading
+ * its entries of seg_sets, so every set k it ranks lies in [0, m) and its
+ * sequences 2k and 2k + 1 lie below nseq = 2m, and both ranks of set k are
  * at most its length (see Rank), so every row gathered lies inside set k's
  * own run of rows, below set_rows[m], the row count, and so does the row id
  * it maps to.  object_ids holds one id per row, the record table's, so the
@@ -133,12 +144,31 @@ static inline int64_t read_low(const uint64_t *lows, int64_t pos, int width)
     return (int64_t)(low & (((uint64_t)1 << width) - 1));
 }
 
-/* How many values of one sequence are <= x. */
-static inline int64_t rank_lane(int width, int64_t low_at, int64_t high_at, const uint32_t *samples,
-                                const uint64_t *lows, const uint64_t *highs, int64_t u, int64_t x)
+/* The arrays of a FlatEliasFano, handed over once.  The three section
+ * offsets are uint32_t when offset_size is 4 and int64_t when it is 8. */
+typedef struct {
+    const uint8_t *widths;
+    const void *low_base, *high_base, *sample_base;
+    const uint64_t *lows, *highs;
+    const uint32_t *samples;
+    int offset_size;
+    int64_t nseq, u;
+} ef_seqs;
+
+/* Entry q of one of the section offsets of ef. */
+static inline int64_t ef_offset(const ef_seqs *ef, const void *base, int64_t q)
 {
-    if (x >= u)
-        x = u - 1;
+    return ef->offset_size == 8 ? ((const int64_t *)base)[q] : ((const uint32_t *)base)[q];
+}
+
+/* How many values of sequence q are <= x. */
+static inline int64_t rank_lane(const ef_seqs *ef, int64_t q, int64_t x)
+{
+    int width = ef->widths[q];
+    int64_t low_at = ef_offset(ef, ef->low_base, q), high_at = ef_offset(ef, ef->high_base, q);
+    const uint32_t *samples = ef->samples + ef_offset(ef, ef->sample_base, q);
+    if (x >= ef->u)
+        x = ef->u - 1;
     if (x < 0)
         return 0;
     int64_t high = x >> width;
@@ -148,12 +178,12 @@ static inline int64_t rank_lane(int width, int64_t low_at, int64_t high_at, cons
         /* zero high - 1, from the last sample at or before it */
         int64_t j = high - 1, k = j >> SAMPLE_SHIFT;
         int64_t from = k ? high_at + samples[k - 1] : high_at;
-        bit = select_zero(highs, from, j - (k << SAMPLE_SHIFT)) + 1;
+        bit = select_zero(ef->highs, from, j - (k << SAMPLE_SHIFT)) + 1;
         rank = bit - high_at - high; /* the ones before it */
     }
     /* the bucket's values, up to zero high, in increasing order */
-    while ((highs[bit >> 6] >> (bit & 63)) & 1) {
-        if (width && read_low(lows, low_at + rank * width, width) > limit)
+    while ((ef->highs[bit >> 6] >> (bit & 63)) & 1) {
+        if (width && read_low(ef->lows, low_at + rank * width, width) > limit)
             break;
         rank++;
         bit++;
@@ -161,26 +191,18 @@ static inline int64_t rank_lane(int width, int64_t low_at, int64_t high_at, cons
     return rank;
 }
 
-/* One entry point per offset type.  Returns 0, or lane + 1 for the first
- * lane whose sequence is not in [0, nseq), which is left unranked. */
-#define RANK_ENTRY(name, offset_t)                                                                  \
-    int64_t name(const uint8_t *widths, const offset_t *low_base, const offset_t *high_base,       \
-                 const offset_t *sample_base, const uint64_t *lows, const uint64_t *highs,         \
-                 const uint32_t *samples, int64_t nseq, int64_t u,                                  \
-                 const int64_t *seq, const int64_t *x, int64_t *out, int64_t lanes)                \
-    {                                                                                               \
-        for (int64_t i = 0; i < lanes; i++) {                                                       \
-            int64_t q = seq[i];                                                                     \
-            if (q < 0 || q >= nseq)                                                                 \
-                return i + 1;                                                                       \
-            out[i] = rank_lane(widths[q], (int64_t)low_base[q], (int64_t)high_base[q],              \
-                               samples + sample_base[q], lows, highs, u, x[i]);                     \
-        }                                                                                           \
-        return 0;                                                                                   \
+/* Rank: out[i] is how many values of sequence seq[i] are <= x[i].  Returns
+ * 0, or i + 1 for the first lane i whose sequence is not in [0, nseq),
+ * which is left unranked. */
+int64_t ef_rank(const ef_seqs *ef, const int64_t *seq, const int64_t *x, int64_t *out, int64_t lanes)
+{
+    for (int64_t i = 0; i < lanes; i++) {
+        if (seq[i] < 0 || seq[i] >= ef->nseq)
+            return i + 1;
+        out[i] = rank_lane(ef, seq[i], x[i]);
     }
-
-RANK_ENTRY(ef_rank_u32, uint32_t)
-RANK_ENTRY(ef_rank_i64, int64_t)
+    return 0;
+}
 
 /* Window walk: writes the entry of every leaf slot whose box overlaps the
  * window (closed sets) to `out` and returns how many.  Boxes are stored as
@@ -347,10 +369,18 @@ static inline void gather_rows(int64_t *dst, const uint32_t *row_ids, int64_t fi
             *dst++ = row;
 }
 
+/* The arrays of an IISIndex, handed over once; row_ids is NULL when it has none. */
+typedef struct {
+    const ef_seqs *seqs;
+    const int64_t *seg_sets, *set_rows;
+    int64_t n_segments;
+    const uint32_t *row_ids;
+} iis_index;
+
 /* Query: per segment as given (all segments in order when `segments` is
  * NULL), per set of the segment, the run of the set's rows whose start is
  * <= r and whose end is > l1, ascending; a row stands for row_ids[row] when
- * `row_ids` is not NULL.  Stores how many rows match in out->n_rows, and
+ * the index has row ids.  Stores how many rows match in out->n_rows, and
  * with `want_rows` the rows themselves in out->rows; they are written only
  * when asked for.  When `object_ids` is not NULL, stores the distinct
  * object ids of these rows, ascending, in out->ids and out->n_ids: it
@@ -358,60 +388,49 @@ static inline void gather_rows(int64_t *dst, const uint32_t *row_ids, int64_t fi
  * array, whose second half is the sort's scratch.  Returns 0, -1 - i for
  * the first lane i whose segment is not in [0, n_segments), or -1 - n_probe
  * when out of memory; out then holds no array. */
-#define QUERY_ENTRY(name, offset_t)                                                                 \
-    int64_t name(const uint8_t *widths, const offset_t *low_base, const offset_t *high_base,       \
-                 const offset_t *sample_base, const uint64_t *lows, const uint64_t *highs,         \
-                 const uint32_t *samples, int64_t u, const int64_t *seg_sets,                       \
-                 const int64_t *set_rows, int64_t n_segments, const uint32_t *row_ids,             \
-                 const uint32_t *object_ids, const int64_t *segments, int64_t n_probe, int64_t l1,  \
-                 int64_t r, int want_rows, iis_answer *out)                                         \
-    {                                                                                               \
-        int64_t *rows = NULL, cap = 0, n = 0, status;                                               \
-        uint32_t *ids = NULL;                                                                       \
-        for (int64_t i = 0; i < n_probe; i++) {                                                     \
-            int64_t g = segments ? segments[i] : i;                                                 \
-            if (g < 0 || g >= n_segments) {                                                         \
-                status = -1 - i;                                                                    \
-                goto fail;                                                                          \
-            }                                                                                       \
-            for (int64_t k = seg_sets[g]; k < seg_sets[g + 1]; k++) {                               \
-                int64_t s = 2 * k, e = s + 1;                                                       \
-                int64_t last = rank_lane(widths[s], (int64_t)low_base[s], (int64_t)high_base[s],    \
-                                         samples + sample_base[s], lows, highs, u, r);              \
-                int64_t skip = rank_lane(widths[e], (int64_t)low_base[e], (int64_t)high_base[e],    \
-                                         samples + sample_base[e], lows, highs, u, l1);             \
-                /* never the other way round on a valid index; flipped low                          \
-                 * bits, which load unchecked, can put an end before its start */                   \
-                if (last <= skip)                                                                   \
-                    continue;                                                                       \
-                if (n + last - skip > cap) {                                                        \
-                    cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;                    \
-                    if (cap < 64)                                                                   \
-                        cap = 64;                                                                   \
-                    if (!grow_answer(&rows, want_rows, &ids, object_ids != NULL, cap)) {            \
-                        status = -1 - n_probe;                                                      \
-                        goto fail;                                                                  \
-                    }                                                                               \
-                }                                                                                   \
-                int64_t first = set_rows[k] + skip, end = set_rows[k] + last;                       \
-                if (ids)                                                                            \
-                    gather_ids(ids + n, object_ids, row_ids, first, end);                           \
-                if (rows)                                                                           \
-                    gather_rows(rows + n, row_ids, first, end);                                     \
-                n += last - skip;                                                                   \
-            }                                                                                       \
-        }                                                                                           \
-        *out = (iis_answer){rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};              \
-        return 0;                                                                                   \
-    fail:                                                                                           \
-        free(rows);                                                                                 \
-        free(ids);                                                                                  \
-        *out = (iis_answer){NULL, NULL, 0, 0};                                                      \
-        return status;                                                                              \
+int64_t iis_query(const iis_index *ix, const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
+                  int64_t l1, int64_t r, int want_rows, iis_answer *out)
+{
+    const ef_seqs seqs = *ix->seqs; /* a copy, which the stores below cannot alias */
+    int64_t *rows = NULL, cap = 0, n = 0, status;
+    uint32_t *ids = NULL;
+    for (int64_t i = 0; i < n_probe; i++) {
+        int64_t g = segments ? segments[i] : i;
+        if (g < 0 || g >= ix->n_segments) {
+            status = -1 - i;
+            goto fail;
+        }
+        for (int64_t k = ix->seg_sets[g]; k < ix->seg_sets[g + 1]; k++) {
+            int64_t last = rank_lane(&seqs, 2 * k, r), skip = rank_lane(&seqs, 2 * k + 1, l1);
+            /* never the other way round on a valid index; flipped low
+             * bits, which load unchecked, can put an end before its start */
+            if (last <= skip)
+                continue;
+            if (n + last - skip > cap) {
+                cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;
+                if (cap < 64)
+                    cap = 64;
+                if (!grow_answer(&rows, want_rows, &ids, object_ids != NULL, cap)) {
+                    status = -1 - n_probe;
+                    goto fail;
+                }
+            }
+            int64_t first = ix->set_rows[k] + skip, end = ix->set_rows[k] + last;
+            if (ids)
+                gather_ids(ids + n, object_ids, ix->row_ids, first, end);
+            if (rows)
+                gather_rows(rows + n, ix->row_ids, first, end);
+            n += last - skip;
+        }
     }
-
-QUERY_ENTRY(iis_query_u32, uint32_t)
-QUERY_ENTRY(iis_query_i64, int64_t)
+    *out = (iis_answer){rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};
+    return 0;
+fail:
+    free(rows);
+    free(ids);
+    *out = (iis_answer){NULL, NULL, 0, 0};
+    return status;
+}
 
 /* Decomposition.  A record as the greedy sorts it: by start ascending, then
  * by -end ascending (end descending); index breaks the remaining ties. */

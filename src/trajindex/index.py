@@ -361,6 +361,14 @@ def _reject_first_bad_id(records) -> None:
                                      f"{kind} id {value!r} is not an integer, or no int64 holds it")
 
 
+_TIME_RULE = "times must be finite with 0 <= start <= end"
+
+
+def _bad_times(t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
+    """Where a record's times break ``_TIME_RULE``."""
+    return ~((t_start >= 0) & (t_start <= t_end) & (t_end < np.inf))  # NaN fails every comparison
+
+
 def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, n_edges: int) -> None:
     """Raises for the first record ``from_columns`` cannot index.  The ids
     are compared in their own dtype, before a cast could wrap them."""
@@ -370,8 +378,7 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
         if len(ids) and ids.dtype.kind not in "iu":
             raise IngestionError(f"{_record(0, obj[0], t_start[0], t_end[0])}: {kind} ids come in dtype {ids.dtype}, "
                                  f"not an integer dtype")
-    bad = (seg < 0) | (seg >= n_edges) | (obj < 0) | (obj > MAX_OBJECT_ID)
-    bad |= ~((t_start >= 0) & (t_start <= t_end) & (t_end < np.inf))  # NaN fails every comparison
+    bad = (seg < 0) | (seg >= n_edges) | (obj < 0) | (obj > MAX_OBJECT_ID) | _bad_times(t_start, t_end)
     if not bad.any():
         return
     pos = int(np.argmax(bad))
@@ -380,7 +387,7 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
         raise IngestionError(f"{where}: unknown segment id {seg[pos]}")
     if not 0 <= obj[pos] <= MAX_OBJECT_ID:
         raise IngestionError(f"{where}: object id {obj[pos]} is outside 0..{MAX_OBJECT_ID}, the range a u32 holds")
-    raise InvalidInputError(f"{where}: times must be finite with 0 <= start <= end")
+    raise InvalidInputError(f"{where}: {_TIME_RULE}")
 
 
 # -- binary format (version 4) ---------------------------------------------
@@ -392,7 +399,8 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
 # its boxes are recomputed from the network at load.
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
-# ordered by segment.  The temporal block is a u64 length and, for the iis
+# ordered by segment; load checks the times as a build does.  The temporal
+# block is a u64 length and, for the iis
 # backend, its universe, set sizes and sequence words (``IISIndex.to_bytes``);
 # the sets of each segment follow from the record table at load.  The
 # other backends are rebuilt from the record table at load.
@@ -458,6 +466,10 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     object_ids = rd.array("<u4", n).astype(np.uint32)
     t_start = rd.array("<f8", n).astype(np.float64)
     t_end = rd.array("<f8", n).astype(np.float64)
+    bad = _bad_times(t_start, t_end)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        raise FormatError(f"{_record(pos, object_ids[pos], t_start[pos], t_end[pos])}: {_TIME_RULE}")
     temporal_block = rd.block("temporal block")
     rd.finish()
     if cfg.temporal_backend == "iis":

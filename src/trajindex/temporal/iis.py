@@ -23,7 +23,9 @@ order, gives that row order.  Every set stores its starts and its ends as two
 Elias-Fano sequences; the sequences of all sets live in one
 :class:`FlatEliasFano`, written by its compiled encoder.  A query is
 one call into a compiled kernel (``eliasfano_rank.c``, loaded by
-``eliasfano.py``): for every probed segment and every set of it, the
+``eliasfano.py``), which reads the index's arrays through one
+``iis_index`` struct, filled when the index is made and pointing to its
+codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  Asked for
 object ids, it gathers the id of every row of each run and answers with
 them sorted and without repeats; asked for rows, it writes the runs, or the
@@ -120,7 +122,8 @@ class IISIndex(TemporalIndexBase):
     ``row_ids`` maps rows back to the caller's record order; it is None
     when the caller stores its records in row order itself, as a file does.
     Both ``query`` and ``query_ids`` are one call into the same kernel entry,
-    whose arrays are bound once, here.
+    whose arrays are handed over once, here, as the ``iis_index`` struct
+    ``c_struct``.
     """
 
     backend = "iis"
@@ -132,11 +135,13 @@ class IISIndex(TemporalIndexBase):
         self.set_rows = np.ascontiguousarray(set_rows, dtype=np.int64)
         self.seqs = seqs
         self.row_ids = None if row_ids is None else np.ascontiguousarray(row_ids, dtype=np.uint32)
-        # the query's arrays, handed to the kernel once
-        self._query = seqs.bind(
-            lib.iis_query_u32, lib.iis_query_i64, seqs.u, ffi.from_buffer("int64_t[]", self.seg_sets),
-            ffi.from_buffer("int64_t[]", self.set_rows), len(self.seg_sets) - 1,
-            ffi.NULL if row_ids is None else ffi.from_buffer("uint32_t[]", self.row_ids))
+        # the query's arrays, handed to the kernel once as a struct of raw
+        # pointers; ``c_arrays`` keeps what they point to: the codec's struct
+        # as it is now (a rebind replaces it), that struct's arrays and ours
+        seg_sets, set_rows = (ffi.from_buffer("int64_t[]", a) for a in (self.seg_sets, self.set_rows))
+        ids = ffi.NULL if row_ids is None else ffi.from_buffer("uint32_t[]", self.row_ids)
+        self.c_arrays = (seqs.c_struct, seqs.c_arrays, seg_sets, set_rows, ids)
+        self.c_struct = ffi.new("iis_index *", [seqs.c_struct, seg_sets, set_rows, len(self.seg_sets) - 1, ids])
 
     @property
     def u(self) -> int:
@@ -204,8 +209,6 @@ class IISIndex(TemporalIndexBase):
         """Rows intersecting [l, r] among the segments numbered in the array
         ``segments`` (all segments by default): segment by segment as given,
         set by set inside a segment, ascending inside a set."""
-        if segments is not None:
-            segments = np.ascontiguousarray(segments, dtype=np.int64)
         return self.query_ids(ffi.NULL, l, r, segments, True)[1]
 
     def query_ids(self, ids, l: int, r: int, segments: np.ndarray | None, with_rows: bool = False):
@@ -213,16 +216,17 @@ class IISIndex(TemporalIndexBase):
         gives, ascending, as native ``uint32`` bytes, and those rows when
         ``with_rows`` is set, else None.  ``ids`` is a ``uint32_t[]`` kernel
         argument with one id per row (or NULL for no ids), and ``segments``
-        a contiguous ``int64`` array or None.  One kernel call ranks every
-        set of every segment, gathers the ids of each matching run of rows,
-        sorts them and drops the repeats; it writes the rows only when
-        ``with_rows`` asks for them."""
+        an array of segment numbers, read as ``int64`` (without a copy when
+        it is a contiguous ``int64`` one), or None.  One kernel call ranks
+        every set of every segment, gathers the ids of each matching run of
+        rows, sorts them and drops the repeats; it writes the rows only
+        when ``with_rows`` asks for them."""
         check_query(l, r)
         if segments is None:
             probe, count = ffi.NULL, len(self.seg_sets) - 1
         else:
-            probe = ffi.from_buffer("int64_t[]", segments)
-            count = len(probe)  # the lanes the buffer holds, whatever its dtype
+            segments = np.ascontiguousarray(segments, dtype=np.int64)
+            probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
         # a set's rows are those past its ends <= l - 1 and up to its starts
         # <= r; the kernel clamps both ticks to the universe, and clamping
         # them here too keeps a Python int of any size inside int64
@@ -232,7 +236,7 @@ class IISIndex(TemporalIndexBase):
         if not -1 <= r <= top:
             r = -1 if r < 0 else top
         out = ffi.new("iis_answer *")
-        status = self._query(ids, probe, count, l1, r, with_rows, out)
+        status = lib.iis_query(self.c_struct, ids, probe, count, l1, r, with_rows, out)
         if status:
             if status == -1 - count:
                 raise MemoryError("no memory for the answer of an interval query")

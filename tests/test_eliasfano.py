@@ -297,6 +297,7 @@ class TestKernelEdges:
         flat.low_base, flat.high_base, flat.sample_base = (
             b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
         flat._bind()
+        assert flat.c_struct.offset_size == 8
         assert flat.rank(lanes, x).tolist() == want == decoded_rank(flat, lanes, x)
         values = np.concatenate(seqs)
         reference = reference_encoding(values, [len(v) for v in seqs], universe)

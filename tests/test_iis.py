@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -346,6 +347,7 @@ class TestKernelRows:
         flat.low_base, flat.high_base, flat.sample_base = (
             b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
         flat._bind()
+        assert flat.c_struct.offset_size == 8
         wide = IISIndex(index.seg_sets, index.set_rows, flat)
         for _ in range(60):
             l = int(rng.integers(-5, 12_000))
@@ -353,6 +355,23 @@ class TestKernelRows:
             probe = rng.integers(0, 9, int(rng.integers(0, 12)))
             assert wide.query(l, r, probe).tolist() == index.query(l, r, probe).tolist()
             assert_rows_alike(wide, l, r, probe)
+
+    def test_keeps_the_codec_struct_past_a_rebind(self):
+        """Rebinding the codec to int64 offsets replaces its struct and the
+        arrays it points to; the index keeps the ones its own struct points
+        to, when nothing else does.  Under the sanitizers, a read of a freed
+        array fails the test."""
+        rng = np.random.default_rng(12)
+        index = segment_index(rng, n=2_000)
+        ticks = [(int(l), int(l + rng.integers(0, 3_000))) for l in rng.integers(-5, 12_000, 30)]
+        want = [index.query(l, r).tolist() for l, r in ticks]
+        flat = index.seqs
+        flat.low_base, flat.high_base, flat.sample_base = (
+            b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
+        flat._bind()
+        del flat
+        gc.collect()
+        assert [index.query(l, r).tolist() for l, r in ticks] == want
 
     def test_segment_out_of_range_raises(self):
         rng = np.random.default_rng(11)
@@ -374,8 +393,6 @@ def record_ids(rng, n):
 
 def query_ids(index, object_ids, l, r, segments=None, with_rows=False):
     """The kernel's ids as a list, and its rows (None unless asked for)."""
-    if segments is not None:
-        segments = np.ascontiguousarray(segments, dtype=np.int64)
     found, rows = index.query_ids(ffi.from_buffer("uint32_t[]", object_ids), l, r, segments, with_rows)
     assert type(found) is bytes and len(found) % 4 == 0
     return np.frombuffer(found, dtype=np.uint32).tolist(), rows
@@ -460,6 +477,7 @@ class TestKernelIds:
         flat.low_base, flat.high_base, flat.sample_base = (
             b.astype(np.int64) for b in (flat.low_base, flat.high_base, flat.sample_base))
         flat._bind()
+        assert flat.c_struct.offset_size == 8
         wide = IISIndex(index.seg_sets, index.set_rows, flat)
         for _ in range(60):
             l = int(rng.integers(-5, 12_000))
@@ -467,6 +485,22 @@ class TestKernelIds:
             probe = rng.integers(0, 9, int(rng.integers(0, 12)))
             assert query_ids(wide, ids, l, r, probe) == query_ids(index, ids, l, r, probe)
             assert_ids_alike(wide, ids, l, r, probe)
+
+    def test_probes_of_other_dtypes(self):
+        """A probe of another integer dtype, a strided one or a list answers
+        as the same segments in int64 do."""
+        rng = np.random.default_rng(13)
+        index = segment_index(rng)
+        ids = record_ids(rng, index.n)
+        probes = [np.array([2, 0, 3, 0], dtype=np.int32), np.array([0, 1, 2, 3], dtype=np.uint8),
+                  np.array([0, 1, 2, 3], dtype=np.int32), np.array([8, 0, 7, 1, 4, 2], dtype=np.uint16)[::2],
+                  [6, 1]]
+        for probe in probes:
+            want = query_ids(index, ids, 0, 10**6, np.array(probe, dtype=np.int64), with_rows=True)
+            assert want[0]
+            got = query_ids(index, ids, 0, 10**6, probe, with_rows=True)
+            assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+            assert query_ids(index, ids, 0, 10**6, probe) == (want[0], None)
 
     def test_segment_out_of_range_raises(self):
         rng = np.random.default_rng(11)

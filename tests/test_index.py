@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -734,11 +735,17 @@ class TestFormatChecks:
         return index, path.read_bytes(), tmp_path / "bad.tjix"
 
     @staticmethod
-    def layout(index, data: bytes) -> dict:
+    def record_table(index) -> int:
+        """Byte offset of the record table."""
+        net = index.network
+        return 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges) + 8 + len(index.rtree.to_bytes())
+
+    @classmethod
+    def layout(cls, index, data: bytes) -> dict:
         """Byte offsets of the record table and of the set index block: its
         universe (u64) and set count (u32), then each set's size (u32)."""
         net = index.network
-        records = 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges) + 8 + len(index.rtree.to_bytes())
+        records = cls.record_table(index)
         block = len(data) - len(index.temporal.to_bytes())
         return {
             "record_counts": records,
@@ -970,6 +977,23 @@ class TestFormatChecks:
         path.write_bytes(data[:-16] + struct.pack("<d", 1e300) + data[-8:])
         with pytest.raises(FormatError, match=r"2\*\*62"):
             TrajIndex.load(str(path))
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_record_time_breaks_the_build_rule(self, tmp_path, backend):
+        """An entry time above its exit time, NaN, infinite or negative
+        fails at load, as it does at build, with every backend."""
+        net = gen_grid_network(4, 4)
+        index = TrajIndex.build(net, gen_trajectories(net, 4, 20.0, seed=3), TrajIndexConfig(temporal_backend=backend))
+        path = tmp_path / "x.tjix"
+        index.save(str(path))
+        data = path.read_bytes()
+        # the entry times follow a u32 record count per edge and a u32 object id per record
+        first = self.record_table(index) + 4 * len(net.edges) + 4 * len(index.object_ids)
+        assert struct.unpack_from("<d", data, first) == (index.t_start[0],)
+        for value in (index.t_end[0] + 1.0, math.nan, math.inf, -1.0):
+            path.write_bytes(data[:first] + struct.pack("<d", value) + data[first + 8:])
+            with pytest.raises(FormatError, match=r"record 0 .*times must be finite with 0 <= start <= end"):
+                TrajIndex.load(str(path))
 
     def test_trailing_bytes(self, saved):
         _, data, bad = saved
