@@ -290,8 +290,9 @@ def segment_intersects_window(s: Segment, w: Rect) -> bool:
 def segments_intersect_window(ax, ay, bx, by, w: Rect) -> np.ndarray:
     """Vectorized ``segment_intersects_window`` over endpoint arrays.
 
-    Returns a boolean mask; used by the query refinement step and by the
-    full-scan oracles in the tests.
+    Returns a boolean mask.  The query's compiled refinement repeats this
+    test operation for operation; this one is the full-scan oracles' and the
+    reference the tests hold the kernel to.
     """
     ax = np.asarray(ax, dtype=np.float64)
     ay = np.asarray(ay, dtype=np.float64)

@@ -1,8 +1,11 @@
 /* The compiled kernels.  Queries: the batched Elias-Fano rank over the
  * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
- * (rtree.py), the query of an IISIndex (temporal/iis.py), which goes from
- * the candidate segments to their matching rows or their sorted object ids,
- * and the object-id union of the other backends' rows (index.py).  Builds:
+ * (rtree.py), the two queries of an IISIndex (temporal/iis.py), by ticks
+ * from segments and by float times from a window walk's hits, to matching
+ * rows or sorted object ids, and, for the other backends (index.py), the
+ * refinement of a walk's hits and times and the object-id union of their
+ * rows.  Both range entries clip a hit's edge and turn a time into a tick
+ * with the same static helpers.  Builds:
  * the record order and greedy decomposition into independent sets and the
  * set-major row order of an IISIndex, and the Elias-Fano encoder of a
  * FlatEliasFano.
@@ -68,6 +71,20 @@
  * the ids' array holds twice that, so the sort's scratch, its second half,
  * holds one slot per id gathered.
  *
+ * Range query.  iis_range and refine_hits read the edges' endpoints and the
+ * rows' object ids through the range_frame struct that a TrajIndex fills
+ * once: each coordinate array holds one value per edge, n_edges of them,
+ * and object_ids one id per row of the record table.  Every hit is checked
+ * against [0, n_edges) before its coordinates are read, so hits are below
+ * n_edges, as the window walk writes them; iis_range also rejects a hit
+ * outside [0, n_segments), as iis_query does, before it reads seg_sets (a
+ * TrajIndex has one segment per edge).  refine_hits writes at most one
+ * segment per hit, into an array of n_hits slots.  The ticks only feed
+ * rank_lane, whose x is clamped to the universe (see Rank), and the
+ * comparisons of a per-segment structure; a tick is clamped to at most 2**62
+ * in either case, and an int64 holds it, so no conversion overflows (see
+ * time_tick).
+ *
  * Union.  Every row is below the record count, the length of object_ids:
  * the rows come from a per-segment structure, which answers with positions
  * inside its own segment's rows.  `out` holds one slot per row, and the
@@ -101,6 +118,8 @@
  * the sequence's high part, and the low bits of value i lie in its low
  * part, spilling at most into the next word, which exists.
  */
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -317,9 +336,11 @@ int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n,
     return k;
 }
 
-/* What a query answers.  Each array is malloc'ed for the caller to free, or
- * NULL when it was not asked for or is empty. */
+/* What a query answers, returned by value: a status, 0 unless the query
+ * failed, and arrays that are malloc'ed for the caller to free, or NULL when
+ * they were not asked for, are empty or the query failed. */
 typedef struct {
+    int64_t status;
     int64_t *rows;
     uint32_t *ids;
     int64_t n_rows, n_ids;
@@ -377,29 +398,124 @@ typedef struct {
     const uint32_t *row_ids;
 } iis_index;
 
-/* Query: per segment as given (all segments in order when `segments` is
- * NULL), per set of the segment, the run of the set's rows whose start is
- * <= r and whose end is > l1, ascending; a row stands for row_ids[row] when
- * the index has row ids.  Stores how many rows match in out->n_rows, and
- * with `want_rows` the rows themselves in out->rows; they are written only
- * when asked for.  When `object_ids` is not NULL, stores the distinct
- * object ids of these rows, ascending, in out->ids and out->n_ids: it
- * gathers each run's ids, then sorts them and drops the repeats in one
- * array, whose second half is the sort's scratch.  Returns 0, -1 - i for
- * the first lane i whose segment is not in [0, n_segments), or -1 - n_probe
- * when out of memory; out then holds no array. */
-int64_t iis_query(const iis_index *ix, const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
-                  int64_t l1, int64_t r, int want_rows, iis_answer *out)
+/* What a range query reads besides its temporal level, handed over once by
+ * a TrajIndex: edge g runs from (ax[g], ay[g]) to (bx[g], by[g]), a time t
+ * has the tick floor(t * scale), and row i holds object object_ids[i]. */
+typedef struct {
+    const double *ax, *ay, *bx, *by;
+    int64_t n_edges;
+    double scale;
+    const uint32_t *object_ids;
+} range_frame;
+
+/* A query's window as (xmin, ymin, xmax, ymax), closed. */
+typedef struct {
+    double xmin, ymin, xmax, ymax;
+} window_t;
+
+/* Whether the segment from (ax, ay) to (bx, by) meets the window: the test of
+ * core.segments_intersect_window, operation for operation, clipping the
+ * segment's parameter range [0, 1] against the four sides.  A NaN parameter,
+ * which numpy's maximum and minimum would carry into its last comparison,
+ * fails the test here as there. */
+static int clip_segment(double ax, double ay, double bx, double by, const window_t *w)
+{
+    double dx = bx - ax, dy = by - ay, t0 = 0.0, t1 = 1.0;
+    const double p[4] = {-dx, dx, -dy, dy};
+    const double q[4] = {ax - w->xmin, w->xmax - ax, ay - w->ymin, w->ymax - ay};
+    for (int k = 0; k < 4; k++) {
+        if (p[k] == 0.0) {
+            if (q[k] < 0.0)
+                return 0;
+            continue;
+        }
+        double t = q[k] / p[k];
+        if (t != t)
+            return 0;
+        if (p[k] < 0.0) {
+            if (t > t0)
+                t0 = t;
+        } else if (t < t1) {
+            t1 = t;
+        }
+    }
+    return t0 <= t1;
+}
+
+/* Whether the edge of hit g, whose box the window walk found overlapping the
+ * window, meets it: an axis-parallel edge is its own box, so the walk's test
+ * was exact, and any other edge is clipped. */
+static inline int hit_meets_window(const range_frame *frame, int64_t g, const window_t *w)
+{
+    double ax = frame->ax[g], ay = frame->ay[g], bx = frame->bx[g], by = frame->by[g];
+    return ax == bx || ay == by || clip_segment(ax, ay, bx, by, w);
+}
+
+#define TICK_TOP ((int64_t)1 << 62) /* above every tick a record or a universe holds */
+
+/* Stores the tick of time t, floor(t * scale) of the exact product as
+ * core.discretize_time gives it, clamped to top, and returns 1; returns 0,
+ * storing nothing, unless t is finite and >= 0.  The rounded product p has
+ * the exact product's floor unless p is an integer: an integer between the
+ * two would lie nearer to the product than p.  When p is an integer, fma
+ * gives the product's rounding error e exactly, as p >= 1 keeps it clear of
+ * underflow, and the floor is p + floor(e).  Below 2**63, |e| <= 512, so the
+ * sum fits an int64.  A p of 2**63 or more comes from a product of at least
+ * 2**63 - 512, above any top <= TICK_TOP, so the tick is then top. */
+static inline int time_tick(double t, double scale, int64_t top, int64_t *tick)
+{
+    if (!(t >= 0.0 && t <= DBL_MAX))
+        return 0;
+    double p = t * scale, whole = floor(p);
+    int64_t exact = top;
+    if (p < 0x1p63) {
+        exact = (int64_t)whole;
+        if (whole == p)
+            exact += (int64_t)floor(fma(t, scale, -p));
+    }
+    *tick = exact < top ? exact : top;
+    return 1;
+}
+
+/* The ticks of a query's times, clamped to top: returns 0, or -1 or -2 when
+ * t_start or t_end is not finite and >= 0. */
+static inline int64_t query_ticks(double scale, double t_start, double t_end, int64_t top, int64_t *l, int64_t *r)
+{
+    if (!time_tick(t_start, scale, top, l))
+        return -1;
+    return time_tick(t_end, scale, top, r) ? 0 : -2;
+}
+
+/* The query body of an IISIndex: per segment as given (all segments in
+ * order when `segments` is NULL), per set of the segment, the run of the
+ * set's rows whose start is <= r and whose end is > l1, ascending; a row
+ * stands for row_ids[row] when the index has row ids.  With a frame, the
+ * segments are the hits of a window walk, and a hit whose edge does not meet
+ * the window `w` is skipped; a segment must then lie below the frame's edge
+ * count too.  Answers with how many rows match in n_rows, and with
+ * `want_rows` the rows themselves in `rows`; they are written only when
+ * asked for.  When `object_ids` is not NULL, answers with the distinct
+ * object ids of these rows, ascending, in `ids` and n_ids: it gathers each
+ * run's ids, then sorts them and drops the repeats in one array, whose
+ * second half is the sort's scratch.  Its status is 0, -1 - i for the first
+ * lane i whose segment is out of range, or -1 - n_probe when out of memory;
+ * it then holds no array. */
+static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, const window_t *w,
+                              const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
+                              int64_t l1, int64_t r, int want_rows)
 {
     const ef_seqs seqs = *ix->seqs; /* a copy, which the stores below cannot alias */
     int64_t *rows = NULL, cap = 0, n = 0, status;
+    int64_t n_segments = frame && frame->n_edges < ix->n_segments ? frame->n_edges : ix->n_segments;
     uint32_t *ids = NULL;
     for (int64_t i = 0; i < n_probe; i++) {
         int64_t g = segments ? segments[i] : i;
-        if (g < 0 || g >= ix->n_segments) {
+        if (g < 0 || g >= n_segments) {
             status = -1 - i;
             goto fail;
         }
+        if (frame && !hit_meets_window(frame, g, w))
+            continue;
         for (int64_t k = ix->seg_sets[g]; k < ix->seg_sets[g + 1]; k++) {
             int64_t last = rank_lane(&seqs, 2 * k, r), skip = rank_lane(&seqs, 2 * k + 1, l1);
             /* never the other way round on a valid index; flipped low
@@ -423,13 +539,70 @@ int64_t iis_query(const iis_index *ix, const uint32_t *object_ids, const int64_t
             n += last - skip;
         }
     }
-    *out = (iis_answer){rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};
-    return 0;
+    return (iis_answer){0, rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};
 fail:
     free(rows);
     free(ids);
-    *out = (iis_answer){NULL, NULL, 0, 0};
-    return status;
+    return (iis_answer){status, NULL, NULL, 0, 0};
+}
+
+/* Query by ticks: iis_collect without a frame, for a segment not in
+ * [0, n_segments). */
+iis_answer iis_query(const iis_index *ix, const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
+                     int64_t l1, int64_t r, int want_rows)
+{
+    return iis_collect(ix, NULL, NULL, object_ids, segments, n_probe, l1, r, want_rows);
+}
+
+/* Range query: the rows, and the distinct object ids of the frame's rows,
+ * of every set of every hit whose edge meets the window, whose start tick is
+ * <= that of t_end and whose end tick is >= that of t_start; see
+ * iis_collect.  The ticks are clamped to the universe u: a set holds only
+ * ticks below it.  Its status is 0, -1 or -2 when t_start or t_end is not
+ * finite and >= 0, found before anything else, -3 - i for the first hit i
+ * not below the segment and the edge counts, or -3 - n_hits when out of
+ * memory; it then holds no array. */
+iis_answer iis_range(const iis_index *ix, const range_frame *frame, const int64_t *hits, int64_t n_hits,
+                     double xmin, double ymin, double xmax, double ymax, double t_start, double t_end,
+                     int want_rows)
+{
+    int64_t l, r, status = query_ticks(frame->scale, t_start, t_end, ix->seqs->u, &l, &r);
+    if (status)
+        return (iis_answer){status, NULL, NULL, 0, 0};
+    const window_t w = {xmin, ymin, xmax, ymax};
+    iis_answer out = iis_collect(ix, frame, &w, frame->object_ids, hits, n_hits, l - 1, r, want_rows);
+    if (out.status)
+        out.status -= 2;
+    return out;
+}
+
+/* What refine_hits answers, returned by value: how many hits it kept, or a
+ * negative status, and the ticks of the query's times. */
+typedef struct {
+    int64_t kept, l, r;
+} refined_hits;
+
+/* Hit refinement for the backends that answer by ticks: writes the hits
+ * whose edge meets the window to `segments`, in hit order, and answers with
+ * their count and the ticks of t_start and t_end, clamped to TICK_TOP.  The
+ * count is -1 or -2 when t_start or t_end is not finite and >= 0, found
+ * before anything else, or -3 - i for the first hit i not in [0, n_edges). */
+refined_hits refine_hits(const range_frame *frame, const int64_t *hits, int64_t n_hits, double xmin, double ymin,
+                         double xmax, double ymax, double t_start, double t_end, int64_t *segments)
+{
+    refined_hits out = {0, 0, 0};
+    int64_t status = query_ticks(frame->scale, t_start, t_end, TICK_TOP, &out.l, &out.r);
+    if (status)
+        return (refined_hits){status, 0, 0};
+    const window_t w = {xmin, ymin, xmax, ymax};
+    for (int64_t i = 0; i < n_hits; i++) {
+        int64_t g = hits[i];
+        if (g < 0 || g >= frame->n_edges)
+            return (refined_hits){-3 - i, 0, 0};
+        if (hit_meets_window(frame, g, &w))
+            segments[out.kept++] = g;
+    }
+    return out;
 }
 
 /* Decomposition.  A record as the greedy sorts it: by start ascending, then

@@ -11,16 +11,20 @@ stay exact at the tick level.
 
 The records live in one table ordered segment by segment.  The ``iis``
 backend is a single :class:`IISIndex` over that table; the other backends
-keep one structure per segment over its slice of the table.  With
-``iis``, a query makes two calls into compiled code: the R-tree's window
-walk, and the temporal level's query, which ranks every set of every
-candidate segment, gathers the object ids of each matching run of rows,
-sorts them and drops the repeats; it writes the rows themselves only for
-``verbose``.  The other backends answer with rows, whose distinct object
-ids one more call writes in ascending order.  When every edge is
-axis-parallel, as on a grid, the window walk's hits need no refinement;
-otherwise the exact test runs in numpy on the hits that are not
-axis-parallel.  The ``verbose`` matches are gathered in numpy.
+keep one structure per segment over its slice of the table.  A query makes
+two calls into compiled code: the R-tree's window walk, and the temporal
+level's ``query_ids``, which takes the walk's hits, the window and the two
+float times.  Its kernel reads the edges' endpoints, the time scale and the
+object ids through one ``range_frame`` struct that the index binds once.
+It clips every hit whose edge is not axis-parallel (an axis-parallel edge
+is its own box, so the walk's box test was exact) and turns both times
+into exact ticks, as ``discretize_time`` does.  With ``iis``, the same call
+ranks every set of every surviving segment, gathers the object ids of each
+matching run of rows, sorts them and drops the repeats; it writes the rows
+themselves only for ``verbose``.  The other backends take the surviving
+segments and the ticks from that call, answer with rows, and one more call
+writes the rows' distinct object ids in ascending order.  The ``verbose``
+matches are gathered in numpy.
 
 A query answers with :class:`ObjectIds`, a read-only set over a copy of
 the sorted ``uint32`` ids the kernel wrote, which ``.array`` views; no
@@ -50,14 +54,13 @@ from .core import (
     Segment,
     TimeInterval,
     VersionError,
-    discretize_time,
     discretize_times,
-    segments_intersect_window,
 )
 from .datagen import Network
 from .eliasfano import ffi, lib, prefix_offsets
 from .rtree import RTree, build_rtree
 from .temporal import BACKENDS
+from .temporal.base import range_query_error
 from .temporal.iis import IISIndex
 
 MAGIC = b"TJIX"
@@ -181,15 +184,24 @@ class _PerSegment:
         out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
         return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
-    def query_ids(self, ids, l: int, r: int, segments: np.ndarray, with_rows: bool = False):
-        """The distinct ``ids[row]`` of the rows ``query`` gives, ascending, as
-        native ``uint32`` bytes, and those rows when ``with_rows`` is set,
-        else None; ``ids`` is a ``uint32_t[]`` kernel argument with one id
-        per row.  The union is one kernel call over the rows."""
-        rows = self.query(l, r, segments)
+    def query_ids(self, frame, hits: np.ndarray, window: Rect, t_start: float, t_end: float,
+                  with_rows: bool = False):
+        """The distinct object ids of the rows that match a range query, and
+        those rows when ``with_rows`` is set, as ``IISIndex.query_ids`` takes
+        and gives them.  One kernel call keeps the hits whose edge meets the
+        window and turns both times into ticks, ``query`` answers with their
+        rows, and one more call gathers the rows' ids, sorts them and drops
+        the repeats."""
+        probe = ffi.from_buffer("int64_t[]", hits)
+        segments = np.empty(len(probe), dtype=np.int64)
+        refined = lib.refine_hits(frame, probe, len(probe), window.xmin, window.ymin, window.xmax, window.ymax,
+                                  t_start, t_end, ffi.from_buffer("int64_t[]", segments))
+        if refined.kept < 0:
+            raise range_query_error(refined.kept, hits, t_start, t_end)
+        rows = self.query(refined.l, refined.r, segments[:refined.kept])
         n = len(rows)
         out = _new_ids("uint32_t[]", n)
-        k = lib.distinct_ids(ids, ffi.from_buffer("int64_t[]", rows), n, out)
+        k = lib.distinct_ids(frame.object_ids, ffi.from_buffer("int64_t[]", rows), n, out)
         if k < 0:
             raise MemoryError("no memory for the object-id union of a query")
         return ffi.buffer(out, 4 * k)[:], rows if with_rows else None
@@ -204,10 +216,11 @@ class TrajIndex:
     ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
     temporal structure answers with those row numbers.  ``make_rtree``
     makes the R-tree from the edges' (n, 4) box array: a new build, or the
-    shape a file saved.  ``temporal.query_ids`` answers with the distinct
-    object ids of the matching rows, ascending, as ``uint32`` bytes, and
-    for ``verbose`` with those rows too, a contiguous ``int64`` array of
-    rows, each below the record count."""
+    shape a file saved.  ``temporal.query_ids`` takes ``_frame`` and a
+    window walk's hits and answers with the distinct object ids of the
+    matching rows, ascending, as ``uint32`` bytes, and for ``verbose`` with
+    those rows too, a contiguous ``int64`` array of rows, each below the
+    record count."""
 
     def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
                  seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
@@ -215,17 +228,20 @@ class TrajIndex:
         self.cfg = cfg
         self.seg_rows = seg_rows
         self.object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
-        self._ids = ffi.from_buffer("uint32_t[]", self.object_ids)  # the temporal level's ids, bound once
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
-        self._ax = np.array([s.a.x for s in network.edges])
-        self._ay = np.array([s.a.y for s in network.edges])
-        self._bx = np.array([s.b.x for s in network.edges])
-        self._by = np.array([s.b.y for s in network.edges])
-        # an axis-parallel segment is its own box, so the R-tree's box test is exact
-        self._box_exact = (self._ax == self._bx) | (self._ay == self._by)
-        self._all_exact = bool(self._box_exact.all())
+        # float64 whatever the points hold, as the kernels read them as doubles
+        self._ax = np.array([s.a.x for s in network.edges], dtype=np.float64)
+        self._ay = np.array([s.a.y for s in network.edges], dtype=np.float64)
+        self._bx = np.array([s.b.x for s in network.edges], dtype=np.float64)
+        self._by = np.array([s.b.y for s in network.edges], dtype=np.float64)
+        # what the temporal level's query reads besides its own arrays, handed
+        # to the kernels once; ``_frame_arrays`` keeps what the struct points to
+        coords = [ffi.from_buffer("double[]", a) for a in (self._ax, self._ay, self._bx, self._by)]
+        ids = ffi.from_buffer("uint32_t[]", self.object_ids)
+        self._frame_arrays = (*coords, ids)
+        self._frame = ffi.new("range_frame *", [*coords, len(network.edges), float(cfg.scale.scale), ids])
         self.rtree = make_rtree(np.column_stack((
             np.minimum(self._ax, self._bx), np.minimum(self._ay, self._by),
             np.maximum(self._ax, self._bx), np.maximum(self._ay, self._by))))
@@ -273,25 +289,11 @@ class TrajIndex:
 
     # -- queries ---------------------------------------------------------
 
-    def _candidate_segments(self, window: Rect) -> np.ndarray:
-        """R-tree hits, refined by the exact geometric test where the box
-        test alone is not exact."""
-        hits = self.rtree.window_query(window)
-        if self._all_exact:
-            return hits
-        exact = self._box_exact[hits]
-        rest = hits[~exact]
-        keep = segments_intersect_window(self._ax[rest], self._ay[rest], self._bx[rest], self._by[rest], window)
-        return np.concatenate((hits[exact], rest[keep]))
-
     def range_query(self, window: Rect, t_start: float, t_end: float, verbose: bool = False) -> QueryResult:
         if t_start > t_end:
             raise InvalidQueryError(f"time range [{t_start}, {t_end}] has start > end")
-        scale = self.cfg.scale
-        l = discretize_time(t_start, scale)
-        # equal times give equal ticks, so a time slice is discretized once
-        r = l if t_end == t_start else discretize_time(t_end, scale)
-        ids, rows = self.temporal.query_ids(self._ids, l, r, self._candidate_segments(window), verbose)
+        ids, rows = self.temporal.query_ids(self._frame, self.rtree.window_query(window), window, t_start, t_end,
+                                            verbose)
         found = ObjectIds(ids)
         matches = None
         if verbose:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import InvalidQueryError, ScaleConfig, discretize_times
+from ..core import InvalidInputError, InvalidQueryError, ScaleConfig, discretize_times
 
 
 def record_tick_arrays(records, cfg: ScaleConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -23,6 +23,20 @@ def record_tick_arrays(records, cfg: ScaleConfig) -> tuple[np.ndarray, np.ndarra
 def check_query(l: int, r: int) -> None:
     if l > r:
         raise InvalidQueryError(f"query interval [{l}, {r}] has l > r")
+
+
+def range_query_error(status: int, hits, t_start, t_end) -> Exception:
+    """The error a range-query kernel entry reports with a negative
+    ``status``: -1 or -2 when ``t_start`` or ``t_end`` is not finite and
+    non-negative, -3 - i when hit i names no edge, and -3 - ``len(hits)``
+    when out of memory."""
+    if status >= -2:
+        t = float(t_start if status == -1 else t_end)
+        return InvalidInputError(f"timestamp must be finite and non-negative, got {t}")
+    i = -3 - status
+    if i == len(hits):
+        return MemoryError("no memory for the answer of a range query")
+    return IndexError(f"hit {i}: no edge {hits[i]}")
 
 
 def intersect_ticks(starts: np.ndarray, ends: np.ndarray, l: int, r: int) -> np.ndarray:

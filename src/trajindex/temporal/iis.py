@@ -29,8 +29,12 @@ codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  Asked for
 object ids, it gathers the id of every row of each run and answers with
 them sorted and without repeats; asked for rows, it writes the runs, or the
-row ids they map to, straight into the result.  ``query`` asks for rows and
-``query_ids`` for ids, and for the rows too only when told to.
+row ids they map to, straight into the result.  ``query`` takes two ticks
+and segment numbers and asks for rows.  ``query_ids`` serves a range query
+of a ``TrajIndex``: it takes the R-tree walk's hits, the window and two
+float times, and its kernel entry first clips the hits and turns the times
+into ticks, then runs the same body for the ids, and for the rows too only
+when told to.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from ..core import FormatError, Reader
 from ..eliasfano import EliasFanoSeq, FlatEliasFano, ffi, lib, prefix_offsets
-from .base import TemporalIndexBase, check_query
+from .base import TemporalIndexBase, check_query, range_query_error
 
 # universe, set count
 _IIS_HEADER = struct.Struct("<QI")
@@ -51,6 +55,14 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 def _int64s(a: np.ndarray):
     """A contiguous ``int64`` array as a kernel argument."""
     return ffi.from_buffer("int64_t[]", a)
+
+
+def _answer_rows(out) -> np.ndarray:
+    """The rows of a kernel answer that asked for them, as an array that
+    owns the kernel's buffer and frees it when it goes."""
+    if not out.n_rows:
+        return _EMPTY
+    return np.frombuffer(ffi.buffer(ffi.gc(out.rows, lib.free), 8 * out.n_rows), dtype=np.int64)
 
 
 def decompose_independent_sets(starts, ends, groups=None, *, n_groups: int | None = None,
@@ -121,9 +133,9 @@ class IISIndex(TemporalIndexBase):
     ``seqs`` holds the starts of set k and sequence ``2k + 1`` its ends.
     ``row_ids`` maps rows back to the caller's record order; it is None
     when the caller stores its records in row order itself, as a file does.
-    Both ``query`` and ``query_ids`` are one call into the same kernel entry,
-    whose arrays are handed over once, here, as the ``iis_index`` struct
-    ``c_struct``.
+    Both ``query`` and ``query_ids`` are one call into a kernel entry, and
+    both entries run the same body, whose arrays are handed over once, here,
+    as the ``iis_index`` struct ``c_struct``.
     """
 
     backend = "iis"
@@ -207,20 +219,9 @@ class IISIndex(TemporalIndexBase):
 
     def query(self, l: int, r: int, segments: np.ndarray | None = None) -> np.ndarray:
         """Rows intersecting [l, r] among the segments numbered in the array
-        ``segments`` (all segments by default): segment by segment as given,
-        set by set inside a segment, ascending inside a set."""
-        return self.query_ids(ffi.NULL, l, r, segments, True)[1]
-
-    def query_ids(self, ids, l: int, r: int, segments: np.ndarray | None, with_rows: bool = False):
-        """The distinct ``ids[row]`` of the rows ``query(l, r, segments)``
-        gives, ascending, as native ``uint32`` bytes, and those rows when
-        ``with_rows`` is set, else None.  ``ids`` is a ``uint32_t[]`` kernel
-        argument with one id per row (or NULL for no ids), and ``segments``
-        an array of segment numbers, read as ``int64`` (without a copy when
-        it is a contiguous ``int64`` one), or None.  One kernel call ranks
-        every set of every segment, gathers the ids of each matching run of
-        rows, sorts them and drops the repeats; it writes the rows only
-        when ``with_rows`` asks for them."""
+        ``segments`` (all segments by default), read as ``int64``:
+        segment by segment as given, set by set inside a segment, ascending
+        inside a set."""
         check_query(l, r)
         if segments is None:
             probe, count = ffi.NULL, len(self.seg_sets) - 1
@@ -235,22 +236,37 @@ class IISIndex(TemporalIndexBase):
             l1 = -1 if l1 < 0 else top
         if not -1 <= r <= top:
             r = -1 if r < 0 else top
-        out = ffi.new("iis_answer *")
-        status = lib.iis_query(self.c_struct, ids, probe, count, l1, r, with_rows, out)
+        out = lib.iis_query(self.c_struct, ffi.NULL, probe, count, l1, r, True)
+        status = out.status
         if status:
             if status == -1 - count:
                 raise MemoryError("no memory for the answer of an interval query")
             raise IndexError(f"segment lane {-1 - status}: no segment {segments[-1 - status]}")
+        return _answer_rows(out)
+
+    def query_ids(self, frame, hits: np.ndarray, window, t_start: float, t_end: float, with_rows: bool = False):
+        """The distinct object ids of the rows that match a range query, as
+        native ``uint32`` bytes, ascending, and those rows when ``with_rows``
+        is set, else None.  ``frame`` is a ``range_frame *`` of the
+        index's edges, time scale and object ids (``TrajIndex`` binds one),
+        ``hits`` a contiguous ``int64`` array of the edges whose box overlaps
+        the ``window``, as ``RTree.window_query`` gives them, and the times
+        are floats.  One kernel call clips the hits whose edge is not
+        axis-parallel, turns both times into ticks, ranks every set of every
+        hit that meets the window, gathers the ids of each matching run of
+        rows, sorts them and drops the repeats; it writes the rows only when
+        ``with_rows`` asks for them.  Raises ``InvalidInputError`` for a time
+        that is not finite and non-negative."""
+        probe = ffi.from_buffer("int64_t[]", hits)
+        out = lib.iis_range(self.c_struct, frame, probe, len(probe), window.xmin, window.ymin, window.xmax,
+                            window.ymax, t_start, t_end, with_rows)
+        if out.status:
+            raise range_query_error(out.status, hits, t_start, t_end)
         found, k = b"", out.n_ids
         if k:
             found = ffi.buffer(out.ids, 4 * k)[:]
             lib.free(out.ids)
-        if not with_rows:
-            return found, None
-        if not out.n_rows:
-            return found, _EMPTY
-        # the array owns the kernel's buffer and frees it when it goes
-        return found, np.frombuffer(ffi.buffer(ffi.gc(out.rows, lib.free), 8 * out.n_rows), dtype=np.int64)
+        return found, _answer_rows(out) if with_rows else None
 
     # -- accounting ----------------------------------------------------
 

@@ -29,6 +29,45 @@ def ascending(object_ids, rows) -> list[int]:
     return sorted(set(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
 
 
+def exact_floor_times(digits: int) -> list[float]:
+    """Times to check a discretization against the exact floor with:
+    floats of every kind, decimals whose rounded product with 10**digits is
+    an integer, and products on both sides of 2**62."""
+    rng = np.random.default_rng(50 + digits)
+    scale = 10**digits
+    sums = [a / 10**d + b / 10**d for d in range(9) for a, b in rng.integers(0, 10**4, (40, 2)).tolist()]
+    below = above = 2.0**62 / scale
+    near_top = [below]
+    for _ in range(40):
+        below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, np.inf))
+        near_top += [below, above]
+    return [
+        *rng.uniform(0, 1e6, 2000).tolist(), *(rng.random(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist(),
+        *[round(float(t), d) for d in range(9) for t in rng.uniform(0, 1e4, 300)],
+        *[k / 10**d for d in range(9) for k in rng.integers(0, 10**7, 100).tolist()],
+        0.1 + 0.2, 0.7 + 0.1, 1.1 * 3, 0.145, 2.675, 1.0000000000000002, *sums,
+        *near_top, 2.0**61 / scale, 2.0**63 / scale, 1e300, 0.0, -0.0, 5e-324,
+    ]
+
+
+def near_integer_times(digits: int) -> np.ndarray:
+    """Decimal times whose float lies just below or above them, their float
+    neighbours, and products with 10**digits up to 2**61, where a float's
+    spacing exceeds 1."""
+    rng = np.random.default_rng(digits)
+    scale = 10**digits
+    k = rng.integers(0, 2**53 // scale, 600)
+    decimal = k / scale
+    huge = rng.integers(0, 2**61 // scale, 600).astype(np.float64)
+    return np.concatenate([
+        np.round(rng.uniform(0, 1e5, 600), 8),  # workload-style 8-decimal times
+        np.round(rng.uniform(0, 1e3, 600), 6),
+        decimal, np.nextafter(decimal, np.inf), np.nextafter(decimal, 0),
+        rng.uniform(0, 2.0**61 / scale, 600), huge, np.nextafter(huge, 0), np.nextafter(huge, np.inf),
+        [0.0, 5e-324, 0.145, 2.0**61 / scale, np.nextafter(2.0**62 / scale, 0)],
+    ])
+
+
 def make_records(starts, lengths) -> list[IntervalRecord]:
     return [
         IntervalRecord(i, TimeInterval(float(s), float(s) + float(ln)))

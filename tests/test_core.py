@@ -22,6 +22,8 @@ from trajindex import (
 )
 from trajindex.core import Reader
 
+from helpers import exact_floor_times, near_integer_times
+
 
 def seg(ax, ay, bx, by, sid=0):
     return Segment(sid, Point(ax, ay), Point(bx, by))
@@ -69,23 +71,9 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("digits", range(9))
     def test_scalar_is_the_exact_floor(self, digits):
-        # against rationals: floats of every kind, decimals whose rounded
-        # product is an integer, and products on both sides of 2**62
-        rng = np.random.default_rng(50 + digits)
+        # against rationals
         scale = 10**digits
-        sums = [a / 10**d + b / 10**d for d in range(9) for a, b in rng.integers(0, 10**4, (40, 2)).tolist()]
-        below = above = 2.0**62 / scale
-        near_top = [below]
-        for _ in range(40):
-            below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, np.inf))
-            near_top += [below, above]
-        values = [
-            *rng.uniform(0, 1e6, 2000).tolist(), *(rng.random(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist(),
-            *[round(float(t), d) for d in range(9) for t in rng.uniform(0, 1e4, 300)],
-            *[k / 10**d for d in range(9) for k in rng.integers(0, 10**7, 100).tolist()],
-            0.1 + 0.2, 0.7 + 0.1, 1.1 * 3, 0.145, 2.675, 1.0000000000000002, *sums,
-            *near_top, 2.0**61 / scale, 2.0**63 / scale, 1e300, 0.0, -0.0, 5e-324,
-        ]
+        values = exact_floor_times(digits)
         cfg = ScaleConfig(digits)
         integral = 0
         for t in values:
@@ -98,21 +86,8 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("digits", range(9))
     def test_vectorized_is_exact_on_adversarial_values(self, digits):
-        # decimal values whose float lies just below or above them, their
-        # float neighbours, and products up to 2**61, where a float's
-        # spacing exceeds 1
-        rng = np.random.default_rng(digits)
         scale = 10**digits
-        k = rng.integers(0, 2**53 // scale, 600)
-        decimal = k / scale
-        huge = rng.integers(0, 2**61 // scale, 600).astype(np.float64)
-        values = np.concatenate([
-            np.round(rng.uniform(0, 1e5, 600), 8),  # workload-style 8-decimal times
-            np.round(rng.uniform(0, 1e3, 600), 6),
-            decimal, np.nextafter(decimal, np.inf), np.nextafter(decimal, 0),
-            rng.uniform(0, 2.0**61 / scale, 600), huge, np.nextafter(huge, 0), np.nextafter(huge, np.inf),
-            [0.0, 5e-324, 0.145, 2.0**61 / scale, np.nextafter(2.0**62 / scale, 0)],
-        ])
+        values = near_integer_times(digits)
         values = values[values * scale < 2.0**62]
         cfg = ScaleConfig(digits)
         assert discretize_times(values, cfg).tolist() == [discretize_time(v, cfg) for v in values.tolist()]

@@ -7,7 +7,7 @@ import pytest
 
 from trajindex import FormatError, ScaleConfig, brute_force_intersect
 from trajindex.core import Reader
-from trajindex.eliasfano import ffi, prefix_offsets
+from trajindex.eliasfano import ffi, lib, prefix_offsets
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
@@ -392,10 +392,25 @@ def record_ids(rng, n):
 
 
 def query_ids(index, object_ids, l, r, segments=None, with_rows=False):
-    """The kernel's ids as a list, and its rows (None unless asked for)."""
-    found, rows = index.query_ids(ffi.from_buffer("uint32_t[]", object_ids), l, r, segments, with_rows)
-    assert type(found) is bytes and len(found) % 4 == 0
-    return np.frombuffer(found, dtype=np.uint32).tolist(), rows
+    """The ids that the kernel's tick entry gathers for ``query(l, r,
+    segments)``, as a list, and its rows (None unless asked for).  The
+    ticks are clamped to the universe as ``query`` clamps them."""
+    top = index.u - 1
+    l1, r = min(max(l - 1, -1), top), min(max(r, -1), top)
+    if segments is None:
+        probe, count = ffi.NULL, len(index.seg_sets) - 1
+    else:
+        segments = np.ascontiguousarray(segments, dtype=np.int64)
+        probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
+    out = lib.iis_query(index.c_struct, ffi.from_buffer("uint32_t[]", object_ids), probe, count, l1, r, with_rows)
+    if out.status:
+        raise IndexError(f"segment lane {-1 - out.status}: no segment {segments[-1 - out.status]}")
+    assert (out.ids == ffi.NULL) == (out.n_ids == 0) and (out.rows == ffi.NULL) == (not with_rows or not out.n_rows)
+    found = ffi.unpack(out.ids, out.n_ids) if out.n_ids else []
+    rows = np.array(ffi.unpack(out.rows, out.n_rows) if out.n_rows else [], dtype=np.int64) if with_rows else None
+    lib.free(out.ids)
+    lib.free(out.rows)
+    return found, rows
 
 
 def assert_ids_alike(index, object_ids, l, r, segments=None):
@@ -500,6 +515,7 @@ class TestKernelIds:
             assert want[0]
             got = query_ids(index, ids, 0, 10**6, probe, with_rows=True)
             assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
+            assert index.query(0, 10**6, probe).tolist() == want[1].tolist()
             assert query_ids(index, ids, 0, 10**6, probe) == (want[0], None)
 
     def test_segment_out_of_range_raises(self):

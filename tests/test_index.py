@@ -34,11 +34,14 @@ from trajindex import (
     segments_intersect_window,
 )
 import trajindex.index
+import trajindex.rtree
+import trajindex.temporal.iis
 from trajindex.eliasfano import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
-from helpers import FullScanOracle, ascending, full_scan_objects, make_records, scenario_arrays, sorted_matches
+from helpers import (FullScanOracle, ascending, exact_floor_times, full_scan_objects, make_records, near_integer_times,
+                     scenario_arrays, sorted_matches)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -194,6 +197,24 @@ class TestBuild:
         assert index.temporal.set_rows.tolist() == [0, 1, 2]
 
 
+def refine(index, window: Rect, t_start: float = 0.0, t_end: float = 0.0, hits=None):
+    """What the refinement kernel gives for the window walk's hits (or the
+    given ones): its status or the count of hits kept, the hits it keeps, in
+    hit order, and the ticks of both times."""
+    hits = index.rtree.window_query(window) if hits is None else np.asarray(hits, dtype=np.int64)
+    segments = np.empty(len(hits), dtype=np.int64)
+    out = lib.refine_hits(index._frame, ffi.from_buffer("int64_t[]", hits), len(hits), window.xmin, window.ymin,
+                          window.xmax, window.ymax, t_start, t_end, ffi.from_buffer("int64_t[]", segments))
+    return out.kept, segments[:max(out.kept, 0)], [out.l, out.r]
+
+
+def refined(index, window: Rect) -> np.ndarray:
+    """The window walk's hits whose edge meets the window, in hit order."""
+    kept, segments, _ = refine(index, window)
+    assert kept >= 0
+    return segments
+
+
 class TestRefinement:
     def test_mbb_false_positive_filtered(self):
         # diagonal segment whose box covers the window but whose geometry
@@ -211,7 +232,7 @@ class TestRefinement:
         index = TrajIndex.build(net, records)
         window = Rect(0.5, 7.5, 2.5, 9.0)  # inside the diagonal's box, off the line
         assert 0 in index.rtree.window_query(window)
-        assert index._candidate_segments(window) == [1]
+        assert refined(index, window).tolist() == [1]
         assert index.range_query(window, 0.0, 10.0).object_ids == {2}
 
     def test_candidates_geometrically_intersect(self):
@@ -225,7 +246,7 @@ class TestRefinement:
             x0, x1 = np.sort(rng.uniform(0, 7, 2))
             y0, y1 = np.sort(rng.uniform(0, 7, 2))
             window = Rect(x0, y0, x1, y1)
-            for seg_id in index._candidate_segments(window):
+            for seg_id in refined(index, window).tolist():
                 assert segment_intersects_window(net.edges[seg_id], window)
 
 
@@ -258,8 +279,9 @@ class TestCandidates:
     def test_box_exact_shortcut_matches_full_scan_off_grid(self):
         net = jittered_network(3)
         index = TrajIndex.build(net, [])
-        assert index._box_exact.sum() == 2 and not index._box_exact.all()
         ax, ay, bx, by = index._ax, index._ay, index._bx, index._by
+        box_exact = (ax == bx) | (ay == by)
+        assert box_exact.sum() == 2 and not box_exact.all()
         rng = np.random.default_rng(4)
         windows = []
         for _ in range(300):
@@ -274,7 +296,7 @@ class TestCandidates:
                     Rect(3.5, 1.0, 4.0, 2.0), Rect(1.0, 1.0, 1.9, 1.9)]
         for w in windows:
             want = np.flatnonzero(segments_intersect_window(ax, ay, bx, by, w))
-            assert sorted(index._candidate_segments(w).tolist()) == want.tolist(), w
+            assert sorted(refined(index, w).tolist()) == want.tolist(), w
 
 
 class TestEndToEnd:
@@ -335,20 +357,36 @@ class TestEndToEnd:
                 got = index.time_slice_query(window, t).object_ids
                 assert got == index.range_query(window, t, t).object_ids == oracle.query(window, t, t), (digits, t)
 
-    def test_time_slice_discretizes_its_time_once(self, monkeypatch):
-        net, records = two_segment_setup()
-        index = TrajIndex.build(net, records, TrajIndexConfig(scale=ScaleConfig(2)))
-        seen = []
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_kernel_calls_per_query(self, monkeypatch, backend):
+        """A query is the window walk and one temporal entry; the backends
+        other than ``iis`` then union their rows' ids in one more call.  The
+        ``free`` of an answer's buffer is not counted."""
+        calls = []
 
-        def counting(t, scale):
-            seen.append(t)
-            return discretize_time(t, scale)
+        class Counting:
+            def __init__(self, own):
+                self.own = own
 
-        monkeypatch.setattr(trajindex.index, "discretize_time", counting)
-        assert index.time_slice_query(Rect(-1, -1, 21, 1), 5.0).object_ids == {1}
-        assert seen == [5.0]
-        assert index.range_query(Rect(-1, -1, 21, 1), 4.0, 5.0).object_ids == {1}
-        assert seen == [5.0, 4.0, 5.0]
+            def __getattr__(self, name):
+                def call(*args):
+                    if name != "free":
+                        calls.append(name)
+                    return getattr(self.own, name)(*args)
+                return call
+
+        for module in (trajindex.index, trajindex.rtree, trajindex.temporal.iis, trajindex.eliasfano):
+            monkeypatch.setattr(module, "lib", Counting(module.lib))
+        net = jittered_network(2)
+        records = gen_trajectories(net, 10, 20.0, seed=3)
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(3)))
+        want = ["rtree_window", "iis_range"] if backend == "iis" else ["rtree_window", "refine_hits", "distinct_ids"]
+        for window in (net.bounds(), Rect(2.0, 1.0, 3.0, 2.5), Rect(-9.0, -9.0, -8.0, -8.0)):
+            for verbose in (False, True):
+                for t_start, t_end in ((0.0, 20.0), (5.5, 5.5)):
+                    calls.clear()
+                    index.range_query(window, t_start, t_end, verbose)
+                    assert calls == want, (window, verbose)
 
 
 def distinct_ids(object_ids, rows) -> list[int]:
@@ -577,12 +615,230 @@ class TestRangeQueryNetworks:
             index.save(path)
             loaded = TrajIndex.load(path)
             for idx in (index, loaded):
-                assert idx._all_exact is all_exact
+                assert bool(((idx._ax == idx._bx) | (idx._ay == idx._by)).all()) is all_exact
                 for q in queries:
                     want = oracle.query(q.window, q.t_start, q.t_end)
                     got = idx.range_query(q.window, q.t_start, q.t_end, verbose=True)
                     assert got.object_ids == want, (name, backend, q)
-                    assert {o for o, _, _ in got.matches} == want
+                    assert idx.range_query(q.window, q.t_start, q.t_end).object_ids == want, (name, backend, q)
+                    assert sorted_matches(got.matches) == oracle.matches(q.window, q.t_start, q.t_end)
+
+
+TICK_TOP = 2**62  # where the refinement kernel clamps a tick, above every record's
+
+# a query's times and what every backend answers them with, as before the
+# ticks were computed in the kernel: the order check comes first
+TIME_ERRORS = [
+    (math.nan, 1.0, InvalidInputError), (1.0, math.nan, InvalidInputError), (math.nan, math.nan, InvalidInputError),
+    (math.inf, math.inf, InvalidInputError), (0.0, math.inf, InvalidInputError), (math.inf, 1.0, InvalidQueryError),
+    (-1.0, 1.0, InvalidInputError), (-2.0, -1.0, InvalidInputError), (-1.0, -2.0, InvalidQueryError),
+    (5.0, 1.0, InvalidQueryError), (-math.inf, 0.0, InvalidInputError), (0.0, -math.inf, InvalidQueryError),
+    (-math.inf, -math.inf, InvalidInputError), (-5e-324, 0.0, InvalidInputError), (10**400, 10**401, OverflowError),
+]
+
+
+class TestKernelTicks:
+    """The ticks of the refinement kernel, whose helper the ``iis`` entry
+    shares, against ``discretize_time``; and the errors of bad times."""
+
+    @pytest.mark.parametrize("digits", range(9))
+    def test_ticks_equal_discretize_time(self, digits):
+        net, _ = two_segment_setup()
+        cfg = ScaleConfig(digits)
+        index = TrajIndex.build(net, [], TrajIndexConfig(scale=cfg))
+        scale = 10**digits
+        rng = np.random.default_rng(60 + digits)
+        # products that round to an integer, exactly or not
+        integral = [k / scale for k in rng.integers(1, 2**53, 300).tolist()]
+        integral += [float(np.nextafter(t, d)) for t in integral[:100] for d in (0.0, math.inf)]
+        integral += [float(k) for k in rng.integers(0, 2**40, 100).tolist()]
+        subnormal = [5e-324, 1e-310, 2.0**-1022 - 5e-324, 2.0**-1022, 3 * 5e-324, -0.0, 0.0]
+        at_top = []  # products on both sides of 2**62 and of 2**63
+        for edge in (2.0**62, 2.0**63):
+            below = above = edge / scale
+            for _ in range(30):
+                at_top += [below, above]
+                below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, math.inf))
+        at_top += [1e300, 1.7976931348623157e308]
+        values = [*exact_floor_times(digits), *near_integer_times(digits).tolist(), *integral, *subnormal, *at_top]
+        nowhere = Rect(-9, -9, -8, -8)
+        for t in values:
+            tick = min(discretize_time(t, cfg), TICK_TOP)
+            kept, _, ticks = refine(index, nowhere, t, t, hits=[])
+            assert (kept, ticks) == (0, [tick, tick]), (t, digits)
+            assert refine(index, nowhere, 0.0, t, hits=[])[2] == [0, tick], (t, digits)
+
+    def test_bad_times_are_refused(self):
+        net, _ = two_segment_setup()
+        index = TrajIndex.build(net, [])
+        w = Rect(-1, -1, 21, 1)
+        for bad in (math.nan, math.inf, -math.inf, -1.0, -5e-324, -1e300, -0.5):
+            assert refine(index, w, bad, 1.0)[0] == -1
+            assert refine(index, w, 0.0, bad)[0] == -2
+            assert refine(index, w, bad, bad)[0] == -1
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_bad_times_raise_as_before_on_every_backend(self, backend):
+        cfg = TrajIndexConfig(temporal_backend=backend)
+        net, records = two_segment_setup()
+        full = TrajIndex.build(net, records, cfg)
+        empty = TrajIndex.build(Network([], [], []), [], cfg)
+        for index in (full, empty):
+            for window in (Rect(-1, -1, 21, 1), Rect(50, 50, 60, 60)):
+                for t_start, t_end, error in TIME_ERRORS:
+                    for verbose in (False, True):
+                        with pytest.raises(error):
+                            index.range_query(window, t_start, t_end, verbose)
+        assert full.range_query(Rect(-1, -1, 21, 1), -0.0, 0.0).object_ids == {1}
+        assert empty.range_query(Rect(-1, -1, 21, 1), -0.0, 0.0).object_ids == set()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_ticks_near_the_top_of_the_universe(self, tmp_path, backend):
+        """At 0 digits a time's tick is the time, so records up to 2**62 - 512
+        put the universe's top there, and query times at and past it are
+        clamped."""
+        net, _ = two_segment_setup()
+        scale = ScaleConfig(0)
+        times = [2.0**62 - 512 * k for k in range(1, 12)]
+        records = [(k % 2, REC(k, TimeInterval(times[k + j], times[k]))) for k in range(8) for j in (1, 3)]
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=scale))
+        path = os.fspath(tmp_path / "top.tjix")
+        index.save(path)
+        oracle = FullScanOracle(net, records, scale)
+        queries = [*times, 2.0**62 - 256, 2.0**62, 2.0**62 + 1024, 2.0**63 - 1024, 2.0**63, 2.0**64, 1e300]
+        queries += [float(np.nextafter(t, d)) for t in times[:3] for d in (0.0, math.inf)]
+        for idx in (index, TrajIndex.load(path)):
+            for t_start in queries:
+                for t_end in queries:
+                    if t_start <= t_end:
+                        want = oracle.query(Rect(-1, -1, 21, 1), t_start, t_end)
+                        got = idx.range_query(Rect(-1, -1, 21, 1), t_start, t_end, verbose=True)
+                        assert got.object_ids == want, (t_start, t_end)
+                        assert sorted_matches(got.matches) == oracle.matches(Rect(-1, -1, 21, 1), t_start, t_end)
+
+
+def clip_network(seed: int) -> Network:
+    """Horizontal, vertical, diagonal, steep, shallow, tiny and huge segments,
+    several sharing endpoints, and random ones, a third snapped to a grid of
+    halves so that windows touch them exactly."""
+    rng = np.random.default_rng(seed)
+    pairs_xy = [((0, 0), (4, 0)), ((4, 0), (4, 4)), ((0, 0), (4, 4)), ((0, 4), (4, 0)), ((1, 0), (1.5, 4)),
+                ((0, 1), (4, 1.5)), ((4, 4), (6, 3)), ((2, 2), (2 + 1e-9, 2 + 1e-9)), ((-1e6, -1e6), (1e6, 1e6 + 1)),
+                ((3, 0.1), (3.3, 0.1)), ((0.1, 0.1), (0.1, 3.3)), ((0.1, 3.3), (3.3, 0.1))]
+    for k in range(150):
+        a, b = rng.uniform(-2, 8, 2), rng.uniform(-2, 8, 2)
+        if k % 3 == 0:
+            a, b = np.round(a * 2) / 2, np.round(b * 2) / 2
+        if (a != b).any():
+            pairs_xy.append((tuple(a.tolist()), tuple(b.tolist())))
+    nodes, pairs = [], []
+    for a, b in pairs_xy:
+        nodes += [Point(*a), Point(*b)]
+        pairs.append((len(nodes) - 2, len(nodes) - 1))
+    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+
+
+class TestKernelClip:
+    """The refinement kernel's clip, after the window walk, against
+    ``segments_intersect_window`` over every edge."""
+
+    def test_clip_equals_the_exact_test(self):
+        net = clip_network(21)
+        index = TrajIndex.build(net, [])
+        ax, ay, bx, by = index._ax, index._ay, index._bx, index._by
+        assert ((ax == bx) | (ay == by)).any() and not ((ax == bx) | (ay == by)).all()
+        windows = []
+        for a, b in ((s.a, s.b) for s in net.edges[:40]):
+            lo_x, hi_x, lo_y, hi_y = min(a.x, b.x), max(a.x, b.x), min(a.y, b.y), max(a.y, b.y)
+            windows += [
+                Rect(a.x, a.y, a.x, a.y), Rect(b.x, b.y, b.x, b.y),  # points at the ends
+                Rect((a.x + b.x) / 2, (a.y + b.y) / 2, (a.x + b.x) / 2, (a.y + b.y) / 2),
+                Rect(a.x, -20, a.x, 20), Rect(-20, a.y, 20, a.y),  # lines through an end
+                Rect(a.x, a.y, a.x + 1, a.y + 1), Rect(a.x - 1, a.y - 1, a.x, a.y),  # corners at an end
+                Rect(hi_x, lo_y, hi_x + 0.5, hi_y), Rect(lo_x - 0.5, lo_y, lo_x, hi_y),  # the box's sides
+                Rect(lo_x, hi_y, hi_x, hi_y + 0.5), Rect(hi_x, hi_y, hi_x + 1, hi_y + 1),  # and its corner
+                Rect(lo_x, lo_y, hi_x, hi_y),
+            ]
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            x0, x1 = np.sort(rng.uniform(-3, 9, 2))
+            y0, y1 = np.sort(rng.uniform(-3, 9, 2))
+            windows.append(Rect(x0, y0, x1, y1))
+        windows += [Rect(0.5, 0.5, 1.5, 1.5), Rect(1.9, 1.9, 2.1, 2.1), Rect(3.9, -1, 5, 0), Rect(1.0, 1.0, 1.0, 3.0)]
+        kept_somewhere = set()
+        for w in windows:
+            meets = segments_intersect_window(ax, ay, bx, by, w)
+            hits = index.rtree.window_query(w)
+            got = refined(index, w)
+            assert got.tolist() == [g for g in hits.tolist() if meets[g]], w
+            assert sorted(got.tolist()) == np.flatnonzero(meets).tolist(), w
+            kept_somewhere.update(got.tolist())
+        assert len(kept_somewhere) == len(net.edges)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_integer_coordinates(self, backend):
+        """Points may hold ints; the clip reads them as the floats they equal."""
+        nodes = [Point(i, j) for i in range(5) for j in range(5)]
+        pairs = [(5 * i + j, 5 * i + j + 6) for i in range(4) for j in range(4)]
+        pairs += [(5 * i + j + 1, 5 * i + j + 5) for i in range(4) for j in range(4)] + [(0, 4), (0, 20)]
+        net = Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+        records = [(k, REC(k % 7, TimeInterval(0.0, 10.0))) for k in range(len(pairs))]
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend))
+        oracle = FullScanOracle(net, records, ScaleConfig())
+        rng = np.random.default_rng(23)
+        windows = [Rect(1.5, 1.5, 2.5, 2.5), Rect(0.2, 0.6, 0.4, 0.8), Rect(0.5, 0.5, 0.5, 0.5), Rect(2, 2, 2, 2)]
+        for _ in range(100):
+            x0, x1 = np.sort(rng.uniform(-1, 5, 2))
+            y0, y1 = np.sort(rng.uniform(-1, 5, 2))
+            windows.append(Rect(x0, y0, x1, y1))
+        for w in windows:
+            meets = segments_intersect_window(index._ax, index._ay, index._bx, index._by, w)
+            assert sorted(refined(index, w).tolist()) == np.flatnonzero(meets).tolist(), w
+            assert index.range_query(w, 0.0, 10.0).object_ids == oracle.query(w, 0.0, 10.0), w
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_hits_outside_the_edges_are_refused(self, backend):
+        net, records = two_segment_setup()
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend))
+        w = Rect(-1, -1, 21, 1)
+        assert refine(index, w, hits=[0, 2])[0] == -4
+        assert refine(index, w, hits=[-1, 0])[0] == -3
+        for hits, message in (([0, 2], "hit 1: no edge 2"), ([1, 0, -1], "hit 2: no edge -1"),
+                              ([2**40], f"hit 0: no edge {2**40}")):
+            for verbose in (False, True):
+                with pytest.raises(IndexError, match=message):
+                    index.temporal.query_ids(index._frame, np.array(hits, dtype=np.int64), w, 0.0, 9.0, verbose)
+        ids, rows = index.temporal.query_ids(index._frame, np.array([1, 0, 1], dtype=np.int64), w, 0.0, 9.0, True)
+        assert np.frombuffer(ids, np.uint32).tolist() == [1] and rows.tolist() == [1, 0, 1]
+
+
+class TestThreads:
+    """The kernels release the GIL, and an index keeps no scratch of its
+    own, so threads can share one."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_four_threads_get_the_sequential_answers(self, backend):
+        from concurrent.futures import ThreadPoolExecutor
+
+        net = jittered_network(6)
+        records = gen_trajectories(net, 40, 30.0, seed=7)
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(4)))
+        queries = gen_queries(net.bounds(), 30.0, "range_equal", 150, seed=8, spatial_pct=30, temporal_pct=20)
+
+        def answers(order):
+            out = {}
+            for k in order:
+                q = queries[k]
+                got = index.range_query(q.window, q.t_start, q.t_end, verbose=k % 2 == 1)
+                out[k] = (got.object_ids.array.tolist(), None if got.matches is None else sorted_matches(got.matches))
+            return out
+
+        want = answers(range(len(queries)))
+        assert sum(len(ids) for ids, _ in want.values())
+        orders = [np.random.default_rng(seed).permutation(len(queries)).tolist() * 3 for seed in range(4)]
+        with ThreadPoolExecutor(4) as pool:
+            for got in pool.map(answers, orders):
+                assert got == want
 
 
 class TestWorkloadMatches:

@@ -29,6 +29,10 @@ KERNEL_TESTS = [
     "tests/test_eliasfano.py::TestKernelEdges",  # the rank entry on its own
     "tests/test_eliasfano.py::TestFlat",
     "tests/test_index.py::TestDistinctIds",
+    "tests/test_index.py::TestKernelTicks",  # the ticks of float times, and their errors
+    "tests/test_index.py::TestKernelClip",  # the clip of the walk's hits, and hits out of range
+    "tests/test_index.py::TestRangeQueryNetworks",  # both range entries on mixed and diagonal networks
+    "tests/test_index.py::TestThreads",
     "tests/test_index.py::TestWorkloadMatches",  # every backend's answers and verbose rows
     "tests/test_index.py::TestFormatChecks::test_spatial_block_fuzz",  # queries on corrupt files that load
     "tests/test_index.py::TestFormatChecks::test_temporal_block_fuzz",
@@ -102,9 +106,10 @@ def build_sanitized(tmp_path: Path) -> Path:
 
     ffi = cffi.FFI()
     ffi.cdef(ef._KERNEL_CDEF)
-    flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-ffp-contract=off"]
     ffi.set_source("_kernel_sanitized", ef._KERNEL_SOURCE.read_text(), extra_compile_args=flags,
-                   extra_link_args=["-fsanitize=address,undefined"])
+                   extra_link_args=["-fsanitize=address,undefined"], libraries=ef.KERNEL_LIBRARIES)
     return Path(ffi.compile(tmpdir=str(tmp_path)))
 
 
