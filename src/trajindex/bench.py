@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ScaleConfig, discretize_time
+from .core import ConfigError, ScaleConfig, discretize_times
 from .datagen import WorkloadSpec, gen_grid_network, gen_interval_workload, gen_queries, gen_trajectories
 from .index import TrajIndex, TrajIndexConfig
 from .temporal import BACKENDS, build_temporal_index
@@ -74,13 +74,9 @@ class BenchSpec:
 
 
 def _interval_queries(spec: BenchSpec, seed: int, cfg: ScaleConfig) -> list[tuple[int, int]]:
-    rng = np.random.default_rng(seed)
+    t0 = np.random.default_rng(seed).uniform(0.0, spec.horizon, spec.queries_per_set)
     length = spec.horizon * spec.query_extent_pct / 100.0
-    out = []
-    for _ in range(spec.queries_per_set):
-        t0 = float(rng.uniform(0.0, spec.horizon))
-        out.append((discretize_time(t0, cfg), discretize_time(t0 + length, cfg)))
-    return out
+    return list(zip(discretize_times(t0, cfg).tolist(), discretize_times(t0 + length, cfg).tolist()))
 
 
 def _timed_reps(run_queries, repetitions: int) -> tuple[float, int]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import ffi, lib
+
 MAX_SCALE_DIGITS = 8
 
 
@@ -175,8 +177,11 @@ def discretize_time(t: float, cfg: ScaleConfig) -> int:
 
     The floor is taken of the exact product, so results do not depend on
     intermediate rounding.  The rounded product has the exact product's
-    floor unless it is an integer (see ``discretize_times``); that case, and
-    every time it does not cover, takes the float's integer ratio.
+    floor unless it is an integer: an integer between the two would lie
+    nearer to the exact product than the rounded one.  That case, and
+    every time the rounded product does not cover, takes the float's
+    integer ratio.  This is the scalar oracle that the tests hold the
+    compiled ticks of builds and queries (``discretize_times``) to.
     """
     t = float(t)
     p = t * cfg.scale
@@ -190,53 +195,23 @@ def discretize_time(t: float, cfg: ScaleConfig) -> int:
     return num * cfg.scale // den
 
 
-_SPLITTER = 2.0**27 + 1  # Veltkamp's constant for 53-bit significands
-
-
-def _split(a):
-    """Veltkamp's split of ``a`` into two halves of 26 bits that add up to it."""
-    c = _SPLITTER * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _product_error(a: np.ndarray, b: float, p: np.ndarray) -> np.ndarray:
-    """The exact ``a * b - p`` for ``p`` the rounded product ``a * b``
-    (Dekker's two-product, without a fused multiply-add).  Exact unless the
-    product underflows."""
-    a_high, a_low = _split(a)
-    b_high, b_low = _split(b)
-    return ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
-
-
 def discretize_times(ts, cfg: ScaleConfig) -> np.ndarray:
-    """Vectorized ``discretize_time`` with the same exact-floor semantics.
-
-    The rounded product ``p`` of a time and ``10**digits`` has the exact
-    product's floor unless ``p`` is an integer: an integer between the
-    two would be nearer to the exact product, and the rounding picks the
-    nearest float.  Where ``p`` is an integer, the product's exact
-    rounding error ``e`` (``_product_error``) gives the floor ``p +
-    floor(e)``.  Raises ``InvalidInputError`` for a tick of 2**62 or more,
-    which no sequence universe holds.
-    """
+    """Vectorized ``discretize_time`` by the queries' compiled tick rule,
+    which takes ``fma``'s exact rounding error where the product rounds to
+    an integer.  Raises ``InvalidInputError`` naming the first time that is
+    not finite and non-negative, or whose tick no universe holds (2**62 or
+    more)."""
     shape = np.shape(ts)
-    t = np.asarray(ts, dtype=np.float64).ravel()
-    if t.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if not np.isfinite(t).all() or (t < 0).any():
-        raise InvalidInputError("timestamps must be finite and non-negative")
-    scale = float(cfg.scale)
-    with np.errstate(over="ignore"):  # an infinite product is rejected below
-        p = t * scale
-    if float(p.max()) >= 2.0**62:
-        raise InvalidInputError(f"timestamp {float(t.max())} at {cfg.digits} digits gives a tick of 2**62 "
-                                f"or more, outside the sequence universe")
-    floor = np.floor(p)
-    ticks = floor.astype(np.int64)
-    rounded = floor == p
-    if rounded.any():
-        ticks[rounded] += np.floor(_product_error(t[rounded], scale, p[rounded])).astype(np.int64)
+    t = np.ascontiguousarray(ts, dtype=np.float64).ravel()
+    ticks = np.empty(t.size, dtype=np.int64)
+    bad = lib.time_ticks(ffi.from_buffer("double[]", t), t.size, float(cfg.scale),
+                         ffi.from_buffer("int64_t[]", ticks))
+    if bad >= 0:
+        t = float(t[bad])
+        if not (math.isfinite(t) and t >= 0):
+            raise InvalidInputError(f"timestamp {t} at position {bad} must be finite and non-negative")
+        raise InvalidInputError(f"timestamp {t} at position {bad} gives a tick of 2**62 or more at "
+                                f"{cfg.digits} digits, outside the sequence universe")
     return ticks.reshape(shape)
 
 

@@ -5,10 +5,10 @@
  * rows or sorted object ids, and, for the other backends (index.py), the
  * refinement of a walk's hits and times and the object-id union of their
  * rows.  Both range entries clip a hit's edge and turn a time into a tick
- * with the same static helpers.  Builds:
- * the record order and greedy decomposition into independent sets and the
- * set-major row order of an IISIndex, and the Elias-Fano encoder of a
- * FlatEliasFano.
+ * with the same static helpers.  Builds and loads: the ticks of float times
+ * (core.discretize_times) by the range entries' helper, the record order
+ * and greedy decomposition into independent sets and the set-major row
+ * order of an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
  *
  * Rank.  Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
  * high part at bits high_base[q].. of `highs` and its select samples at
@@ -84,6 +84,9 @@
  * comparisons of a per-segment structure; a tick is clamped to at most 2**62
  * in either case, and an int64 holds it, so no conversion overflows (see
  * time_tick).
+ *
+ * Ticks.  time_ticks reads n times and writes at most n ticks, each at most
+ * TICK_TOP (see time_tick), into an array that discretize_times sizes.
  *
  * Union.  Every row is below the record count, the length of object_ids:
  * the rows come from a per-segment structure, which answers with positions
@@ -475,6 +478,16 @@ static inline int time_tick(double t, double scale, int64_t top, int64_t *tick)
     }
     *tick = exact < top ? exact : top;
     return 1;
+}
+
+/* The ticks of n times: returns -1, or the first i whose time is not finite
+ * and >= 0 or whose exact tick is TICK_TOP or more (stored as TICK_TOP). */
+int64_t time_ticks(const double *times, int64_t n, double scale, int64_t *ticks)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (!time_tick(times[i], scale, TICK_TOP, &ticks[i]) || ticks[i] == TICK_TOP)
+            return i;
+    return -1;
 }
 
 /* The ticks of a query's times, clamped to top: returns 0, or -1 or -2 when

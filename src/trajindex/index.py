@@ -57,7 +57,8 @@ from .core import (
     discretize_times,
 )
 from .datagen import Network
-from .eliasfano import ffi, lib, prefix_offsets
+from .eliasfano import prefix_offsets
+from .kernel import ffi, lib
 from .rtree import RTree, build_rtree
 from .temporal import BACKENDS
 from .temporal.base import range_query_error

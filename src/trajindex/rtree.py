@@ -16,7 +16,7 @@ counts[k]`` of the level below it, or, for a leaf, of the entry slots;
 ``(wxmax, wymax, -wxmin, -wymin)`` tests a child against a window.
 
 A window query is one call into a compiled kernel (``eliasfano_rank.c``,
-loaded by ``eliasfano.py``).  It descends from the root with an explicit
+loaded by ``kernel.py``).  It descends from the root with an explicit
 stack of node ids, walking the last overlapping child of a node first and
 a leaf's slots in ascending order, and writes the overlapping entries into
 a buffer sized for every entry.
@@ -35,7 +35,8 @@ import math
 import numpy as np
 
 from .core import ConfigError, FormatError, Reader, Rect
-from .eliasfano import concat_ranges, ffi, lib, prefix_offsets
+from .eliasfano import concat_ranges, prefix_offsets
+from .kernel import ffi, lib
 
 _U32 = np.dtype("<u4")
 _SIGNS = np.array([1.0, 1.0, -1.0, -1.0])

@@ -23,7 +23,7 @@ order, gives that row order.  Every set stores its starts and its ends as two
 Elias-Fano sequences; the sequences of all sets live in one
 :class:`FlatEliasFano`, written by its compiled encoder.  A query is
 one call into a compiled kernel (``eliasfano_rank.c``, loaded by
-``eliasfano.py``), which reads the index's arrays through one
+``kernel.py``), which reads the index's arrays through one
 ``iis_index`` struct, filled when the index is made and pointing to its
 codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  Asked for
@@ -44,7 +44,8 @@ import struct
 import numpy as np
 
 from ..core import FormatError, Reader
-from ..eliasfano import EliasFanoSeq, FlatEliasFano, ffi, lib, prefix_offsets
+from ..eliasfano import EliasFanoSeq, FlatEliasFano, prefix_offsets
+from ..kernel import ffi, lib
 from .base import TemporalIndexBase, check_query, range_query_error
 
 # universe, set count

@@ -50,6 +50,19 @@ def exact_floor_times(digits: int) -> list[float]:
     ]
 
 
+def top_edge_times(digits: int) -> list[float]:
+    """Times whose products with 10**digits lie on both sides of 2**62 and
+    of 2**63, and the largest floats."""
+    scale = 10**digits
+    at_top = []
+    for edge in (2.0**62, 2.0**63):
+        below = above = edge / scale
+        for _ in range(30):
+            at_top += [below, above]
+            below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, np.inf))
+    return [*at_top, 1e300, 1.7976931348623157e308]
+
+
 def near_integer_times(digits: int) -> np.ndarray:
     """Decimal times whose float lies just below or above them, their float
     neighbours, and products with 10**digits up to 2**61, where a float's

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from trajindex import (
 )
 from trajindex.core import Reader
 
-from helpers import exact_floor_times, near_integer_times
+from helpers import exact_floor_times, near_integer_times, top_edge_times
 
 
 def seg(ax, ay, bx, by, sid=0):
@@ -92,6 +93,29 @@ class TestDiscretize:
         cfg = ScaleConfig(digits)
         assert discretize_times(values, cfg).tolist() == [discretize_time(v, cfg) for v in values.tolist()]
         assert discretize_times(values[5], cfg).shape == ()
+
+    @pytest.mark.parametrize("digits", range(9))
+    def test_vectorized_at_the_top_of_the_universe(self, digits):
+        # a tick below 2**62 is the oracle's, even where the rounded product
+        # is 2**62; a tick of 2**62 or more is refused
+        cfg = ScaleConfig(digits)
+        below = 0
+        for t in top_edge_times(digits):
+            tick = discretize_time(t, cfg)
+            if tick < 2**62:
+                below += 1
+                assert discretize_times([t], cfg).tolist() == [tick], (t, digits)
+            else:
+                with pytest.raises(InvalidInputError, match=re.escape(f"{t} at position 1 ") + ".* universe"):
+                    discretize_times([0.0, t], cfg)
+        assert below >= 29  # the floats below 2**62 / 10**digits
+
+    def test_vectorized_names_the_first_bad_time(self):
+        cfg = ScaleConfig(3)
+        for bad in (math.nan, math.inf, -1.0, -5e-324):
+            message = f"{bad} at position 2 must be finite and non-negative"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                discretize_times([1.0, 2.0, bad, -1.0], cfg)
 
     def test_scale_config_range(self):
         from trajindex import ConfigError

@@ -326,7 +326,7 @@ def test_kernel_builds_once_without_warnings(tmp_path):
     """A fresh copy of the package compiles its rank kernel, warning-free,
     at the first import into ``__pycache__`` and reuses it at the next."""
     env = fresh_copy(tmp_path)
-    show = "import os, trajindex.eliasfano as ef; p = ef._KERNEL.__file__; print(p, os.stat(p).st_mtime_ns)"
+    show = "import os, trajindex.kernel as k; p = k._KERNEL.__file__; print(p, os.stat(p).st_mtime_ns)"
 
     def run():
         proc = subprocess.run([sys.executable, "-c", show], env=env, cwd=tmp_path, capture_output=True,

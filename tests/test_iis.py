@@ -7,7 +7,8 @@ import pytest
 
 from trajindex import FormatError, ScaleConfig, brute_force_intersect
 from trajindex.core import Reader
-from trajindex.eliasfano import ffi, lib, prefix_offsets
+from trajindex.eliasfano import prefix_offsets
+from trajindex.kernel import ffi, lib
 from trajindex.temporal import record_tick_arrays
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 

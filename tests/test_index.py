@@ -36,12 +36,12 @@ from trajindex import (
 import trajindex.index
 import trajindex.rtree
 import trajindex.temporal.iis
-from trajindex.eliasfano import ffi, lib
+from trajindex.kernel import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
 from helpers import (FullScanOracle, ascending, exact_floor_times, full_scan_objects, make_records, near_integer_times,
-                     scenario_arrays, sorted_matches)
+                     scenario_arrays, sorted_matches, top_edge_times)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -653,14 +653,8 @@ class TestKernelTicks:
         integral += [float(np.nextafter(t, d)) for t in integral[:100] for d in (0.0, math.inf)]
         integral += [float(k) for k in rng.integers(0, 2**40, 100).tolist()]
         subnormal = [5e-324, 1e-310, 2.0**-1022 - 5e-324, 2.0**-1022, 3 * 5e-324, -0.0, 0.0]
-        at_top = []  # products on both sides of 2**62 and of 2**63
-        for edge in (2.0**62, 2.0**63):
-            below = above = edge / scale
-            for _ in range(30):
-                at_top += [below, above]
-                below, above = float(np.nextafter(below, 0.0)), float(np.nextafter(above, math.inf))
-        at_top += [1e300, 1.7976931348623157e308]
-        values = [*exact_floor_times(digits), *near_integer_times(digits).tolist(), *integral, *subnormal, *at_top]
+        values = [*exact_floor_times(digits), *near_integer_times(digits).tolist(), *integral, *subnormal,
+                  *top_edge_times(digits)]
         nowhere = Rect(-9, -9, -8, -8)
         for t in values:
             tick = min(discretize_time(t, cfg), TICK_TOP)
@@ -715,6 +709,27 @@ class TestKernelTicks:
                         got = idx.range_query(Rect(-1, -1, 21, 1), t_start, t_end, verbose=True)
                         assert got.object_ids == want, (t_start, t_end)
                         assert sorted_matches(got.matches) == oracle.matches(Rect(-1, -1, 21, 1), t_start, t_end)
+
+
+class TestTopTickEdge:
+    """A time whose product with the scale rounds to 2**62 but whose exact
+    tick lies below it: a build takes it, and the query gives it the same tick."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("digits, t", [(6, 4611686018427.388), (7, 461168601842.7388)])
+    def test_time_slice_finds_a_record_just_below_the_top(self, tmp_path, backend, digits, t):
+        cfg = ScaleConfig(digits)
+        assert t * cfg.scale == 2.0**62 and discretize_time(t, cfg) == 2**62 - 209
+        net, _ = two_segment_setup()
+        records = [(0, REC(1, TimeInterval(1.0, 2.0))), (0, REC(2, TimeInterval(t, t)))]
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=cfg))
+        path = os.fspath(tmp_path / "edge.tjix")
+        index.save(path)
+        window = Rect(-1, -1, 21, 1)
+        for idx in (index, TrajIndex.load(path)):
+            assert idx.range_query(window, t, t).object_ids == {2}
+            assert idx.range_query(window, 1.5, 1.5).object_ids == {1}
+            assert idx.range_query(window, 0.0, 1e300).object_ids == {1, 2}
 
 
 def clip_network(seed: int) -> Network:

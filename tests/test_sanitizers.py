@@ -29,7 +29,9 @@ KERNEL_TESTS = [
     "tests/test_eliasfano.py::TestKernelEdges",  # the rank entry on its own
     "tests/test_eliasfano.py::TestFlat",
     "tests/test_index.py::TestDistinctIds",
+    "tests/test_core.py::TestDiscretize",  # the ticks of a build's times, and their errors
     "tests/test_index.py::TestKernelTicks",  # the ticks of float times, and their errors
+    "tests/test_index.py::TestTopTickEdge",  # a record's tick just below 2**62, built, loaded and queried
     "tests/test_index.py::TestKernelClip",  # the clip of the walk's hits, and hits out of range
     "tests/test_index.py::TestRangeQueryNetworks",  # both range entries on mixed and diagonal networks
     "tests/test_index.py::TestThreads",
@@ -42,11 +44,11 @@ KERNEL_TESTS = [
 REBIND = """
 import importlib.util, sys
 import numpy as np
-import trajindex.eliasfano as ef
+import trajindex.kernel as k
 spec = importlib.util.spec_from_file_location(sys.argv[1], sys.argv[2])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-own = ef.lib
+own = k.lib
 for name, module in list(sys.modules.items()):
     if name.startswith("trajindex") and getattr(module, "lib", None) is own:
         module.ffi, module.lib = kernel.ffi, kernel.lib
@@ -102,14 +104,14 @@ def sanitizer_runtimes() -> list[str] | None:
 def build_sanitized(tmp_path: Path) -> Path:
     import cffi
 
-    import trajindex.eliasfano as ef
+    import trajindex.kernel as k
 
     ffi = cffi.FFI()
-    ffi.cdef(ef._KERNEL_CDEF)
+    ffi.cdef(k._KERNEL_CDEF)
     flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-ffp-contract=off"]
-    ffi.set_source("_kernel_sanitized", ef._KERNEL_SOURCE.read_text(), extra_compile_args=flags,
-                   extra_link_args=["-fsanitize=address,undefined"], libraries=ef.KERNEL_LIBRARIES)
+    ffi.set_source("_kernel_sanitized", k._KERNEL_SOURCE.read_text(), extra_compile_args=flags,
+                   extra_link_args=["-fsanitize=address,undefined"], libraries=k.KERNEL_LIBRARIES)
     return Path(ffi.compile(tmpdir=str(tmp_path)))
 
 
