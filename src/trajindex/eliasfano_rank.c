@@ -1,14 +1,14 @@
-/* The compiled kernels.  Queries: the batched Elias-Fano rank over the
- * sequences of a FlatEliasFano (eliasfano.py), the window walk of an RTree
- * (rtree.py), the two queries of an IISIndex (temporal/iis.py), by ticks
- * from segments and by float times from a window walk's hits, to matching
- * rows or sorted object ids, and, for the other backends (index.py), the
- * refinement of a walk's hits and times and the object-id union of their
- * rows.  Both range entries clip a hit's edge and turn a time into a tick
- * with the same static helpers.  Builds and loads: the ticks of float times
- * (core.discretize_times) by the range entries' helper, the record order
- * and greedy decomposition into independent sets and the set-major row
- * order of an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
+/* The compiled kernels, declared in kernel.h.  Queries: the batched
+ * Elias-Fano rank over the sequences of a FlatEliasFano (eliasfano.py), the
+ * window walk of an RTree (rtree.py), the two queries of an IISIndex
+ * (temporal/iis.py), by ticks from segments to rows and by float times from a
+ * window walk's hits to sorted object ids, and (index.py) the refinement of a
+ * walk's hits and times and the object-id union of their rows.  Both range
+ * entries clip a hit's edge and turn a time into a tick with the same static
+ * helpers.  Builds and loads: the ticks of float times
+ * (core.discretize_times) by the range entries' helper, the record order and
+ * greedy decomposition into independent sets and the set-major row order of
+ * an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
  *
  * Rank.  Sequence q keeps its low parts at bits low_base[q].. of `lows`, its
  * high part at bits high_base[q].. of `highs` and its select samples at
@@ -65,11 +65,11 @@
  * sequences 2k and 2k + 1 lie below nseq = 2m, and both ranks of set k are
  * at most its length (see Rank), so every row gathered lies inside set k's
  * own run of rows, below set_rows[m], the row count, and so does the row id
- * it maps to.  object_ids holds one id per row, the record table's, so the
- * id of every row gathered lies inside it.  Each set's run is written at
- * slots n .. n + run - 1 after the arrays have grown to n + run rows, and
- * the ids' array holds twice that, so the sort's scratch, its second half,
- * holds one slot per id gathered.
+ * it maps to.  The frame's object_ids holds one id per row, the record
+ * table's, so the id of every row gathered lies inside it.  Each set's run
+ * is written at slots n .. n + run - 1 after the buffer has grown to n + run
+ * rows of 8 bytes: int64_t rows, or uint32_t ids in its first half, and its
+ * second half, the sort's scratch, holds one slot per id gathered.
  *
  * Range query.  iis_range and refine_hits read the edges' endpoints and the
  * rows' object ids through the range_frame struct that a TrajIndex fills
@@ -88,16 +88,16 @@
  * Ticks.  time_ticks reads n times and writes at most n ticks, each at most
  * TICK_TOP (see time_tick), into an array that discretize_times sizes.
  *
- * Union.  Every row is below the record count, the length of object_ids:
- * the rows come from a per-segment structure, which answers with positions
- * inside its own segment's rows.  `out` holds one slot per row, and the
- * scratch array, allocated only for the radix sort, one per row too.  The
- * gather writes slot i for row i; the sort moves n ids between the two
- * arrays.  A radix pass's digit is masked to width = ceil(bits / passes)
- * bits, which is at most 8 for passes = ceil(bits / 8), so it indexes the
- * 256 cursors; the id with digit b goes to b's cursor, which starts at the
- * count of smaller digits and advances once per id of digit b, so it stays
- * below n.  The drop of repeats writes only slots it has already read.
+ * Union.  Every row is below the record count, the length of object_ids: the
+ * rows come from iis_query (see Query) or from a per-segment structure, which
+ * answers with positions inside its own segment's rows.  `out` holds one slot
+ * per row, and the scratch array, allocated only for the radix sort, one per
+ * row too.  The gather writes slot i for row i; the sort moves n ids between
+ * the two arrays.  A radix pass's digit is masked to width = ceil(bits /
+ * passes) bits, which is at most 8 for passes = ceil(bits / 8), so it indexes
+ * the 256 cursors; the id with digit b goes to b's cursor, which starts at
+ * the count of smaller digits and advances once per id of digit b, so it
+ * stays below n.  The drop of repeats writes only slots it has already read.
  *
  * Greedy.  Every group id is checked against [0, n_groups) before anything
  * is written, so the counting sort's slots first[g] stay within [0, n] and
@@ -126,6 +126,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "kernel.h"
 
 #define SAMPLE_SHIFT 7 /* log2 of SELECT_SAMPLE */
 
@@ -165,17 +167,6 @@ static inline int64_t read_low(const uint64_t *lows, int64_t pos, int width)
     uint64_t low = (lows[pos >> 6] >> shift) | ((lows[(pos >> 6) + 1] << 1) << (63 - shift));
     return (int64_t)(low & (((uint64_t)1 << width) - 1));
 }
-
-/* The arrays of a FlatEliasFano, handed over once.  The three section
- * offsets are uint32_t when offset_size is 4 and int64_t when it is 8. */
-typedef struct {
-    const uint8_t *widths;
-    const void *low_base, *high_base, *sample_base;
-    const uint64_t *lows, *highs;
-    const uint32_t *samples;
-    int offset_size;
-    int64_t nseq, u;
-} ef_seqs;
 
 /* Entry q of one of the section offsets of ef. */
 static inline int64_t ef_offset(const ef_seqs *ef, const void *base, int64_t q)
@@ -339,36 +330,6 @@ int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n,
     return k;
 }
 
-/* What a query answers, returned by value: a status, 0 unless the query
- * failed, and arrays that are malloc'ed for the caller to free, or NULL when
- * they were not asked for, are empty or the query failed. */
-typedef struct {
-    int64_t status;
-    int64_t *rows;
-    uint32_t *ids;
-    int64_t n_rows, n_ids;
-} iis_answer;
-
-/* Grows the arrays of a query that are asked for to `cap` rows and 2 * cap
- * ids.  Returns 0 when out of memory; the arrays are then still the
- * caller's to free. */
-static int grow_answer(int64_t **rows, int want_rows, uint32_t **ids, int want_ids, int64_t cap)
-{
-    if (want_rows) {
-        int64_t *grown = realloc(*rows, (size_t)cap * sizeof **rows);
-        if (!grown)
-            return 0;
-        *rows = grown;
-    }
-    if (want_ids) {
-        uint32_t *grown = realloc(*ids, (size_t)(2 * cap) * sizeof **ids);
-        if (!grown)
-            return 0;
-        *ids = grown;
-    }
-    return 1;
-}
-
 /* Writes the object ids of rows first .. end - 1, or of the row ids they
  * map to, to dst. */
 static inline void gather_ids(uint32_t *dst, const uint32_t *object_ids, const uint32_t *row_ids,
@@ -392,24 +353,6 @@ static inline void gather_rows(int64_t *dst, const uint32_t *row_ids, int64_t fi
         for (int64_t row = first; row < end; row++)
             *dst++ = row;
 }
-
-/* The arrays of an IISIndex, handed over once; row_ids is NULL when it has none. */
-typedef struct {
-    const ef_seqs *seqs;
-    const int64_t *seg_sets, *set_rows;
-    int64_t n_segments;
-    const uint32_t *row_ids;
-} iis_index;
-
-/* What a range query reads besides its temporal level, handed over once by
- * a TrajIndex: edge g runs from (ax[g], ay[g]) to (bx[g], by[g]), a time t
- * has the tick floor(t * scale), and row i holds object object_ids[i]. */
-typedef struct {
-    const double *ax, *ay, *bx, *by;
-    int64_t n_edges;
-    double scale;
-    const uint32_t *object_ids;
-} range_frame;
 
 /* A query's window as (xmin, ymin, xmax, ymax), closed. */
 typedef struct {
@@ -502,25 +445,22 @@ static inline int64_t query_ticks(double scale, double t_start, double t_end, in
 /* The query body of an IISIndex: per segment as given (all segments in
  * order when `segments` is NULL), per set of the segment, the run of the
  * set's rows whose start is <= r and whose end is > l1, ascending; a row
- * stands for row_ids[row] when the index has row ids.  With a frame, the
- * segments are the hits of a window walk, and a hit whose edge does not meet
- * the window `w` is skipped; a segment must then lie below the frame's edge
- * count too.  Answers with how many rows match in n_rows, and with
- * `want_rows` the rows themselves in `rows`; they are written only when
- * asked for.  When `object_ids` is not NULL, answers with the distinct
- * object ids of these rows, ascending, in `ids` and n_ids: it gathers each
- * run's ids, then sorts them and drops the repeats in one array, whose
- * second half is the sort's scratch.  Its status is 0, -1 - i for the first
- * lane i whose segment is out of range, or -1 - n_probe when out of memory;
- * it then holds no array. */
+ * stands for row_ids[row] when the index has row ids.  Without a frame it
+ * answers with these rows as int64_t.  With a frame, the segments are the
+ * hits of a window walk, a hit whose edge does not meet the window `w` is
+ * skipped and a segment must lie below the frame's edge count too; it then
+ * answers with the distinct object ids of these rows, ascending: it gathers
+ * each run's ids, then sorts them and drops the repeats (see Query for the
+ * one buffer of either).  Its status is 0, -1 - i for the first lane i whose
+ * segment is out of range, or -1 - n_probe when out of memory; it then holds
+ * no buffer. */
 static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, const window_t *w,
-                              const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
-                              int64_t l1, int64_t r, int want_rows)
+                              const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r)
 {
     const ef_seqs seqs = *ix->seqs; /* a copy, which the stores below cannot alias */
-    int64_t *rows = NULL, cap = 0, n = 0, status;
+    int64_t cap = 0, n = 0, status;
     int64_t n_segments = frame && frame->n_edges < ix->n_segments ? frame->n_edges : ix->n_segments;
-    uint32_t *ids = NULL;
+    void *out = NULL;
     for (int64_t i = 0; i < n_probe; i++) {
         int64_t g = segments ? segments[i] : i;
         if (g < 0 || g >= n_segments) {
@@ -539,61 +479,56 @@ static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, con
                 cap = 2 * cap > n + last - skip ? 2 * cap : n + last - skip;
                 if (cap < 64)
                     cap = 64;
-                if (!grow_answer(&rows, want_rows, &ids, object_ids != NULL, cap)) {
+                void *grown = realloc(out, (size_t)cap * 8);
+                if (!grown) {
                     status = -1 - n_probe;
                     goto fail;
                 }
+                out = grown;
             }
             int64_t first = ix->set_rows[k] + skip, end = ix->set_rows[k] + last;
-            if (ids)
-                gather_ids(ids + n, object_ids, ix->row_ids, first, end);
-            if (rows)
-                gather_rows(rows + n, ix->row_ids, first, end);
+            if (frame)
+                gather_ids((uint32_t *)out + n, frame->object_ids, ix->row_ids, first, end);
+            else
+                gather_rows((int64_t *)out + n, ix->row_ids, first, end);
             n += last - skip;
         }
     }
-    return (iis_answer){0, rows, ids, n, ids ? sort_distinct(ids, ids + cap, n) : 0};
+    if (frame)
+        n = sort_distinct(out, (uint32_t *)out + cap, n);
+    return (iis_answer){0, out, n};
 fail:
-    free(rows);
-    free(ids);
-    return (iis_answer){status, NULL, NULL, 0, 0};
+    free(out);
+    return (iis_answer){status, NULL, 0};
 }
 
-/* Query by ticks: iis_collect without a frame, for a segment not in
- * [0, n_segments). */
-iis_answer iis_query(const iis_index *ix, const uint32_t *object_ids, const int64_t *segments, int64_t n_probe,
-                     int64_t l1, int64_t r, int want_rows)
+/* Query by ticks: the rows of iis_collect without a frame, for a segment
+ * not in [0, n_segments). */
+iis_answer iis_query(const iis_index *ix, const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r)
 {
-    return iis_collect(ix, NULL, NULL, object_ids, segments, n_probe, l1, r, want_rows);
+    return iis_collect(ix, NULL, NULL, segments, n_probe, l1, r);
 }
 
-/* Range query: the rows, and the distinct object ids of the frame's rows,
- * of every set of every hit whose edge meets the window, whose start tick is
- * <= that of t_end and whose end tick is >= that of t_start; see
- * iis_collect.  The ticks are clamped to the universe u: a set holds only
- * ticks below it.  Its status is 0, -1 or -2 when t_start or t_end is not
- * finite and >= 0, found before anything else, -3 - i for the first hit i
- * not below the segment and the edge counts, or -3 - n_hits when out of
- * memory; it then holds no array. */
+/* Range query: the distinct object ids of the frame's rows of every set of
+ * every hit whose edge meets the window, whose start tick is <= that of
+ * t_end and whose end tick is >= that of t_start; see iis_collect.  The
+ * ticks are clamped to the universe u: a set holds only ticks below it.  Its
+ * status is 0, -1 or -2 when t_start or t_end is not finite and >= 0, found
+ * before anything else, -3 - i for the first hit i not below the segment and
+ * the edge counts, or -3 - n_hits when out of memory; it then holds no
+ * buffer. */
 iis_answer iis_range(const iis_index *ix, const range_frame *frame, const int64_t *hits, int64_t n_hits,
-                     double xmin, double ymin, double xmax, double ymax, double t_start, double t_end,
-                     int want_rows)
+                     double xmin, double ymin, double xmax, double ymax, double t_start, double t_end)
 {
     int64_t l, r, status = query_ticks(frame->scale, t_start, t_end, ix->seqs->u, &l, &r);
     if (status)
-        return (iis_answer){status, NULL, NULL, 0, 0};
+        return (iis_answer){status, NULL, 0};
     const window_t w = {xmin, ymin, xmax, ymax};
-    iis_answer out = iis_collect(ix, frame, &w, frame->object_ids, hits, n_hits, l - 1, r, want_rows);
+    iis_answer out = iis_collect(ix, frame, &w, hits, n_hits, l - 1, r);
     if (out.status)
         out.status -= 2;
     return out;
 }
-
-/* What refine_hits answers, returned by value: how many hits it kept, or a
- * negative status, and the ticks of the query's times. */
-typedef struct {
-    int64_t kept, l, r;
-} refined_hits;
 
 /* Hit refinement for the backends that answer by ticks: writes the hits
  * whose edge meets the window to `segments`, in hit order, and answers with

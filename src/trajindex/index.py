@@ -20,11 +20,11 @@ It clips every hit whose edge is not axis-parallel (an axis-parallel edge
 is its own box, so the walk's box test was exact) and turns both times
 into exact ticks, as ``discretize_time`` does.  With ``iis``, the same call
 ranks every set of every surviving segment, gathers the object ids of each
-matching run of rows, sorts them and drops the repeats; it writes the rows
-themselves only for ``verbose``.  The other backends take the surviving
-segments and the ticks from that call, answer with rows, and one more call
-writes the rows' distinct object ids in ascending order.  The ``verbose``
-matches are gathered in numpy.
+matching run of rows, sorts them and drops the repeats.  The other backends,
+and ``verbose`` on every backend, take one path, ``_rows_and_ids``: a kernel
+call keeps the surviving segments and gives the ticks, the temporal level's
+``query`` answers with rows, from which numpy gathers the ``verbose``
+matches, and one more call writes the rows' distinct object ids.
 
 A query answers with :class:`ObjectIds`, a read-only set over a copy of
 the sorted ``uint32`` ids the kernel wrote, which ``.array`` views; no
@@ -37,6 +37,7 @@ import operator
 import struct
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -163,6 +164,27 @@ class IndexStats:
         return self.spatial_bytes + self.temporal_bytes + self.data_bytes
 
 
+def _rows_and_ids(temporal, frame, hits: np.ndarray, window: Rect, t_start: float,
+                 t_end: float) -> tuple[np.ndarray, bytes]:
+    """For the arguments ``query_ids`` takes, the matching rows as
+    ``temporal.query`` gives them for the hits that ``refine_hits`` keeps and
+    the ticks it gives, and the rows' distinct object ids as ``query_ids``
+    gives them, from ``distinct_ids``."""
+    probe = ffi.from_buffer("int64_t[]", hits)
+    segments = np.empty(len(probe), dtype=np.int64)
+    refined = lib.refine_hits(frame, probe, len(probe), window.xmin, window.ymin, window.xmax, window.ymax,
+                              t_start, t_end, ffi.from_buffer("int64_t[]", segments))
+    if refined.kept < 0:
+        raise range_query_error(refined.kept, hits, t_start, t_end)
+    rows = temporal.query(refined.l, refined.r, segments[:refined.kept])
+    n = len(rows)
+    out = _new_ids("uint32_t[]", n)
+    k = lib.distinct_ids(frame.object_ids, ffi.from_buffer("int64_t[]", rows), n, out)
+    if k < 0:
+        raise MemoryError("no memory for the object-id union of a query")
+    return rows, ffi.buffer(out, 4 * k)[:]
+
+
 class _PerSegment:
     """One temporal structure per loaded segment, each over its segment's
     slice of the record table; answers with record-table rows."""
@@ -185,27 +207,9 @@ class _PerSegment:
         out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
         return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
-    def query_ids(self, frame, hits: np.ndarray, window: Rect, t_start: float, t_end: float,
-                  with_rows: bool = False):
-        """The distinct object ids of the rows that match a range query, and
-        those rows when ``with_rows`` is set, as ``IISIndex.query_ids`` takes
-        and gives them.  One kernel call keeps the hits whose edge meets the
-        window and turns both times into ticks, ``query`` answers with their
-        rows, and one more call gathers the rows' ids, sorts them and drops
-        the repeats."""
-        probe = ffi.from_buffer("int64_t[]", hits)
-        segments = np.empty(len(probe), dtype=np.int64)
-        refined = lib.refine_hits(frame, probe, len(probe), window.xmin, window.ymin, window.xmax, window.ymax,
-                                  t_start, t_end, ffi.from_buffer("int64_t[]", segments))
-        if refined.kept < 0:
-            raise range_query_error(refined.kept, hits, t_start, t_end)
-        rows = self.query(refined.l, refined.r, segments[:refined.kept])
-        n = len(rows)
-        out = _new_ids("uint32_t[]", n)
-        k = lib.distinct_ids(frame.object_ids, ffi.from_buffer("int64_t[]", rows), n, out)
-        if k < 0:
-            raise MemoryError("no memory for the object-id union of a query")
-        return ffi.buffer(out, 4 * k)[:], rows if with_rows else None
+    def query_ids(self, frame, hits: np.ndarray, window: Rect, t_start: float, t_end: float) -> bytes:
+        """``IISIndex.query_ids``'s answer, from ``_rows_and_ids``."""
+        return _rows_and_ids(self, frame, hits, window, t_start, t_end)[1]
 
     def space_report(self) -> dict:
         bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
@@ -219,9 +223,9 @@ class TrajIndex:
     makes the R-tree from the edges' (n, 4) box array: a new build, or the
     shape a file saved.  ``temporal.query_ids`` takes ``_frame`` and a
     window walk's hits and answers with the distinct object ids of the
-    matching rows, ascending, as ``uint32`` bytes, and for ``verbose`` with
-    those rows too, a contiguous ``int64`` array of rows, each below the
-    record count."""
+    matching rows, ascending, as ``uint32`` bytes; for ``verbose``,
+    ``_rows_and_ids`` answers with those rows too, a contiguous ``int64``
+    array of rows, each below the record count."""
 
     def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
                  seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
@@ -270,7 +274,8 @@ class TrajIndex:
         """The index over records given as four columns of one length: segment
         and object ids of an integer dtype, and entry and exit times.  Raises
         ``IngestionError`` or, for its times, ``InvalidInputError`` naming the
-        first record it cannot index."""
+        first record it cannot index, or for a network whose edges are not
+        the segments between their node pairs (see ``_check_edges``)."""
         cfg = cfg or TrajIndexConfig()
         n_edges = len(network.edges)
         seg, obj = np.asarray(segments), np.asarray(object_ids)
@@ -285,24 +290,23 @@ class TrajIndex:
         else:
             order = np.argsort(seg, kind="stable")
             temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows)
-        return cls(network, build_rtree, cfg, seg_rows,
-                   obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
+        index = cls(network, build_rtree, cfg, seg_rows,
+                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
+        _check_edges(network, index)
+        return index
 
     # -- queries ---------------------------------------------------------
 
     def range_query(self, window: Rect, t_start: float, t_end: float, verbose: bool = False) -> QueryResult:
         if t_start > t_end:
             raise InvalidQueryError(f"time range [{t_start}, {t_end}] has start > end")
-        ids, rows = self.temporal.query_ids(self._frame, self.rtree.window_query(window), window, t_start, t_end,
-                                            verbose)
-        found = ObjectIds(ids)
-        matches = None
-        if verbose:
-            segment = np.searchsorted(self.seg_rows, rows, side="right") - 1
-            matches = [(o, s, TimeInterval(a, b)) for o, s, a, b in zip(
-                self.object_ids[rows].tolist(), segment.tolist(),
-                self.t_start[rows].tolist(), self.t_end[rows].tolist())]
-        return QueryResult(found, matches)
+        hits = self.rtree.window_query(window)
+        if not verbose:
+            return QueryResult(ObjectIds(self.temporal.query_ids(self._frame, hits, window, t_start, t_end)))
+        rows, ids = _rows_and_ids(self.temporal, self._frame, hits, window, t_start, t_end)
+        segment = np.searchsorted(self.seg_rows, rows, side="right") - 1
+        return QueryResult(ObjectIds(ids), [(o, s, TimeInterval(a, b)) for o, s, a, b in zip(
+            self.object_ids[rows].tolist(), segment.tolist(), self.t_start[rows].tolist(), self.t_end[rows].tolist())])
 
     def time_slice_query(self, window: Rect, t: float, verbose: bool = False) -> QueryResult:
         return self.range_query(window, t, t, verbose=verbose)
@@ -391,6 +395,22 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
     if not 0 <= obj[pos] <= MAX_OBJECT_ID:
         raise IngestionError(f"{where}: object id {obj[pos]} is outside 0..{MAX_OBJECT_ID}, the range a u32 holds")
     raise InvalidInputError(f"{where}: {_TIME_RULE}")
+
+
+def _check_edges(network: Network, index: TrajIndex) -> None:
+    """Raises ``IngestionError`` unless each edge runs between the nodes of
+    its own node pair: an index answers from the edges, but a file stores
+    the pairs, from which a load makes the edges."""
+    m, n = len(network.edges), len(network.nodes)
+    if len(network.edge_nodes) != m:
+        raise IngestionError(f"the network has {m} edges but {len(network.edge_nodes)} node pairs")
+    pairs = np.fromiter(chain.from_iterable(network.edge_nodes), np.int64, 2 * m).reshape(m, 2)
+    xy = np.fromiter(chain.from_iterable((p.x, p.y) for p in network.nodes), np.float64, 2 * n).reshape(n, 2)
+    a, b = xy[pairs[:, 0]], xy[pairs[:, 1]]
+    bad = (index._ax != a[:, 0]) | (index._ay != a[:, 1]) | (index._bx != b[:, 0]) | (index._by != b[:, 1])
+    if bad.any():
+        eid = int(np.argmax(bad))
+        raise IngestionError(f"edge {eid} does not run between its nodes {tuple(pairs[eid].tolist())}")
 
 
 # -- binary format (version 4) ---------------------------------------------

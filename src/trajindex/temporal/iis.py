@@ -26,15 +26,12 @@ one call into a compiled kernel (``eliasfano_rank.c``, loaded by
 ``kernel.py``), which reads the index's arrays through one
 ``iis_index`` struct, filled when the index is made and pointing to its
 codec's ``ef_seqs``: for every probed segment and every set of it, the
-kernel ranks both sequences and takes the set's run of rows.  Asked for
-object ids, it gathers the id of every row of each run and answers with
-them sorted and without repeats; asked for rows, it writes the runs, or the
-row ids they map to, straight into the result.  ``query`` takes two ticks
-and segment numbers and asks for rows.  ``query_ids`` serves a range query
-of a ``TrajIndex``: it takes the R-tree walk's hits, the window and two
-float times, and its kernel entry first clips the hits and turns the times
-into ticks, then runs the same body for the ids, and for the rows too only
-when told to.
+kernel ranks both sequences and takes the set's run of rows.  ``query``
+takes two ticks and segment numbers, and its entry writes the runs, or the
+row ids they map to, straight into the result.  ``query_ids`` serves a
+range query of a ``TrajIndex``: it takes the R-tree walk's hits, the window
+and two float times, and its entry clips the hits and turns the times into
+ticks, then answers with the object ids of the runs, sorted and unique.
 """
 
 from __future__ import annotations
@@ -56,14 +53,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 def _int64s(a: np.ndarray):
     """A contiguous ``int64`` array as a kernel argument."""
     return ffi.from_buffer("int64_t[]", a)
-
-
-def _answer_rows(out) -> np.ndarray:
-    """The rows of a kernel answer that asked for them, as an array that
-    owns the kernel's buffer and frees it when it goes."""
-    if not out.n_rows:
-        return _EMPTY
-    return np.frombuffer(ffi.buffer(ffi.gc(out.rows, lib.free), 8 * out.n_rows), dtype=np.int64)
 
 
 def decompose_independent_sets(starts, ends, groups=None, *, n_groups: int | None = None,
@@ -237,37 +226,36 @@ class IISIndex(TemporalIndexBase):
             l1 = -1 if l1 < 0 else top
         if not -1 <= r <= top:
             r = -1 if r < 0 else top
-        out = lib.iis_query(self.c_struct, ffi.NULL, probe, count, l1, r, True)
+        out = lib.iis_query(self.c_struct, probe, count, l1, r)
         status = out.status
         if status:
             if status == -1 - count:
                 raise MemoryError("no memory for the answer of an interval query")
             raise IndexError(f"segment lane {-1 - status}: no segment {segments[-1 - status]}")
-        return _answer_rows(out)
+        if not out.n:
+            return _EMPTY
+        # an array that owns the kernel's buffer and frees it when it goes
+        return np.frombuffer(ffi.buffer(ffi.gc(out.out, lib.free), 8 * out.n), dtype=np.int64)
 
-    def query_ids(self, frame, hits: np.ndarray, window, t_start: float, t_end: float, with_rows: bool = False):
+    def query_ids(self, frame, hits: np.ndarray, window, t_start: float, t_end: float) -> bytes:
         """The distinct object ids of the rows that match a range query, as
-        native ``uint32`` bytes, ascending, and those rows when ``with_rows``
-        is set, else None.  ``frame`` is a ``range_frame *`` of the
-        index's edges, time scale and object ids (``TrajIndex`` binds one),
-        ``hits`` a contiguous ``int64`` array of the edges whose box overlaps
-        the ``window``, as ``RTree.window_query`` gives them, and the times
-        are floats.  One kernel call clips the hits whose edge is not
-        axis-parallel, turns both times into ticks, ranks every set of every
-        hit that meets the window, gathers the ids of each matching run of
-        rows, sorts them and drops the repeats; it writes the rows only when
-        ``with_rows`` asks for them.  Raises ``InvalidInputError`` for a time
-        that is not finite and non-negative."""
+        native ``uint32`` bytes, ascending, from one kernel call (see the
+        module docstring).  ``frame`` is a ``range_frame *`` of the index's
+        edges, time scale and object ids (``TrajIndex`` binds one), ``hits``
+        a contiguous ``int64`` array of the edges whose box overlaps the
+        ``window``, as ``RTree.window_query`` gives them, and the times are
+        floats.  Raises ``InvalidInputError`` for a time that is not finite
+        and non-negative."""
         probe = ffi.from_buffer("int64_t[]", hits)
         out = lib.iis_range(self.c_struct, frame, probe, len(probe), window.xmin, window.ymin, window.xmax,
-                            window.ymax, t_start, t_end, with_rows)
+                            window.ymax, t_start, t_end)
         if out.status:
             raise range_query_error(out.status, hits, t_start, t_end)
-        found, k = b"", out.n_ids
-        if k:
-            found = ffi.buffer(out.ids, 4 * k)[:]
-            lib.free(out.ids)
-        return found, _answer_rows(out) if with_rows else None
+        if not out.n:
+            return b""
+        found = ffi.buffer(out.out, 4 * out.n)[:]
+        lib.free(out.out)
+        return found
 
     # -- accounting ----------------------------------------------------
 
@@ -277,12 +265,6 @@ class IISIndex(TemporalIndexBase):
         section offsets; ``id_bits`` the row-id map of a stand-alone index."""
         payload = self.seqs.payload_bits()
         overhead = self.seqs.select_overhead_bits()
-        set_payload = (payload[0::2] + payload[1::2]).tolist()
-        set_overhead = (overhead[0::2] + overhead[1::2]).tolist()
-        per_set = [
-            {"n": n, "payload_bits": p, "select_overhead_bits": o}
-            for n, p, o in zip(np.diff(self.set_rows).tolist(), set_payload, set_overhead)
-        ]
         plain_bits = 0
         if self.n:  # an index without records answers every query with nothing
             plain_bits = 8 * (self.seg_sets.nbytes + self.set_rows.nbytes) + self.seqs.directory_bits()
@@ -298,7 +280,6 @@ class IISIndex(TemporalIndexBase):
             "plain_bits": plain_bits,
             "id_bits": id_bits,
             "total_bits": total_payload + total_overhead + plain_bits + id_bits,
-            "per_set": per_set,
         }
 
     # -- serialization ---------------------------------------------------

@@ -1,3 +1,4 @@
+import fnmatch
 import math
 import os
 import shutil
@@ -341,6 +342,22 @@ def test_kernel_builds_once_without_warnings(tmp_path):
     second = run()
     assert second.stdout.split() == [path, mtime]
     assert second.stderr == ""
+
+
+def test_package_data_holds_every_kernel_file():
+    """An installed package compiles its kernels at the first import, so the
+    package data in ``pyproject.toml`` must take every file ``kernel.py``
+    reads: each path it names."""
+    tomllib = pytest.importorskip("tomllib")
+    import trajindex.kernel as k
+
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    patterns = pyproject["tool"]["setuptools"]["package-data"]["trajindex"]
+    read = [v for v in vars(k).values() if isinstance(v, Path)]
+    assert {p.name for p in read} >= {"eliasfano_rank.c", "kernel.h"}
+    for path in read:
+        assert path.parent == Path(k.__file__).parent and path.exists(), path
+        assert any(fnmatch.fnmatch(path.name, pattern) for pattern in patterns), (path.name, patterns)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

@@ -10,6 +10,7 @@ from trajindex.core import Reader
 from trajindex.eliasfano import prefix_offsets
 from trajindex.kernel import ffi, lib
 from trajindex.temporal import record_tick_arrays
+from trajindex.temporal.base import range_query_error
 from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
 from helpers import (
@@ -392,45 +393,40 @@ def record_ids(rng, n):
     return ids
 
 
-def query_ids(index, object_ids, l, r, segments=None, with_rows=False):
-    """The ids that the kernel's tick entry gathers for ``query(l, r,
-    segments)``, as a list, and its rows (None unless asked for).  The
-    ticks are clamped to the universe as ``query`` clamps them."""
-    top = index.u - 1
-    l1, r = min(max(l - 1, -1), top), min(max(r, -1), top)
-    if segments is None:
-        probe, count = ffi.NULL, len(index.seg_sets) - 1
-    else:
-        segments = np.ascontiguousarray(segments, dtype=np.int64)
-        probe, count = ffi.from_buffer("int64_t[]", segments), len(segments)
-    out = lib.iis_query(index.c_struct, ffi.from_buffer("uint32_t[]", object_ids), probe, count, l1, r, with_rows)
+def query_ids(index, object_ids, l, r, segments=None):
+    """The ids, as a list, that the kernel's range entry gathers for the rows
+    ``query(l, r, segments)`` gives, ``object_ids`` holding one id per row
+    (all segments by default).  Its frame has one horizontal edge per
+    segment, the window covers them all and the scale is 1, so nothing is
+    clipped and the times ``l`` and ``r``, which must not be negative, have
+    the ticks ``l`` and ``r``."""
+    n = len(index.seg_sets) - 1
+    y = np.arange(n, dtype=np.float64)
+    keep = [ffi.from_buffer("double[]", a) for a in (np.zeros(n), y, np.ones(n), y)]
+    keep.append(ffi.from_buffer("uint32_t[]", object_ids))
+    frame = ffi.new("range_frame *", [*keep[:4], n, 1.0, keep[4]])
+    hits = np.arange(n) if segments is None else np.ascontiguousarray(segments, dtype=np.int64)
+    out = lib.iis_range(index.c_struct, frame, ffi.from_buffer("int64_t[]", hits), len(hits), -1.0, -1.0, 2.0,
+                        float(n), float(l), float(r))
     if out.status:
-        raise IndexError(f"segment lane {-1 - out.status}: no segment {segments[-1 - out.status]}")
-    assert (out.ids == ffi.NULL) == (out.n_ids == 0) and (out.rows == ffi.NULL) == (not with_rows or not out.n_rows)
-    found = ffi.unpack(out.ids, out.n_ids) if out.n_ids else []
-    rows = np.array(ffi.unpack(out.rows, out.n_rows) if out.n_rows else [], dtype=np.int64) if with_rows else None
-    lib.free(out.ids)
-    lib.free(out.rows)
-    return found, rows
+        raise range_query_error(out.status, hits, l, r)
+    assert (out.out == ffi.NULL) == (out.n == 0)
+    found = ffi.unpack(ffi.cast("uint32_t *", out.out), out.n) if out.n else []
+    lib.free(out.out)
+    return found
 
 
 def assert_ids_alike(index, object_ids, l, r, segments=None):
-    """The ids, with and without the rows, against the union of the rows
-    ``query`` gives; and those rows as ``query`` gives them."""
+    """The ids against the union of the rows ``query`` gives."""
     rows = index.query(l, r, segments)
-    want = ascending(object_ids, rows)
-    got, none = query_ids(index, object_ids, l, r, segments)
-    assert got == want, (l, r, segments)
-    assert none is None
-    got, with_rows = query_ids(index, object_ids, l, r, segments, with_rows=True)
-    assert got == want, (l, r, segments)
-    assert with_rows.dtype == np.int64 and with_rows.tolist() == rows.tolist()
+    assert query_ids(index, object_ids, l, r, segments) == ascending(object_ids, rows), (l, r, segments)
     return len(rows)
 
 
 class TestKernelIds:
-    """The compiled query's sorted object ids against the union of the rows
-    the same index answers with, for the probes and ticks of TestKernelRows."""
+    """The compiled range entry's sorted object ids against the union of the
+    rows the same index answers with, for the probes and the non-negative
+    ticks of TestKernelRows."""
 
     def test_segment_choices(self):
         rng = np.random.default_rng(7)
@@ -440,35 +436,35 @@ class TestKernelIds:
                   np.array([8, 0, 8]), np.arange(9)[::-1], np.arange(9), None]
         sizes = set()
         for _ in range(40):
-            l = int(rng.integers(-5, 12_000))
+            l = int(rng.integers(0, 12_000))
             r = l + int(rng.integers(0, 3_000))
             for probe in probes:
                 sizes.add(assert_ids_alike(index, ids, l, r, probe))
         assert 0 in sizes and min(sizes - {0}) <= 32 < max(sizes)  # both sorts, and no rows at all
-        assert query_ids(index, ids, 0, 10**9, np.zeros(0, dtype=np.int64)) == ([], None)
-        assert query_ids(index, ids, 0, 10**9, np.array([3, 5]), with_rows=True)[0] == []
+        assert query_ids(index, ids, 0, 10**9, np.zeros(0, dtype=np.int64)) == []
+        assert query_ids(index, ids, 0, 10**9, np.array([3, 5])) == []
 
     def test_query_bounds(self):
         rng = np.random.default_rng(8)
         index = segment_index(rng)
         ids = record_ids(rng, index.n)
         u = index.u
-        for l, r in [(0, 0), (0, 50), (0, u - 1), (0, u), (0, 10**30), (-(10**30), 10**30), (u - 1, u - 1),
-                     (u, u), (u + 5, 10**30), (-3, -1), (-1, 0), (100, 100), (4_321, 4_321)]:
+        for l, r in [(0, 0), (0, 50), (0, u - 1), (0, u), (0, 10**30), (u - 1, u - 1), (u, u), (u + 5, 10**30),
+                     (100, 100), (4_321, 4_321)]:
             assert_ids_alike(index, ids, l, r)
             assert_ids_alike(index, ids, l, r, np.array([2, 0, 7]))
-        assert query_ids(index, ids, 0, u)[0] == np.unique(ids).tolist()
+        assert query_ids(index, ids, 0, u) == np.unique(ids).tolist()
 
     def test_unit_universe(self):
         segment = np.array([0, 1, 1, 0, 1])
         index, _ = IISIndex.from_segments(np.zeros(5, int), np.zeros(5, int), segment, 2)
         ids = np.array([4, 9, 4, 2**32 - 1, 0], dtype=np.uint32)
         assert index.u == 1
-        for l, r in [(0, 0), (0, 3), (-2, -1), (1, 1)]:
+        for l, r in [(0, 0), (0, 3), (1, 1)]:
             for probe in (None, np.array([1]), np.array([1, 0])):
                 assert_ids_alike(index, ids, l, r, probe)
         # rows 2, 3, 4 of segment 1 and rows 0, 1 of segment 0
-        assert query_ids(index, ids, 0, 0, np.array([1, 0])) == ([0, 4, 9, 2**32 - 1], None)
+        assert query_ids(index, ids, 0, 0, np.array([1, 0])) == [0, 4, 9, 2**32 - 1]
 
     def test_stand_alone_row_ids(self):
         rng = np.random.default_rng(9)
@@ -478,12 +474,12 @@ class TestKernelIds:
         ids = record_ids(rng, 500)  # by record, which the row ids map to
         assert (index.row_ids != np.arange(500)).any()
         for _ in range(60):
-            l = int(rng.integers(-10, 10**5))
+            l = int(rng.integers(0, 10**5))
             r = l + int(rng.integers(0, 10**4))
             assert_ids_alike(index, ids, l, r)
             assert_ids_alike(index, ids, l, r, np.array([0, 0]))
-            assert query_ids(index, ids, l, r)[0] == ascending(ids, brute_force_intersect(records, l, r,
-                                                                                          ScaleConfig(2)))
+            assert query_ids(index, ids, l, r) == ascending(ids, brute_force_intersect(records, l, r,
+                                                                                       ScaleConfig(2)))
 
     def test_int64_offsets(self):
         rng = np.random.default_rng(10)
@@ -496,7 +492,7 @@ class TestKernelIds:
         assert flat.c_struct.offset_size == 8
         wide = IISIndex(index.seg_sets, index.set_rows, flat)
         for _ in range(60):
-            l = int(rng.integers(-5, 12_000))
+            l = int(rng.integers(0, 12_000))
             r = l + int(rng.integers(0, 3_000))
             probe = rng.integers(0, 9, int(rng.integers(0, 12)))
             assert query_ids(wide, ids, l, r, probe) == query_ids(index, ids, l, r, probe)
@@ -512,21 +508,17 @@ class TestKernelIds:
                   np.array([0, 1, 2, 3], dtype=np.int32), np.array([8, 0, 7, 1, 4, 2], dtype=np.uint16)[::2],
                   [6, 1]]
         for probe in probes:
-            want = query_ids(index, ids, 0, 10**6, np.array(probe, dtype=np.int64), with_rows=True)
-            assert want[0]
-            got = query_ids(index, ids, 0, 10**6, probe, with_rows=True)
-            assert got[0] == want[0] and got[1].tolist() == want[1].tolist()
-            assert index.query(0, 10**6, probe).tolist() == want[1].tolist()
-            assert query_ids(index, ids, 0, 10**6, probe) == (want[0], None)
+            rows = index.query(0, 10**6, np.array(probe, dtype=np.int64))
+            assert len(rows) and index.query(0, 10**6, probe).tolist() == rows.tolist()
+            assert query_ids(index, ids, 0, 10**6, probe) == ascending(ids, rows)
 
     def test_segment_out_of_range_raises(self):
         rng = np.random.default_rng(11)
         index = segment_index(rng)
         ids = record_ids(rng, index.n)
         for g in (9, -1, 2**40):
-            for with_rows in (False, True):
-                with pytest.raises(IndexError, match=f"segment lane 2: no segment {g}"):
-                    query_ids(index, ids, 0, 10**6, np.array([0, 4, g, 1]), with_rows)
+            with pytest.raises(IndexError, match=f"hit 2: no edge {g}"):
+                query_ids(index, ids, 0, 10**6, np.array([0, 4, g, 1]))
         assert_ids_alike(index, ids, 0, 10**6, np.array([0, 4, 8, 1]))
 
 
@@ -541,16 +533,16 @@ class TestSpaceReport:
         starts, lengths = scenario_arrays(rng, "random", 800)
         index = IISIndex.build(make_records(starts, lengths), ScaleConfig(4))
         report = index.space_report()
-        per_set_payload = sum(e["payload_bits"] for e in report["per_set"])
-        assert per_set_payload == report["payload_bits"]
+        payload = index.seqs.payload_bits()
+        assert int(payload.sum()) == report["payload_bits"]
         assert report["total_bits"] == (
             report["payload_bits"] + report["select_overhead_bits"]
             + report["plain_bits"] + report["id_bits"]
         )
-        for entry, s in zip(report["per_set"], index.sets):
-            n, u = len(s), index.u
-            bound = 2 * (2 * n + n * math.ceil(math.log2(u / n)))
-            assert entry["payload_bits"] <= bound
+        set_payload = payload[0::2] + payload[1::2]  # a set's start and end sequences
+        assert index.m > 1 and len(set_payload) == index.m
+        for n, bits in zip(np.diff(index.set_rows).tolist(), set_payload.tolist()):
+            assert bits <= 2 * (2 * n + n * math.ceil(math.log2(index.u / n)))
 
 
 class TestSerialization:

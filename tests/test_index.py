@@ -147,6 +147,25 @@ class TestBuild:
         with pytest.raises(error, match=match):
             TrajIndex.from_columns(net, *columns)
 
+    @pytest.mark.parametrize("pairs, match", [
+        ([(0, 1), (0, 3)], r"edge 1 does not run between its nodes \(0, 3\)"),
+        ([(0, 1)], "2 edges but 1 node pairs"),
+    ])
+    def test_edges_that_disagree_with_their_node_pairs_rejected(self, pairs, match):
+        """The index answers from the edges and a file stores the pairs: with
+        the first pairs, the built index answered {8} in the window below and
+        the loaded one nothing, and with the second the file did not load."""
+        nodes = [Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 5)]
+        edges = [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[1], nodes[2])]
+        net = Network(nodes, edges, pairs)
+        records = [(0, REC(7, TimeInterval(0.0, 5.0))), (1, REC(8, TimeInterval(0.0, 5.0)))]
+        with pytest.raises(IngestionError, match=match):
+            TrajIndex.build(net, records)
+        with pytest.raises(IngestionError, match=match):
+            TrajIndex.from_columns(net, [0, 1], [7, 8], [0.0, 0.0], [5.0, 5.0])
+        index = TrajIndex.build(Network(nodes, edges, [(0, 1), (1, 2)]), records)
+        assert index.range_query(Rect(1.5, -0.1, 2.5, 0.1), 0.0, 5.0).object_ids == {8}
+
     def test_from_columns_rejects_columns_of_different_lengths(self):
         net, _ = two_segment_setup()
         with pytest.raises(IngestionError, match="one length"):
@@ -359,9 +378,11 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_kernel_calls_per_query(self, monkeypatch, backend):
-        """A query is the window walk and one temporal entry; the backends
-        other than ``iis`` then union their rows' ids in one more call.  The
-        ``free`` of an answer's buffer is not counted."""
+        """An ``iis`` query is the window walk and one temporal entry.  A
+        query of the other backends, and a ``verbose`` one of every backend,
+        is the walk, the refinement, the level's query (a kernel call for
+        ``iis`` only) and the union of the rows' ids.  The ``free`` of an
+        answer's buffer is not counted."""
         calls = []
 
         class Counting:
@@ -380,9 +401,10 @@ class TestEndToEnd:
         net = jittered_network(2)
         records = gen_trajectories(net, 10, 20.0, seed=3)
         index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(3)))
-        want = ["rtree_window", "iis_range"] if backend == "iis" else ["rtree_window", "refine_hits", "distinct_ids"]
+        rows = ["rtree_window", "refine_hits", *(["iis_query"] if backend == "iis" else []), "distinct_ids"]
         for window in (net.bounds(), Rect(2.0, 1.0, 3.0, 2.5), Rect(-9.0, -9.0, -8.0, -8.0)):
             for verbose in (False, True):
+                want = ["rtree_window", "iis_range"] if backend == "iis" and not verbose else rows
                 for t_start, t_end in ((0.0, 20.0), (5.5, 5.5)):
                     calls.clear()
                     index.range_query(window, t_start, t_end, verbose)
@@ -812,19 +834,30 @@ class TestKernelClip:
             assert index.range_query(w, 0.0, 10.0).object_ids == oracle.query(w, 0.0, 10.0), w
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_hits_outside_the_edges_are_refused(self, backend):
+    def test_hits_outside_the_edges_are_refused(self, backend, monkeypatch):
+        """By the temporal entry, and by a ``verbose`` query's rows path, for
+        hits the window walk is made to give."""
         net, records = two_segment_setup()
         index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend))
         w = Rect(-1, -1, 21, 1)
         assert refine(index, w, hits=[0, 2])[0] == -4
         assert refine(index, w, hits=[-1, 0])[0] == -3
         for hits, message in (([0, 2], "hit 1: no edge 2"), ([1, 0, -1], "hit 2: no edge -1"),
-                              ([2**40], f"hit 0: no edge {2**40}")):
+                              ([2**40], f"hit 0: no edge {2**40}"), ([1, 0, 1], None)):
+            hits = np.array(hits, dtype=np.int64)
+            monkeypatch.setattr(index.rtree, "window_query", lambda window: hits)
+            if message is None:
+                ids = index.temporal.query_ids(index._frame, hits, w, 0.0, 9.0)
+                assert np.frombuffer(ids, np.uint32).tolist() == [1]
+                result = index.range_query(w, 0.0, 9.0, verbose=True)
+                later, first = (1, 1, TimeInterval(5.0, 9.0)), (1, 0, TimeInterval(0.0, 5.0))  # rows 1 and 0
+                assert result.object_ids == {1} and result.matches == [later, first, later]
+                continue
+            with pytest.raises(IndexError, match=message):
+                index.temporal.query_ids(index._frame, hits, w, 0.0, 9.0)
             for verbose in (False, True):
                 with pytest.raises(IndexError, match=message):
-                    index.temporal.query_ids(index._frame, np.array(hits, dtype=np.int64), w, 0.0, 9.0, verbose)
-        ids, rows = index.temporal.query_ids(index._frame, np.array([1, 0, 1], dtype=np.int64), w, 0.0, 9.0, True)
-        assert np.frombuffer(ids, np.uint32).tolist() == [1] and rows.tolist() == [1, 0, 1]
+                    index.range_query(w, 0.0, 9.0, verbose)
 
 
 class TestThreads:

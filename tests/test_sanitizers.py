@@ -1,12 +1,13 @@
 """The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-The kernel source is built with ``-fsanitize=address,undefined`` into a
-temporary directory.  A child Python, with both runtimes preloaded and told
-to halt at the first report, rebinds the package's ``ffi`` and ``lib`` to
-that build.  It then runs the kernel tests, the queries of both fuzz tests
-on the corrupt files that load, and a small build, save, load and query of
-every benchmark workload.  A second child checks that a
-planted overflow is reported, so a run that sanitizes nothing cannot pass.
+The kernels are built by the package's own recipe, ``kernel_builder``, with
+``-fsanitize=address,undefined`` added, into a temporary directory.  A child
+Python, with both runtimes preloaded and told to halt at the first report,
+rebinds the package's ``ffi`` and ``lib`` to that build.  It then runs the
+kernel tests, the queries of both fuzz tests on the corrupt files that load,
+and a small build, save, load and query of every benchmark workload.  A
+second child checks that a planted overflow is reported, so a run that
+sanitizes nothing cannot pass.
 Skipped without a C compiler or the sanitizer runtimes.
 """
 
@@ -102,17 +103,12 @@ def sanitizer_runtimes() -> list[str] | None:
 
 
 def build_sanitized(tmp_path: Path) -> Path:
-    import cffi
+    """The package's own build recipe with the sanitizers added."""
+    from trajindex.kernel import kernel_builder
 
-    import trajindex.kernel as k
-
-    ffi = cffi.FFI()
-    ffi.cdef(k._KERNEL_CDEF)
-    flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-             "-ffp-contract=off"]
-    ffi.set_source("_kernel_sanitized", k._KERNEL_SOURCE.read_text(), extra_compile_args=flags,
-                   extra_link_args=["-fsanitize=address,undefined"], libraries=k.KERNEL_LIBRARIES)
-    return Path(ffi.compile(tmpdir=str(tmp_path)))
+    flags = ["-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    builder = kernel_builder("_kernel_sanitized", flags, ["-fsanitize=address,undefined"])
+    return Path(builder.compile(tmpdir=str(tmp_path)))
 
 
 def test_kernels_run_clean_under_sanitizers(tmp_path):
