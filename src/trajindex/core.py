@@ -81,10 +81,6 @@ class Reader:
         dtype = np.dtype(dtype)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=self._take(dtype.itemsize * count))
 
-    def pad(self) -> None:
-        """Skip to the next multiple of 8 bytes from the start."""
-        self._take(-(self.pos - self.start) % 8)
-
     def block(self, what: str) -> "Reader":
         """A reader confined to the next block: a u64 length, then that many bytes."""
         (size,) = self.unpack(_BLOCK_LENGTH)

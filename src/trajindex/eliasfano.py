@@ -17,10 +17,11 @@ implementation of rank/select queries", WEA 2008).  :class:`EliasFanoSeq`
 is a view of one sequence of a :class:`FlatEliasFano` and stores no words
 of its own.
 
-:meth:`FlatEliasFano.from_values` encodes in one call into a compiled
-loop that checks each value against the universe and writes its low bits
-and its high bit straight into the word arrays (the layout of Vigna,
-"Quasi-succinct indices", WSDM 2013).
+:meth:`FlatEliasFano.from_values`, the one way a codec is made, at build
+and at load alike, encodes in one call into a compiled loop that checks
+each value against the universe and writes its low bits and its high bit
+straight into the word arrays (the layout of Vigna, "Quasi-succinct
+indices", WSDM 2013).
 
 A codec hands its arrays to the kernels (``kernel.py``) once, as one
 ``ef_seqs`` struct that also says whether its section offsets are ``u32``
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FormatError, InvalidInputError
+from .core import InvalidInputError
 from .kernel import ffi, lib
 
 SELECT_SAMPLE = 128
@@ -133,8 +134,8 @@ class FlatEliasFano:
     ``SELECT_SAMPLE`` zeros.  The low parts of all sequences are
     concatenated bit by bit into one word array, the high parts into
     another and the samples into a third.  Widths and section offsets
-    follow from ``u`` and ``sizes``, so a file stores only those and the
-    two word arrays.
+    follow from ``u`` and ``sizes``.  No file stores a word: a load encodes
+    the values again (``IISIndex.from_bytes``).
 
     :meth:`rank` answers one rank per lane for any number of lanes in one
     call into the compiled kernel, which reads these arrays in place
@@ -189,12 +190,6 @@ class FlatEliasFano:
         num_zeros = ((u - 1) >> widths) + 1
         return sizes * widths, sizes + num_zeros, np.maximum(num_zeros - 1, 0) >> _SAMPLE_SHIFT
 
-    @classmethod
-    def word_counts(cls, u: int, sizes: np.ndarray) -> tuple[int, int]:
-        """Low and high words stored for sequences of these sizes."""
-        low_bits, high_bits, _ = cls._section_lengths(u, sizes, cls._widths(u, sizes))
-        return -(-int(low_bits.sum()) // 64), -(-int(high_bits.sum()) // 64)
-
     # -- construction ----------------------------------------------------------
 
     @classmethod
@@ -205,8 +200,8 @@ class FlatEliasFano:
         Raises ``InvalidInputError`` unless every size is positive, the sizes
         add up to the values and every value lies in ``[0, u)``.  Each
         sequence must also be strictly increasing; the caller guarantees it
-        (the ``iis`` decomposition produces exactly that), so it is not
-        checked here.
+        (the ``iis`` decomposition produces exactly that, and a load checks
+        it), so it is not checked here.
         """
         values = np.ascontiguousarray(values, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -215,7 +210,7 @@ class FlatEliasFano:
         if (sizes < 1).any() or sizes.sum() != len(values):
             raise InvalidInputError("sequence sizes must be positive and add up to the values")
         widths = cls._widths(u, sizes)
-        low_bits, high_bits, _ = cls._section_lengths(u, sizes, widths)
+        low_bits, high_bits, n_samples = cls._section_lengths(u, sizes, widths)
         lows = np.zeros(-(-int(low_bits.sum()) // 64) + 2, dtype=np.uint64)
         highs = np.zeros(-(-int(high_bits.sum()) // 64), dtype=np.uint64)
         high_values = np.empty(len(values), dtype=np.int64)
@@ -225,36 +220,10 @@ class FlatEliasFano:
                             ffi.from_buffer("int64_t[]", high_values))
         if bad:
             raise InvalidInputError(f"value {bad - 1} ({values[bad - 1]}) lies outside [0, {u})")
-        return cls._with_samples(u, sizes, widths, lows, highs, high_values)
-
-    @classmethod
-    def from_words(cls, u: int, sizes, lows: np.ndarray, highs: np.ndarray) -> "FlatEliasFano":
-        """Rebuild from the stored word arrays.  Raises ``FormatError``
-        unless every sequence's high part holds exactly one set bit per value
-        and ends with the zero of its last bucket."""
-        sizes = np.asarray(sizes, dtype=np.int64)
-        widths = cls._widths(u, sizes)
-        _, high_bits, _ = cls._section_lengths(u, sizes, widths)
-        ends = prefix_offsets(high_bits)
-        bits = np.unpackbits(highs.astype("<u8").view(np.uint8), bitorder="little")
-        ones = np.flatnonzero(bits)
-        if (np.diff(np.searchsorted(ones, ends)) != sizes).any() or bits[ends[-1]:].any():
-            raise FormatError("an Elias-Fano high part does not hold one set bit per value")
-        if bits[ends[1:] - 1].any():
-            raise FormatError("an Elias-Fano high part does not end with a bucket's zero")
-        seq = np.repeat(np.arange(len(sizes)), sizes)
-        high_values = ones - ends[seq] - (np.arange(len(ones)) - prefix_offsets(sizes)[seq])
-        lows = np.append(lows, np.zeros(2, dtype=np.uint64))
-        return cls._with_samples(u, sizes, widths, lows, highs, high_values)
-
-    @classmethod
-    def _with_samples(cls, u, sizes, widths, lows, highs, high_values) -> "FlatEliasFano":
-        """Add the select samples."""
-        num_zeros = ((u - 1) >> widths) + 1
-        n_samples = cls._section_lengths(u, sizes, widths)[2]
-        # zero z of sequence q follows every value of q whose high part is
-        # <= z; keyed by (q, high part), all values sort in one array
-        zero_base = prefix_offsets(num_zeros)
+        # the select samples: zero z of sequence q follows every value of q
+        # whose high part is <= z; keyed by (q, high part), all values sort
+        # in one array
+        zero_base = prefix_offsets(high_bits - sizes)  # a high part's zeros, one per bucket
         keys = zero_base[np.repeat(np.arange(len(sizes)), sizes)] + high_values
         seq = np.repeat(np.arange(len(sizes)), n_samples)
         zero = (np.arange(len(seq)) - prefix_offsets(n_samples)[seq] + 1) << _SAMPLE_SHIFT

@@ -21,20 +21,21 @@
  * when it is 4 and as int64_t when it is 8, which FlatEliasFano sets from
  * the offsets' own dtype, so an offset is read at the width it is stored.
  *
- * Reads stay inside the arrays for every index that FlatEliasFano.from_values
- * builds or FlatEliasFano.from_words accepts.  ef_rank rejects a lane whose
- * sequence is not in [0, nseq), the length of widths and one less than the
- * length of each offset array, before it reads that lane's width or
- * offsets.  from_words checks that each
- * high part holds exactly one set bit per value and ends with a zero, so
- * it holds exactly ((u - 1) >> width) + 1 zeros, and the samples are
- * recomputed from those bits.  A lane's x is clamped to [0, u), so its
- * bucket h is at most the index of the last zero, zero h - 1 and zero h both
- * exist inside the sequence's high part, the sample read is one of the
- * sequence's own, and every value walked is one of its n values, whose low
- * part lies inside `lows` (which ends with two spare words).  The low bits
- * are not checked at load; they only feed comparisons, never addresses.
- * So a rank is at most the sequence's length.
+ * Reads stay inside the arrays of every codec, as FlatEliasFano.from_values
+ * makes every one, at build and at load alike: no file stores a word.
+ * ef_rank rejects a lane whose sequence is not in [0, nseq), the length of
+ * widths and one less than the length of each offset array, before it reads
+ * that lane's width or offsets.  The encoder writes one set bit per value,
+ * each checked to lie in [0, u) and, as the callers guarantee (the greedy at
+ * build, IISIndex.from_bytes's check at load), above the one before it, so
+ * a high part holds exactly n set bits and ((u - 1) >> width) + 1 zeros,
+ * the last bit being a zero, and the samples are computed from the values'
+ * high parts.  A lane's x is clamped to [0, u), so its bucket h is at most
+ * the index of the last zero, zero h - 1 and zero h both exist inside the
+ * sequence's high part, the sample read is one of the sequence's own, and
+ * every value walked is one of its n values, whose low part lies inside
+ * `lows` (which ends with two spare words).  So a rank is at most the
+ * sequence's length.
  *
  * Window walk.  Node k's children are rows first[k] .. first[k] + counts[k]
  * - 1 of the node table when k < n_internal, and leaf slots otherwise; slot
@@ -55,7 +56,8 @@
  * accepts: from_bytes checks that no set is empty and that the rows per
  * set add up to the record table's row count, and takes seg_sets from the
  * record table's segment offsets, checking that each is a set's first row,
- * so seg_sets ascends from 0 to the set count.  Row ids never come from a
+ * so seg_sets ascends from 0 to the set count; the sequences it encodes
+ * from the record table's ticks (see Rank).  Row ids never come from a
  * file: only a stand-alone index (IISIndex.from_ticks) has them, one per
  * row, each below the row count.  The query reads these arrays through
  * the iis_index struct that IISIndex fills once, and the sequences through
@@ -471,8 +473,8 @@ static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, con
             continue;
         for (int64_t k = ix->seg_sets[g]; k < ix->seg_sets[g + 1]; k++) {
             int64_t last = rank_lane(&seqs, 2 * k, r), skip = rank_lane(&seqs, 2 * k + 1, l1);
-            /* never the other way round on a valid index; flipped low
-             * bits, which load unchecked, can put an end before its start */
+            /* no row: l1 >= r, which only a direct call with a start
+             * time past the end time gives, can rank more ends than starts */
             if (last <= skip)
                 continue;
             if (n + last - skip > cap) {

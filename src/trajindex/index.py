@@ -33,6 +33,7 @@ Python int is made per id unless the caller iterates.
 
 from __future__ import annotations
 
+import copy
 import operator
 import struct
 from collections.abc import Callable, Set
@@ -66,7 +67,7 @@ from .temporal.base import range_query_error
 from .temporal.iis import IISIndex
 
 MAGIC = b"TJIX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 
 _BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
@@ -277,6 +278,11 @@ class TrajIndex:
         first record it cannot index, or for a network whose edges are not
         the segments between their node pairs (see ``_check_edges``)."""
         cfg = cfg or TrajIndexConfig()
+        # the index's own lists, which a save writes, so that a caller's later
+        # edits cannot reach it; a shallow copy skips Network's per-edge check
+        network = copy.copy(network)
+        network.nodes, network.edges = list(network.nodes), list(network.edges)
+        network.edge_nodes = list(map(tuple, network.edge_nodes))
         n_edges = len(network.edges)
         seg, obj = np.asarray(segments), np.asarray(object_ids)
         t_start, t_end = np.asarray(t_start, dtype=np.float64), np.asarray(t_end, dtype=np.float64)
@@ -413,7 +419,7 @@ def _check_edges(network: Network, index: TrajIndex) -> None:
         raise IngestionError(f"edge {eid} does not run between its nodes {tuple(pairs[eid].tolist())}")
 
 
-# -- binary format (version 4) ---------------------------------------------
+# -- binary format (version 5) ---------------------------------------------
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
 # network block | R-tree block | record table | temporal block.
@@ -422,11 +428,13 @@ def _check_edges(network: Network, index: TrajIndex) -> None:
 # its boxes are recomputed from the network at load.
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
-# ordered by segment; load checks the times as a build does.  The temporal
-# block is a u64 length and, for the iis
-# backend, its universe, set sizes and sequence words (``IISIndex.to_bytes``);
-# the sets of each segment follow from the record table at load.  The
-# other backends are rebuilt from the record table at load.
+# ordered by segment; load checks the times as a build does and turns them
+# into ticks once, the one source of ticks at load.  The temporal block is a
+# u64 length and, for the iis backend, the set index's shape: its set count
+# and rows per set (``IISIndex.to_bytes``).  The sets of each segment follow
+# from the record table, and ``IISIndex.from_bytes`` checks that each set is
+# independent and encodes its ticks as a build does.  The other backends are
+# rebuilt from the record table at load.
 # Load reads every part through one ``Reader``: a block's reads stay inside
 # its length, and each block, like the whole file, must be read to its end.
 
@@ -495,13 +503,13 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         raise FormatError(f"{_record(pos, object_ids[pos], t_start[pos], t_end[pos])}: {_TIME_RULE}")
     temporal_block = rd.block("temporal block")
     rd.finish()
+    starts = discretize_times(t_start, cfg.scale)
+    ends = discretize_times(t_end, cfg.scale)
     if cfg.temporal_backend == "iis":
-        temporal = IISIndex.from_bytes(temporal_block, seg_rows)
+        temporal = IISIndex.from_bytes(temporal_block, seg_rows, starts, ends)
         temporal_block.finish()
     else:
         if temporal_block.end > temporal_block.start:
             raise FormatError("unexpected temporal block")
-        starts = discretize_times(t_start, cfg.scale)
-        ends = discretize_times(t_end, cfg.scale)
         temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows)
     return TrajIndex(network, load_rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)

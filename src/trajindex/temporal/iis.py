@@ -21,9 +21,12 @@ start inside a set, so the answer to a query is a run of rows per set.
 A compiled counting sort by set, over the records in the decomposition's
 order, gives that row order.  Every set stores its starts and its ends as two
 Elias-Fano sequences; the sequences of all sets live in one
-:class:`FlatEliasFano`, written by its compiled encoder.  A query is
-one call into a compiled kernel (``eliasfano_rank.c``, loaded by
-``kernel.py``), which reads the index's arrays through one
+:class:`FlatEliasFano`, written by its compiled encoder.  A file stores
+only the index's shape, the rows of each set: a load checks that every set
+is independent and encodes the record table's ticks through the same path
+as a build, so a loaded index is the one a build over those sets gives.
+A query is one call into a compiled kernel (``eliasfano_rank.c``, loaded
+by ``kernel.py``), which reads the index's arrays through one
 ``iis_index`` struct, filled when the index is made and pointing to its
 codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  ``query``
@@ -45,8 +48,8 @@ from ..eliasfano import EliasFanoSeq, FlatEliasFano, prefix_offsets
 from ..kernel import ffi, lib
 from .base import TemporalIndexBase, check_query, range_query_error
 
-# universe, set count
-_IIS_HEADER = struct.Struct("<QI")
+# set count
+_IIS_HEADER = struct.Struct("<I")
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -195,15 +198,21 @@ class IISIndex(TemporalIndexBase):
                         _int64s(order))
         set_segment = np.asarray(segments, dtype=np.int64)[order[set_rows[:-1]]]
         seg_sets = prefix_offsets(np.bincount(set_segment, minlength=n_segments))
-        # set k's starts, then its ends, at 2 * set_rows[k]
-        row_set = assignment[order]
-        at = np.arange(n) + set_rows[row_set]
+        return cls(seg_sets, set_rows, cls._encode(set_rows, starts[order], ends[order])), order
+
+    @staticmethod
+    def _encode(set_rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> FlatEliasFano:
+        """The sequences of sets delimited by ``set_rows`` over the ticks
+        of their rows: set k's starts at ``2 * set_rows[k]``, then its ends,
+        over the universe ``u = max end + 1``."""
+        set_sizes = np.diff(set_rows)
+        n = len(starts)
+        at = np.arange(n) + np.repeat(set_rows[:-1], set_sizes)
         values = np.empty(2 * n, dtype=np.int64)
-        values[at] = starts[order]
-        values[at + set_sizes[row_set]] = ends[order]
+        values[at] = starts
+        values[at + np.repeat(set_sizes, set_sizes)] = ends
         u = int(ends.max()) + 1 if n else 0
-        seqs = FlatEliasFano.from_values(values, np.repeat(set_sizes, 2), u)
-        return cls(seg_sets, set_rows, seqs), order
+        return FlatEliasFano.from_values(values, np.repeat(set_sizes, 2), u)
 
     # -- queries -----------------------------------------------------------
 
@@ -285,40 +294,36 @@ class IISIndex(TemporalIndexBase):
     # -- serialization ---------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Header, rows per set (``u32``), padding to 8 bytes, then the low
-        words and the high words of all sequences; the sets per segment
-        follow from the file's record table.  A stand-alone index, whose
-        row ids no file holds, raises ``ValueError``."""
+        """The set count (``u32``) and the rows per set (``u32``): the
+        index's shape, from which ``from_bytes`` encodes the record table's
+        ticks.  A stand-alone index, whose row ids no file holds, raises
+        ``ValueError``."""
         if self.row_ids is not None:
             raise ValueError("a stand-alone set index maps rows to row ids and is not written to a file")
-        out = bytearray(_IIS_HEADER.pack(self.u, self.m))
-        out += np.diff(self.set_rows).astype("<u4").tobytes()
-        out += b"\0" * (-len(out) % 8)
-        out += self.seqs.lows[:-2].astype("<u8").tobytes()  # without the two spare words
-        out += self.seqs.highs.astype("<u8").tobytes()
-        return bytes(out)
+        return _IIS_HEADER.pack(self.m) + np.diff(self.set_rows).astype("<u4").tobytes()
 
     @classmethod
-    def from_bytes(cls, reader: Reader, seg_rows: np.ndarray) -> "IISIndex":
-        """Decode and check the index that ``reader`` reads next, over the
-        segments whose rows ``seg_rows`` delimits.  Raises ``FormatError``
-        when it is truncated, its set sizes do not add up to the rows, a
-        segment's rows do not begin at a set or a high part is malformed;
-        low bits are not checked."""
-        u, m = reader.unpack(_IIS_HEADER)
+    def from_bytes(cls, reader: Reader, seg_rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> "IISIndex":
+        """The index whose shape ``reader`` reads next, over the segments
+        whose rows ``seg_rows`` delimits and the rows' ticks ``starts`` and
+        ``ends`` (each start at most its end), encoded as ``from_segments``
+        encodes a build.  Raises ``FormatError`` when the shape is
+        truncated, its set sizes do not add up to the rows, a segment's rows
+        do not begin at a set, or a set's starts or ends do not strictly
+        increase."""
+        (m,) = reader.unpack(_IIS_HEADER)
         set_sizes = reader.array("<u4", m).astype(np.int64)
-        reader.pad()
         if set_sizes.sum() != seg_rows[-1] or (m and set_sizes.min() == 0):
             raise FormatError("set index sizes are not all positive or do not add up to the record table's rows")
-        if u >= 1 << 62 or (m and set_sizes.max() > u):
-            raise FormatError(f"set index universe {u} cannot hold its sets")
         set_rows = prefix_offsets(set_sizes)
         # a segment's sets are contiguous, so its first row is a set's first
         seg_sets = np.searchsorted(set_rows, seg_rows)
         if (set_rows[seg_sets] != seg_rows).any():
             raise FormatError("temporal block segment offsets disagree with the record table")
-        sizes = np.repeat(set_sizes, 2)
-        n_low, n_high = FlatEliasFano.word_counts(u, sizes)
-        lows = reader.array("<u8", n_low).astype(np.uint64)
-        highs = reader.array("<u8", n_high).astype(np.uint64)
-        return cls(seg_sets, set_rows, FlatEliasFano.from_words(u, sizes, lows, highs))
+        # rows i and i + 1 of one set: neither interval may nest in the other
+        rising = (np.diff(starts) > 0) & (np.diff(ends) > 0)
+        rising[set_rows[1:-1] - 1] = True  # a set's last row and the next set's first
+        if not rising.all():
+            k = int(np.searchsorted(set_rows, np.argmin(rising), side="right")) - 1
+            raise FormatError(f"set {k} of the set index is not independent: its starts and ends must rise")
+        return cls(seg_sets, set_rows, cls._encode(set_rows, starts, ends))

@@ -6,6 +6,7 @@ check: full scans, quadratic DP and exponential enumeration.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 
 import numpy as np
@@ -19,7 +20,7 @@ from trajindex import (
     discretize_time,
     segments_intersect_window,
 )
-from trajindex.eliasfano import FlatEliasFano, prefix_offsets
+from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano, prefix_offsets
 
 BACKEND_NAMES = ("linear", "interval_tree", "schmidt", "iis")
 
@@ -292,4 +293,8 @@ def reference_encoding(values, sizes, u: int) -> FlatEliasFano:
     bits = np.zeros(-(-int(high_bits.sum()) // 64) * 64, dtype=np.uint8)
     bits[prefix_offsets(high_bits)[seq] + (values >> width) + index] = 1
     highs = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
-    return FlatEliasFano._with_samples(u, sizes, widths, lows, highs, values >> width)
+    # per sequence, the position of every SELECT_SAMPLE-th zero of its high part, from zero number SELECT_SAMPLE on
+    zeros = [np.flatnonzero(bits[a:b] == 0)[SELECT_SAMPLE::SELECT_SAMPLE]
+             for a, b in itertools.pairwise(prefix_offsets(high_bits).tolist())]
+    samples = np.append(np.concatenate([np.zeros(0, np.int64), *zeros]), 0).astype(np.uint32)
+    return FlatEliasFano(u, sizes, lows, highs, samples)

@@ -213,7 +213,7 @@ class TestReader:
         assert rd.unpack(struct.Struct("<H")) == (7,)
         block = rd.block("test block")
         assert block.array("<u4", 1).tolist() == [5]
-        block.pad()  # to the block's 8th byte (the data's 18th), not the data's 16th
+        block.unpack(struct.Struct("<4x"))
         assert block.array("<u8", 1).tolist() == [9]
         block.finish()
         assert rd.array("<u2", 1).tolist() == [3]
@@ -235,15 +235,9 @@ class TestReader:
                 rd.unpack(struct.Struct("<H"))
                 block = rd.block("test block")
                 block.array("<u4", 1)
-                block.pad()
+                block.unpack(struct.Struct("<4x"))
                 block.array("<u8", 1)
                 rd.array("<u2", 1)
-
-    def test_pad_past_the_end(self):
-        rd = Reader(bytes(5), "tail")
-        rd.array("<u1", 1)
-        with pytest.raises(FormatError, match="truncated tail"):
-            rd.pad()
 
     def test_unread_bytes_are_a_length_mismatch(self):
         rd = Reader(self.DATA)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajindex import EliasFanoSeq, FormatError, InvalidInputError
+from trajindex import EliasFanoSeq, InvalidInputError
 from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano, concat_ranges
 
 from helpers import reference_encoding
@@ -169,25 +169,6 @@ class TestFlat:
             assert sequence_bits(view) == sequence_bits(alone)
             assert flat.payload_bits()[q] == alone.payload_bits
             assert flat.select_overhead_bits()[q] == alone.select_overhead_bits
-
-    def test_words_round_trip_and_checks(self):
-        universe = 10**5
-        seqs = family(4, universe, 6)
-        sizes = [len(v) for v in seqs]
-        flat = FlatEliasFano.from_values(np.concatenate(seqs), sizes, universe)
-        n_low, n_high = FlatEliasFano.word_counts(universe, np.array(sizes))
-        lows, highs = flat.lows[:n_low], flat.highs[:n_high]
-        again = FlatEliasFano.from_words(universe, sizes, lows, highs)
-        assert (again.samples == flat.samples).all() and (again.high_base == flat.high_base).all()
-        one = int(np.flatnonzero(highs)[len(highs) // 2])
-        cleared = highs.copy()
-        cleared[one] &= cleared[one] - np.uint64(1)
-        with pytest.raises(FormatError):
-            FlatEliasFano.from_words(universe, sizes, lows, cleared)
-        moved = highs.copy()
-        moved[-1] |= np.uint64(1) << np.uint64(63)  # a bit past the last sequence
-        with pytest.raises(FormatError):
-            FlatEliasFano.from_words(universe, sizes, lows, moved)
 
 
 class TestEncoder:

@@ -549,22 +549,26 @@ class TestSerialization:
     @staticmethod
     def indexed(rng, n=400):
         """An index over segments 0..6, three of them empty, as
-        ``from_segments`` builds it, and the rows of each segment."""
+        ``from_segments`` builds it, the rows of each segment and the ticks
+        of the rows, in row order."""
         starts, lengths = scenario_arrays(rng, "random", n)
         s, e = record_tick_arrays(make_records(starts, lengths), ScaleConfig(3))
         segment = rng.choice([0, 1, 4, 6], len(s))
-        index, _ = IISIndex.from_segments(s, e, segment, 7)
-        return index, prefix_offsets(np.bincount(segment, minlength=7))
+        index, order = IISIndex.from_segments(s, e, segment, 7)
+        return index, prefix_offsets(np.bincount(segment, minlength=7)), s[order], e[order]
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
-        index, seg_rows = self.indexed(rng)
+        index, seg_rows, starts, ends = self.indexed(rng)
         data = index.to_bytes()
+        assert len(data) == 4 + 4 * index.m  # the shape only: the set count and the rows per set
         reader = Reader(data)
-        decoded = IISIndex.from_bytes(reader, seg_rows)
+        decoded = IISIndex.from_bytes(reader, seg_rows, starts, ends)
         reader.finish()  # read to the last byte
         assert decoded.seg_sets.tolist() == index.seg_sets.tolist()
         assert decoded.set_rows.tolist() == index.set_rows.tolist()
+        for name in ("widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples"):
+            assert np.array_equal(getattr(decoded.seqs, name), getattr(index.seqs, name)), name
         for _ in range(40):
             l = int(rng.integers(0, 10**6))
             r = l + int(rng.integers(0, 10**5))
@@ -574,11 +578,11 @@ class TestSerialization:
         assert decoded.to_bytes() == data
 
     def test_truncated_rejected(self):
-        index, seg_rows = self.indexed(np.random.default_rng(12), 40)
+        index, seg_rows, starts, ends = self.indexed(np.random.default_rng(12), 40)
         data = index.to_bytes()
-        for cut in (4, len(data) // 2, len(data) - 4):
+        for cut in (2, len(data) // 2, len(data) - 4):
             with pytest.raises(FormatError, match="truncated"):
-                IISIndex.from_bytes(Reader(data[:cut]), seg_rows)
+                IISIndex.from_bytes(Reader(data[:cut]), seg_rows, starts, ends)
 
     def test_stand_alone_index_is_not_written(self):
         index = IISIndex.build(make_records(range(0, 80, 2), [3] * 40), ScaleConfig(0))

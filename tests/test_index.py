@@ -1013,6 +1013,35 @@ class TestPersistence:
         loaded.save(str(path))
         assert path.read_bytes() == spliced
 
+    def test_network_edited_after_the_build_is_not_saved(self, tmp_path):
+        """The index owns its network: a caller's later edit of the lists
+        it was built from reaches neither its answers nor its file."""
+        nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)]
+        net = Network(nodes, [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[1], nodes[2])], [(0, 1), (1, 2)])
+        index = TrajIndex.build(net, [(0, REC(7, TimeInterval(0.0, 1.0))), (1, REC(8, TimeInterval(0.0, 1.0)))])
+        window = Rect(0.2, -0.1, 0.4, 0.1)
+        assert index.range_query(window, 0.0, 1.0).object_ids == {7}
+        net.edge_nodes[1] = (0, 3)  # edge 1 would now cross the window
+        path = str(tmp_path / "x.tjix")
+        index.save(path)
+        assert index.range_query(window, 0.0, 1.0).object_ids == {7}
+        loaded = TrajIndex.load(path)
+        assert loaded.network.edge_nodes == [(0, 1), (1, 2)]
+        assert loaded.range_query(window, 0.0, 1.0).object_ids == {7}
+
+    def test_loaded_sequences_equal_the_build(self, tmp_path):
+        """A load encodes the record table's ticks as the build did: every
+        array of the Elias-Fano sequences is the build's."""
+        net = gen_grid_network(10, 10)
+        index = TrajIndex.build(net, gen_trajectories(net, 40, 30.0, seed=13), TrajIndexConfig(scale=ScaleConfig(6)))
+        path = str(tmp_path / "x.tjix")
+        index.save(path)
+        loaded = TrajIndex.load(path)
+        assert loaded.temporal.m == index.temporal.m > len(net.edges) // 2
+        for name in ("widths", "low_base", "high_base", "sample_base", "lows", "highs", "samples"):
+            got, want = getattr(loaded.temporal.seqs, name), getattr(index.temporal.seqs, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_version_mismatch(self, tmp_path):
         net, records = two_segment_setup()
         index = TrajIndex.build(net, records)
@@ -1027,7 +1056,7 @@ class TestPersistence:
 
 
 class TestFormatChecks:
-    """A corrupt version-4 file fails at load, never at query time."""
+    """A corrupt version-5 file fails at load, never at query time."""
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -1047,7 +1076,7 @@ class TestFormatChecks:
     @classmethod
     def layout(cls, index, data: bytes) -> dict:
         """Byte offsets of the record table and of the set index block: its
-        universe (u64) and set count (u32), then each set's size (u32)."""
+        set count (u32), then each set's size (u32)."""
         net = index.network
         records = cls.record_table(index)
         block = len(data) - len(index.temporal.to_bytes())
@@ -1055,15 +1084,33 @@ class TestFormatChecks:
             "record_counts": records,
             "object_ids": records + 4 * len(net.edges),
             "block": block,
-            "set_sizes": block + 12,
-            "highs": len(data) - 8 * len(index.temporal.seqs.highs),
+            "set_sizes": block + 4,
         }
+
+    @classmethod
+    def with_set_sizes(cls, index, data: bytes, sizes) -> bytes:
+        """``data`` with the set index's shape replaced by these set sizes."""
+        shape = struct.pack("<I", len(sizes)) + np.asarray(sizes, dtype="<u4").tobytes()
+        return data[:cls.layout(index, data)["block"] - 8] + struct.pack("<Q", len(shape)) + shape
+
+    @staticmethod
+    def fuzz_queries(index, seed: int) -> list:
+        """300 windows around the network and time ranges over the records'."""
+        rng = np.random.default_rng(seed)
+        box = index.network.bounds()
+        queries = []
+        for _ in range(300):
+            x0, x1 = np.sort(rng.uniform(box.xmin - 0.5, box.xmax + 0.5, 2))
+            y0, y1 = np.sort(rng.uniform(box.ymin - 0.5, box.ymax + 0.5, 2))
+            t0, t1 = np.sort(rng.uniform(0.0, 31.0, 2))
+            queries.append((Rect(x0, y0, x1, y1), t0, t1))
+        return queries
 
     def test_truncation_at_every_part(self, saved):
         index, data, bad = saved
         at = self.layout(index, data)
-        cuts = [at["record_counts"] + 2, at["object_ids"] + 5, at["block"] - 3, at["block"] + 6,
-                at["set_sizes"] + 4, at["highs"] - 8, at["highs"] + 3, len(data) - 1]
+        cuts = [at["record_counts"] + 2, at["object_ids"] + 5, at["block"] - 3, at["block"] + 2,
+                at["set_sizes"] + 4, len(data) - 1]
         for cut in cuts:
             bad.write_bytes(data[:cut])
             with pytest.raises(FormatError, match="truncated"):
@@ -1073,7 +1120,7 @@ class TestFormatChecks:
         index, data, bad = saved
         at = self.layout(index, data)
         for where, value in ((at["record_counts"], 2**31), (at["set_sizes"], len(index.object_ids) + 1),
-                             (at["block"] + 8, 2**20)):  # a segment's records, a set's rows, the set count
+                             (at["block"], 2**20)):  # a segment's records, a set's rows, the set count
             corrupt = bytearray(data)
             corrupt[where: where + 4] = struct.pack("<I", value)
             bad.write_bytes(bytes(corrupt))
@@ -1191,9 +1238,10 @@ class TestFormatChecks:
         assert 0 < result["loaded"] < len(mutants)
 
     def test_temporal_block_fuzz(self, saved, tmp_path):
-        """A flipped, cut or excised byte in the set index block either fails
-        at load or leaves every query answering, with ids the index holds.
-        The mutants run in a child process, so a crash fails the test."""
+        """A flipped, cut or excised byte, or two swapped set sizes, in the
+        set index block either fail at load or leave every answer exactly
+        the original's.  The mutants run in a child process, so a crash
+        fails the test."""
         index, data, _ = saved
         start = self.layout(index, data)["block"]
         rng = np.random.default_rng(29)
@@ -1205,26 +1253,63 @@ class TestFormatChecks:
         for pos in rng.integers(start, len(data), 50).tolist():
             mutants.append(data[:pos])
             mutants.append(data[:pos] + data[pos + int(rng.integers(1, 9)):])
-        (tmp_path / "original.tjix").write_bytes(data)
+        sizes = np.diff(index.temporal.set_rows)
+        for i, j in rng.integers(0, len(sizes), (40, 2)).tolist():
+            swapped = sizes.copy()
+            swapped[[i, j]] = sizes[[j, i]]
+            mutants.append(self.with_set_sizes(index, data, swapped))
+        loaded = self.run_mutants(tmp_path, index, data, mutants, """
+            want = [original.range_query(*q).object_ids for q in queries]
+
+            def expected(index):
+                return want
+        """)
+        print(f"{len(mutants)} temporal-block mutants: {loaded} loaded")
+        assert loaded < len(mutants)
+
+    def test_record_table_fuzz(self, saved, tmp_path):
+        """A flipped byte in the record table's object ids or times either
+        fails at load or leaves a file that answers exactly like a fresh
+        build over its own network and columns.  The mutants run in a child
+        process, so a crash fails the test."""
+        index, data, _ = saved
+        at = self.layout(index, data)
+        rng = np.random.default_rng(37)
+        mutants = []
+        for pos in rng.integers(at["object_ids"], at["block"] - 8, 150).tolist():  # up to the block's length
+            flipped = bytearray(data)
+            flipped[pos] ^= int(rng.integers(1, 256))
+            mutants.append(bytes(flipped))
+        loaded = self.run_mutants(tmp_path, index, data, mutants, """
+            def expected(index):
+                segments = np.repeat(np.arange(len(index.network.edges)), np.diff(index.seg_rows))
+                fresh = TrajIndex.from_columns(index.network, segments, index.object_ids, index.t_start,
+                                               index.t_end, index.cfg)
+                return [fresh.range_query(*q).object_ids for q in queries]
+        """)
+        print(f"{len(mutants)} record-table mutants: {loaded} loaded")
+        assert 0 < loaded < len(mutants)
+
+    def run_mutants(self, folder, index, data: bytes, mutants: list, expected: str) -> int:
+        """Loads each mutant in a child process and checks that every one
+        that loads answers the fuzz queries with ``expected(index)``, which
+        the code ``expected`` defines, over the loaded ``original`` file
+        and the ``queries``.  Returns the number of mutants that loaded."""
+        (folder / "original.tjix").write_bytes(data)
         for i, mutant in enumerate(mutants):
-            (tmp_path / f"mutant{i}.tjix").write_bytes(mutant)
+            (folder / f"mutant{i}.tjix").write_bytes(mutant)
+        queries = [[float(w.xmin), float(w.ymin), float(w.xmax), float(w.ymax), float(t0), float(t1)]
+                   for w, t0, t1 in self.fuzz_queries(index, 31)]
+        (folder / "queries.json").write_text(json.dumps(queries))
         child = textwrap.dedent("""
             import json, sys
             import numpy as np
             from trajindex import FormatError, Rect, TrajIndex
             folder, count = sys.argv[1], int(sys.argv[2])
             original = TrajIndex.load(f"{folder}/original.tjix")
-            ids = set(original.object_ids.tolist())
-            rng = np.random.default_rng(31)
-            box = original.network.bounds()
-            queries = []
-            for _ in range(300):
-                x0, x1 = np.sort(rng.uniform(box.xmin - 0.5, box.xmax + 0.5, 2))
-                y0, y1 = np.sort(rng.uniform(box.ymin - 0.5, box.ymax + 0.5, 2))
-                t0, t1 = np.sort(rng.uniform(0.0, 31.0, 2))
-                queries.append((Rect(x0, y0, x1, y1), t0, t1))
-            want = [original.range_query(*q).object_ids for q in queries]
-            loaded = wrong = 0
+            queries = [(Rect(*q[:4]), q[4], q[5]) for q in json.load(open(f"{folder}/queries.json"))]
+        """) + textwrap.dedent(expected) + textwrap.dedent("""
+            loaded = 0
             for i in range(count):
                 try:
                     index = TrajIndex.load(f"{folder}/mutant{i}.tjix")
@@ -1232,17 +1317,14 @@ class TestFormatChecks:
                     continue
                 loaded += 1
                 got = [index.range_query(*q).object_ids for q in queries]
-                assert all(found <= ids for found in got), f"mutant {i} answered an id the index lacks"
-                wrong += got != want
-            print(json.dumps({"loaded": loaded, "wrong": wrong}))
+                assert got == expected(index), f"mutant {i} answered differently"
+            print(json.dumps({"loaded": loaded}))
         """)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [os.fspath(SRC), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", child, os.fspath(tmp_path), str(len(mutants))], env=env,
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, os.fspath(folder), str(len(mutants))], env=env,
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr[-4000:]
-        result = json.loads(proc.stdout.splitlines()[-1])
-        print(f"{len(mutants)} temporal-block mutants: {result['loaded']} loaded, {result['wrong']} answered wrongly")
-        assert 0 < result["loaded"] < len(mutants)
+        return json.loads(proc.stdout.splitlines()[-1])["loaded"]
 
     def test_unknown_backend_tag(self, saved):
         _, data, bad = saved
@@ -1305,15 +1387,38 @@ class TestFormatChecks:
         with pytest.raises(FormatError, match="index file length mismatch"):
             TrajIndex.load(str(bad))
 
-    def test_cleared_high_bit(self, saved):
+    def test_crafted_set_shapes(self, saved):
+        """A file may partition each segment's rows into any independent
+        sets.  Every set split into singletons, or cut at random rows, loads
+        and answers exactly like the original; two adjacent sets of one
+        segment merged into one, which breaks independence, fail at load."""
         index, data, bad = saved
-        at = self.layout(index, data)
-        corrupt = bytearray(data)
-        pos = next(i for i in range(at["highs"], len(data)) if corrupt[i])
-        corrupt[pos] &= corrupt[pos] - 1  # clear the lowest set bit
-        bad.write_bytes(bytes(corrupt))
-        with pytest.raises(FormatError, match="set bit per value"):
-            TrajIndex.load(str(bad))
+        sizes = np.diff(index.temporal.set_rows)
+        n = len(index.object_ids)
+        queries = self.fuzz_queries(index, 41)
+        want = [index.range_query(*q, verbose=True) for q in queries]
+        rng = np.random.default_rng(43)
+        cuts = [np.ones(n, dtype=np.int64)]  # singletons
+        for _ in range(3):
+            begins = rng.random(n) < 0.3
+            begins[index.temporal.set_rows[:-1]] = True
+            cuts.append(np.diff(np.append(np.flatnonzero(begins), n)))
+        for shape in cuts:
+            bad.write_bytes(self.with_set_sizes(index, data, shape))
+            loaded = TrajIndex.load(str(bad))
+            assert loaded.temporal.m == len(shape) > index.temporal.m
+            for q, result in zip(queries, want):
+                got = loaded.range_query(*q, verbose=True)
+                assert got.object_ids == result.object_ids
+                assert sorted(got.matches, key=repr) == sorted(result.matches, key=repr)
+        seg_of_set = np.searchsorted(index.temporal.seg_sets, np.arange(len(sizes)), side="right")
+        pairs = np.flatnonzero(seg_of_set[:-1] == seg_of_set[1:])  # sets k and k + 1 of one segment
+        assert len(pairs) >= 5
+        for k in pairs[:: len(pairs) // 5].tolist():
+            merged = np.concatenate([sizes[:k], [sizes[k] + sizes[k + 1]], sizes[k + 2:]])
+            bad.write_bytes(self.with_set_sizes(index, data, merged))
+            with pytest.raises(FormatError, match=f"set {k} of the set index is not independent"):
+                TrajIndex.load(str(bad))
 
     def test_digits_byte_out_of_range(self, saved):
         _, data, bad = saved
@@ -1325,7 +1430,7 @@ class TestFormatChecks:
 
     def test_version_1_file_rejected(self, saved):
         _, data, bad = saved
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             bad.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
             with pytest.raises(VersionError):
                 TrajIndex.load(str(bad))

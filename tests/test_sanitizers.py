@@ -39,6 +39,8 @@ KERNEL_TESTS = [
     "tests/test_index.py::TestWorkloadMatches",  # every backend's answers and verbose rows
     "tests/test_index.py::TestFormatChecks::test_spatial_block_fuzz",  # queries on corrupt files that load
     "tests/test_index.py::TestFormatChecks::test_temporal_block_fuzz",
+    "tests/test_index.py::TestFormatChecks::test_record_table_fuzz",
+    "tests/test_index.py::TestFormatChecks::test_crafted_set_shapes",  # loaded set shapes, queried in process
 ]
 
 # Loads the sanitized build named by argv[1:3] in place of the package's own.
