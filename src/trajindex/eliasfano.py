@@ -11,11 +11,11 @@ SELECT_SAMPLE zeros) so that rank runs in near-constant time.
 There is one codec: :class:`FlatEliasFano` packs any number of such
 sequences back to back and ranks any number of (sequence, value) lanes
 in one call into a small C kernel: per lane it jumps to the nearest
-select sample, skips zeros word by word with popcount, selects inside the
-word and walks the bucket's values comparing low parts (Vigna, "Broadword
-implementation of rank/select queries", WEA 2008).  :class:`EliasFanoSeq`
-is a view of one sequence of a :class:`FlatEliasFano` and stores no words
-of its own.
+select sample, skips whole words by their count of zeros, selects the zero
+inside its word with broadword arithmetic and walks the bucket's values
+comparing low parts (Vigna, "Broadword implementation of rank/select
+queries", WEA 2008).  :class:`EliasFanoSeq` is a view of one sequence of a
+:class:`FlatEliasFano` and stores no words of its own.
 
 :meth:`FlatEliasFano.from_values`, the one way a codec is made, at build
 and at load alike, encodes in one call into a compiled loop that checks

@@ -15,7 +15,16 @@
  * samples[sample_base[q]..]: sample s is the position, counted from
  * high_base[q], of zero number (s + 1) * 128 of the high part.  Value i
  * of a sequence with high part h sits at bit h + i of the high part, so
- * the values of bucket h lie between zeros h - 1 and h.  The rank reads
+ * the values of bucket h lie between zeros h - 1 and h.  The rank of x,
+ * whose bucket is h, jumps to the last sample at or before zero h - 1,
+ * skips whole words of the high part by their count of zeros, selects zero
+ * h - 1 inside its word and walks bucket h's values, comparing low parts.
+ * The count and the select are broadword (S. Vigna, "Broadword
+ * Implementation of Rank/Select Queries", WEA 2008): a SWAR popcount, and a
+ * branch-free select that finds the byte by per-byte prefix counts and a
+ * bytewise <=, then the bit inside the byte the same way.  They are plain C,
+ * with no ISA flag, intrinsic or library call: at the kernel's flags, GCC
+ * turns its popcount builtin into a call into libgcc.  The rank reads
  * these arrays through the ef_seqs struct that FlatEliasFano fills once,
  * and the three section offsets through its offset_size field: as uint32_t
  * when it is 4 and as int64_t when it is 8, which FlatEliasFano sets from
@@ -133,19 +142,49 @@
 
 #define SAMPLE_SHIFT 7 /* log2 of SELECT_SAMPLE */
 
-/* Position of the set bit of w that has r set bits below it; r < popcount(w). */
+#define BYTE_ONES UINT64_C(0x0101010101010101)  /* 0x01 in every byte */
+#define BYTE_TOPS UINT64_C(0x8080808080808080)  /* the top bit of every byte */
+#define BYTE_LOWS UINT64_C(0x7F7F7F7F7F7F7F7F)  /* the low seven bits of every byte */
+#define BYTE_STEPS UINT64_C(0x8040201008040201) /* bit j in byte j */
+
+/* The set bits of w in bytes 0 .. j, in byte j: the bits are counted in
+ * pairs, nibbles and bytes, and a product by BYTE_ONES adds each byte into
+ * every byte above it.  No count exceeds 64, so no byte carries. */
+static inline uint64_t byte_prefix_counts(uint64_t w)
+{
+    w -= (w >> 1) & UINT64_C(0x5555555555555555);
+    w = (w & UINT64_C(0x3333333333333333)) + ((w >> 2) & UINT64_C(0x3333333333333333));
+    w = (w + (w >> 4)) & UINT64_C(0x0F0F0F0F0F0F0F0F);
+    return w * BYTE_ONES;
+}
+
+static inline int popcount64(uint64_t w)
+{
+    return (int)(byte_prefix_counts(w) >> 56);
+}
+
+/* How many bytes of x are <= the same byte of y, for bytes below 0x80:
+ * y's byte with its top bit set, less x's, keeps that bit exactly when
+ * x's byte is <= y's, and never borrows from the next byte. */
+static inline int bytes_at_most(uint64_t x, uint64_t y)
+{
+    return (int)(((((y | BYTE_TOPS) - x) & BYTE_TOPS) >> 7) * BYTE_ONES >> 56);
+}
+
+/* Position of the set bit of w that has r set bits below it; r < popcount(w).
+ * The bytes whose prefix count is <= r lie below the bit's byte, and the
+ * bits of that byte whose prefix count is <= what is left of r lie below
+ * the bit (see Rank).  To count the byte's bits, it is copied into every
+ * byte and byte j keeps only bit j, which is at most 0x80, so adding 0x7F
+ * carries into its top bit exactly when that bit is set. */
 static inline int select64(uint64_t w, int r)
 {
-    int pos = 0, c;
-    c = __builtin_popcountll(w & 0xFFFFFFFFu);
-    if (r >= c) { r -= c; w >>= 32; pos = 32; }
-    c = __builtin_popcountll(w & 0xFFFFu);
-    if (r >= c) { r -= c; w >>= 16; pos += 16; }
-    c = __builtin_popcountll(w & 0xFFu);
-    if (r >= c) { r -= c; w >>= 8; pos += 8; }
-    while (r--)
-        w &= w - 1;
-    return pos + __builtin_ctzll(w);
+    uint64_t sums = byte_prefix_counts(w);
+    int place = 8 * bytes_at_most(sums, (uint64_t)r * BYTE_ONES);
+    r -= (int)(((sums << 8) >> place) & 0xFF); /* the set bits below the byte */
+    uint64_t steps = ((w >> place) & 0xFF) * BYTE_ONES & BYTE_STEPS;
+    uint64_t bit_sums = (((steps + BYTE_LOWS) & BYTE_TOPS) >> 7) * BYTE_ONES;
+    return place + bytes_at_most(bit_sums, (uint64_t)r * BYTE_ONES);
 }
 
 /* Position of the zero of `highs` that follows `skip` zeros from bit `bit` on. */
@@ -153,11 +192,11 @@ static inline int64_t select_zero(const uint64_t *highs, int64_t bit, int64_t sk
 {
     int64_t word = bit >> 6;
     uint64_t zeros = ~highs[word] & (~(uint64_t)0 << (bit & 63));
-    int64_t count = __builtin_popcountll(zeros);
+    int64_t count = popcount64(zeros);
     while (skip >= count) {
         skip -= count;
         zeros = ~highs[++word];
-        count = __builtin_popcountll(zeros);
+        count = popcount64(zeros);
     }
     return (word << 6) + select64(zeros, (int)skip);
 }
@@ -472,7 +511,10 @@ static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, con
         if (frame && !hit_meets_window(frame, g, w))
             continue;
         for (int64_t k = ix->seg_sets[g]; k < ix->seg_sets[g + 1]; k++) {
-            int64_t last = rank_lane(&seqs, 2 * k, r), skip = rank_lane(&seqs, 2 * k + 1, l1);
+            int64_t last = rank_lane(&seqs, 2 * k, r);
+            if (!last) /* no start is <= r, so no row matches */
+                continue;
+            int64_t skip = rank_lane(&seqs, 2 * k + 1, l1);
             /* no row: l1 >= r, which only a direct call with a start
              * time past the end time gives, can rank more ends than starts */
             if (last <= skip)

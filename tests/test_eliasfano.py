@@ -221,6 +221,31 @@ def every_lane(flat: FlatEliasFano, x) -> tuple:
     return lanes, np.tile(np.asarray(x, dtype=np.int64), len(flat.widths))
 
 
+def from_high_bits(bits: str, width: int) -> np.ndarray:
+    """The values whose high part is ``bits``: a 1 is a value, a 0 closes a
+    bucket, and the values of a bucket take the low parts 0, 1, 2, ..."""
+    values, bucket, low = [], 0, 0
+    for bit in bits:
+        if bit == "1":
+            values.append((bucket << width) | low)
+            low += 1
+        else:
+            bucket, low = bucket + 1, 0
+    return np.array(values, dtype=np.int64)
+
+
+def assert_every_x_ranks_right(values: np.ndarray, universe: int, width: int):
+    """The rank of one sequence at every x from -1 to u + 1 against
+    ``np.searchsorted``, on a codec that holds this sequence alone, so its
+    high part starts at bit 0 of a word."""
+    flat = FlatEliasFano.from_values(values, [len(values)], universe)
+    assert flat.widths.tolist() == [width]
+    x = np.arange(-1, universe + 2)
+    want = np.searchsorted(values, np.minimum(x, universe - 1), side="right")
+    got = flat.rank(np.zeros(len(x), dtype=np.int64), x)
+    assert got.tolist() == np.where(x < 0, 0, want).tolist()
+
+
 class TestKernelEdges:
     def test_width_zero_and_unit_universe(self):
         dense = np.arange(50)  # n = u: every bucket holds at most one value and no low bits
@@ -254,6 +279,29 @@ class TestKernelEdges:
                 x += [high << width, (high << width) - 1, (high << width) + (1 << width) - 1]
         lanes = np.zeros(len(x), dtype=np.int64)
         assert flat.rank(lanes, x).tolist() == decoded_rank(flat, lanes, x)
+
+    @pytest.mark.parametrize("ones", range(65))
+    def test_select_at_every_bit_and_in_word_rank(self, ones):
+        """The high part's first word holds `ones` values in bucket 0, then
+        zeros, so the rank of a bucket b <= 64 - ones selects zero b - 1 at
+        bit ones + b - 1 with b - 1 zeros below it in the word: over every
+        `ones`, the selected zero lands at every bit 0 .. 63 with every
+        in-word rank up to the bit.  Buckets of one value, then empty ones,
+        follow, as many as keep the width at 6."""
+        empty = max(0, 2 * ones - 64)
+        bits = "1" * ones + "0" * (64 - ones) + "10" * 65 + "0" * empty
+        assert_every_x_ranks_right(from_high_bits(bits, 6), bits.count("0") << 6, 6)
+
+    def test_dense_runs_and_word_edges(self):
+        """Width 0, dense runs of values whose gaps shift the ones and zeros
+        across word edges; buckets 129 and 257 are empty, so the bit right
+        after each of the zeros that the first two select samples point at
+        is a zero too."""
+        values = np.setdiff1d(np.arange(400), [100, 129, 200, 201, 257, 300])
+        assert_every_x_ranks_right(values, 400, 0)
+        # width 3: bucket 60's eight values run across the edge of the first word
+        bits = "0" * 60 + "1" * 8 + "0" + "10" * 60
+        assert_every_x_ranks_right(from_high_bits(bits, 3), bits.count("0") << 3, 3)
 
     def test_buckets_longer_than_a_word(self):
         universe = 10**6
@@ -349,6 +397,17 @@ def test_kernel_source_is_clean_under_strict_warnings():
     proc = subprocess.run(["cc", *flags, str(SRC / "trajindex" / "eliasfano_rank.c")], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+def test_kernel_counts_bits_without_a_library_call():
+    """The rank counts bits in plain C.  Without an ISA flag, which the
+    kernel's flags leave out, GCC lowers every ``__builtin_popcount*`` to a
+    call into libgcc's ``__popcountdi2``, so the source names none, and the
+    built module names no such function."""
+    import trajindex.kernel as k
+
+    assert "__builtin_popcount" not in (SRC / "trajindex" / "eliasfano_rank.c").read_text()
+    assert b"__popcountdi2" not in Path(k._KERNEL.__file__).read_bytes()
 
 
 def test_import_names_a_missing_cffi_or_compiler(tmp_path):
