@@ -2,9 +2,11 @@
 query families against the full two-level index, emitted as CSV rows.
 
 Timing is monotonic wall clock around a whole query set, the median over
-the configured repetitions.  Space is the accounted in-structure size
-from the space reports, not process RSS, so rows are reproducible; every
-non-timing column is a pure function of the spec and seed.
+the configured repetitions.  An interval cell times its backends in turns,
+so that a change of machine pace does not decide the cell.  Space is the
+accounted in-structure size from the space reports, not process RSS, so
+rows are reproducible; every non-timing column is a pure function of the
+spec and seed.
 
 Cells run one after another in one process and one thread, so a timed
 cell shares the machine with no other cell.
@@ -79,15 +81,19 @@ def _interval_queries(spec: BenchSpec, seed: int, cfg: ScaleConfig) -> list[tupl
     return list(zip(discretize_times(t0, cfg).tolist(), discretize_times(t0 + length, cfg).tolist()))
 
 
-def _timed_reps(run_queries, repetitions: int) -> tuple[float, int]:
-    """Median wall-clock seconds over repetitions plus the total result count."""
-    times = []
-    count = 0
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        count = run_queries()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), count
+def _interleaved_reps(runs: list, repetitions: int) -> list[tuple[float, int]]:
+    """Per run, the median wall-clock seconds over the repetitions and the
+    result count it returns.  Repetition k calls every run once, starting
+    at run k mod len(runs)."""
+    times: list[list[float]] = [[] for _ in runs]
+    counts = [0] * len(runs)
+    for k in range(repetitions):
+        for j in range(len(runs)):
+            i = (k + j) % len(runs)
+            t0 = time.perf_counter()
+            counts[i] = runs[i]()
+            times[i].append(time.perf_counter() - t0)
+    return [(statistics.median(t), c) for t, c in zip(times, counts)]
 
 
 def _interval_cell(spec: BenchSpec, si: int, scenario: str, ni: int, n: int) -> list[dict]:
@@ -98,16 +104,15 @@ def _interval_cell(spec: BenchSpec, si: int, scenario: str, ni: int, n: int) -> 
         WorkloadSpec(kind=scenario, n=n, seed=wl_seed, horizon=spec.horizon)
     )
     queries = _interval_queries(spec, wl_seed + 1, cfg)
-    rows = []
-    counts: set[int] = set()
+    indexes, builds = [], []
     for backend in spec.backends:
         t0 = time.perf_counter()
-        index = build_temporal_index(backend, records, cfg)
-        build_seconds = time.perf_counter() - t0
-        query_seconds, result_count = _timed_reps(
-            lambda: sum(len(index.query(l, r)) for l, r in queries), spec.repetitions
-        )
-        counts.add(result_count)
+        indexes.append(build_temporal_index(backend, records, cfg))
+        builds.append(time.perf_counter() - t0)
+    timed = _interleaved_reps([lambda index=index: sum(len(index.query(l, r)) for l, r in queries)
+                               for index in indexes], spec.repetitions)
+    rows = []
+    for backend, index, build_seconds, (query_seconds, result_count) in zip(spec.backends, indexes, builds, timed):
         report = index.space_report()
         rows.append({
             "scenario": scenario,
@@ -120,6 +125,7 @@ def _interval_cell(spec: BenchSpec, si: int, scenario: str, ni: int, n: int) -> 
             "m_total": report.get("m", ""),
             "result_count_total": result_count,
         })
+    counts = {row["result_count_total"] for row in rows}
     if len(counts) > 1:
         raise AssertionError(f"backends disagree on {scenario} n={n}: counts {sorted(counts)}")
     return rows
@@ -144,10 +150,8 @@ def _trajectory_cell(spec: BenchSpec, backend: str) -> list[dict]:
             seed=spec.seed + 31 * fi, spatial_pct=spec.query_extent_pct,
             temporal_pct=temporal_pct,
         )
-        query_seconds, result_count = _timed_reps(
-            lambda: sum(
-                len(index.range_query(q.window, q.t_start, q.t_end).object_ids) for q in queries
-            ),
+        [(query_seconds, result_count)] = _interleaved_reps(
+            [lambda: sum(len(index.range_query(q.window, q.t_start, q.t_end).object_ids) for q in queries)],
             spec.repetitions,
         )
         rows.append({

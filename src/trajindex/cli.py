@@ -156,7 +156,7 @@ def _cmd_gen(args) -> int:
     write_network(net, paths["network"])
     write_records(records, paths["records"])
     write_queries(queries, paths["queries"])
-    print(f"wrote {len(net.edges)} edges, {len(records)} records, {len(queries)} queries to {args.out_dir}")
+    print(f"wrote {len(net.edge_nodes)} edges, {len(records)} records, {len(queries)} queries to {args.out_dir}")
     return EXIT_OK
 
 

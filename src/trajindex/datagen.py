@@ -9,6 +9,8 @@ generation time, which is exactly what the text record format can carry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Literal
 
 import numpy as np
@@ -35,17 +37,37 @@ def _q8(t: float) -> float:
 
 @dataclass
 class Network:
-    """A road graph: node coordinates plus segments joining node pairs."""
+    """A road graph: node coordinates, and the node pairs its segments join.
+    ``edges`` makes the ``Segment`` objects on first access and keeps them."""
 
     nodes: list[Point]
-    edges: list[Segment]
     edge_nodes: list[tuple[int, int]]
 
     def __post_init__(self):
-        n = len(self.nodes)
-        for eid, (a, b) in enumerate(self.edge_nodes):
-            if not (0 <= a < n and 0 <= b < n):
-                raise IngestionError(f"edge {eid} references unknown node ({a}, {b})")
+        self.endpoints()  # raises for a pair that is no segment
+
+    @cached_property
+    def edges(self) -> list[Segment]:
+        nodes = self.nodes
+        return [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(self.edge_nodes)]
+
+    def endpoints(self) -> np.ndarray:
+        """The segments' end coordinates as a (4, m) float64 array of rows ``ax,
+        ay, bx, by``.  Raises ``IngestionError`` for the first pair naming an
+        unknown node, ``InvalidInputError`` for the first whose nodes coincide."""
+        n, m = len(self.nodes), len(self.edge_nodes)
+        xy = np.fromiter(chain.from_iterable((p.x, p.y) for p in self.nodes), np.float64, 2 * n).reshape(n, 2)
+        pairs = np.fromiter(chain.from_iterable(self.edge_nodes), np.int64).reshape(m, 2)
+        unknown = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if unknown.any():
+            eid = int(np.argmax(unknown))
+            raise IngestionError(f"edge {eid} references unknown node {tuple(pairs[eid].tolist())}")
+        ends = np.ascontiguousarray(xy[pairs].reshape(m, 4).T)
+        same = (ends[0] == ends[2]) & (ends[1] == ends[3])
+        if same.any():
+            eid = int(np.argmax(same))
+            raise InvalidInputError(f"segment {eid} has zero length at {self.nodes[pairs[eid, 0]]}")
+        return ends
 
     def bounds(self) -> Rect:
         xs = [p.x for p in self.nodes]
@@ -95,22 +117,9 @@ def gen_grid_network(rows: int, cols: int, cell: float = 1.0) -> Network:
     if rows < 2 or cols < 2:
         raise ConfigError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
     nodes = [Point(c * cell, r * cell) for r in range(rows) for c in range(cols)]
-    edges: list[Segment] = []
-    edge_nodes: list[tuple[int, int]] = []
-    eid = 0
-    for r in range(rows):
-        for c in range(cols - 1):
-            a, b = r * cols + c, r * cols + c + 1
-            edges.append(Segment(eid, nodes[a], nodes[b]))
-            edge_nodes.append((a, b))
-            eid += 1
-    for r in range(rows - 1):
-        for c in range(cols):
-            a, b = r * cols + c, (r + 1) * cols + c
-            edges.append(Segment(eid, nodes[a], nodes[b]))
-            edge_nodes.append((a, b))
-            eid += 1
-    return Network(nodes, edges, edge_nodes)
+    edge_nodes = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edge_nodes += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Network(nodes, edge_nodes)
 
 
 def gen_trajectories(
@@ -130,12 +139,12 @@ def gen_trajectories(
     real road networks.  A traversal takes base_edge_time * (1 +/- jitter)
     and consecutive records abut exactly.
     """
-    if not net.edges:
+    if not net.edge_nodes:
         raise IngestionError("cannot generate trajectories on an empty network")
     if duration <= 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     rng = np.random.default_rng(seed)
-    ranks = rng.permutation(len(net.edges))
+    ranks = rng.permutation(len(net.edge_nodes))
     weights = (1.0 + ranks) ** -WEIGHT_EXPONENT
     adj = net.adjacency()
     adj_weights: list[np.ndarray | None] = []
@@ -220,11 +229,11 @@ def gen_queries(
 
 def write_network(net: Network, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"nodes {len(net.nodes)} edges {len(net.edges)}\n")
+        fh.write(f"nodes {len(net.nodes)} edges {len(net.edge_nodes)}\n")
         for i, p in enumerate(net.nodes):
             fh.write(f"n {i} {p.x!r} {p.y!r}\n")
-        for seg, (a, b) in zip(net.edges, net.edge_nodes):
-            fh.write(f"e {seg.id} {a} {b}\n")
+        for eid, (a, b) in enumerate(net.edge_nodes):
+            fh.write(f"e {eid} {a} {b}\n")
 
 
 def _parse_lines(path: str, parse) -> None:
@@ -243,7 +252,6 @@ def _parse_lines(path: str, parse) -> None:
 def read_network(path: str) -> Network:
     """The network of a network file, whose header, if any, counts its nodes and edges."""
     nodes: list[Point] = []
-    edges: list[Segment] = []
     edge_nodes: list[tuple[int, int]] = []
     header: list[int] = []  # line number, node count, edge count
 
@@ -259,21 +267,22 @@ def read_network(path: str) -> Network:
             nodes.append(Point(float(x), float(y)))
         elif parts[0] == "e":
             _, eid, a, b = parts
-            if int(eid) != len(edges):
+            if int(eid) != len(edge_nodes):
                 raise ValueError(f"edge ids must be dense, got {eid}")
             a, b = int(a), int(b)
             if not (0 <= a < len(nodes) and 0 <= b < len(nodes)):
                 raise ValueError(f"edge {eid} references unknown node")
-            edges.append(Segment(int(eid), nodes[a], nodes[b]))
+            if nodes[a] == nodes[b]:
+                raise ValueError(f"segment {eid} has zero length at {nodes[a]}")
             edge_nodes.append((a, b))
         else:
             raise ValueError(f"unknown line tag {parts[0]!r}")
 
     _parse_lines(path, parse)
-    if header and header[1:] != [len(nodes), len(edges)]:
+    if header and header[1:] != [len(nodes), len(edge_nodes)]:
         raise ParseError(path, header[0], f"header declares {header[1]} nodes and {header[2]} edges, "
-                                          f"the file has {len(nodes)} and {len(edges)}")
-    return Network(nodes, edges, edge_nodes)
+                                          f"the file has {len(nodes)} and {len(edge_nodes)}")
+    return Network(nodes, edge_nodes)
 
 
 def write_records(records, path: str) -> None:

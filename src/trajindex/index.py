@@ -9,6 +9,11 @@ segments' records, and unions the object ids.  Query timestamps are
 discretized with the scale the index was built with, so lossy builds
 stay exact at the tick level.
 
+The network is two lists, the node coordinates and the node pairs its
+segments join (``Network``).  The index takes the segments' end
+coordinates from them in one gather, ``Network.endpoints``, and makes no
+``Segment`` object, nor does a load.
+
 The records live in one table ordered segment by segment.  The ``iis``
 backend is a single :class:`IISIndex` over that table; the other backends
 keep one structure per segment over its slice of the table.  A query makes
@@ -33,12 +38,10 @@ Python int is made per id unless the caller iterates.
 
 from __future__ import annotations
 
-import copy
 import operator
 import struct
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .core import (
     Reader,
     Rect,
     ScaleConfig,
-    Segment,
     TimeInterval,
     VersionError,
     discretize_times,
@@ -238,19 +240,16 @@ class TrajIndex:
         self.t_end = t_end
         self.temporal = temporal
         # float64 whatever the points hold, as the kernels read them as doubles
-        self._ax = np.array([s.a.x for s in network.edges], dtype=np.float64)
-        self._ay = np.array([s.a.y for s in network.edges], dtype=np.float64)
-        self._bx = np.array([s.b.x for s in network.edges], dtype=np.float64)
-        self._by = np.array([s.b.y for s in network.edges], dtype=np.float64)
+        ends = network.endpoints()
+        self._ax, self._ay, self._bx, self._by = ends
         # what the temporal level's query reads besides its own arrays, handed
         # to the kernels once; ``_frame_arrays`` keeps what the struct points to
-        coords = [ffi.from_buffer("double[]", a) for a in (self._ax, self._ay, self._bx, self._by)]
+        coords = [ffi.from_buffer("double[]", a) for a in ends]
         ids = ffi.from_buffer("uint32_t[]", self.object_ids)
         self._frame_arrays = (*coords, ids)
-        self._frame = ffi.new("range_frame *", [*coords, len(network.edges), float(cfg.scale.scale), ids])
-        self.rtree = make_rtree(np.column_stack((
-            np.minimum(self._ax, self._bx), np.minimum(self._ay, self._by),
-            np.maximum(self._ax, self._bx), np.maximum(self._ay, self._by))))
+        self._frame = ffi.new("range_frame *", [*coords, len(network.edge_nodes), float(cfg.scale.scale), ids])
+        lo, hi = np.minimum(ends[:2], ends[2:]), np.maximum(ends[:2], ends[2:])
+        self.rtree = make_rtree(np.concatenate((lo, hi)).T)  # rows xmin, ymin, xmax, ymax
 
     # -- construction ----------------------------------------------------
 
@@ -275,15 +274,12 @@ class TrajIndex:
         """The index over records given as four columns of one length: segment
         and object ids of an integer dtype, and entry and exit times.  Raises
         ``IngestionError`` or, for its times, ``InvalidInputError`` naming the
-        first record it cannot index, or for a network whose edges are not
-        the segments between their node pairs (see ``_check_edges``)."""
+        first record it cannot index.  The index keeps a network of its own,
+        made from the network's two lists, which a save writes, so that a
+        caller's later edits cannot reach it."""
         cfg = cfg or TrajIndexConfig()
-        # the index's own lists, which a save writes, so that a caller's later
-        # edits cannot reach it; a shallow copy skips Network's per-edge check
-        network = copy.copy(network)
-        network.nodes, network.edges = list(network.nodes), list(network.edges)
-        network.edge_nodes = list(map(tuple, network.edge_nodes))
-        n_edges = len(network.edges)
+        network = Network(list(network.nodes), [tuple(p) for p in network.edge_nodes])
+        n_edges = len(network.edge_nodes)
         seg, obj = np.asarray(segments), np.asarray(object_ids)
         t_start, t_end = np.asarray(t_start, dtype=np.float64), np.asarray(t_end, dtype=np.float64)
         _check_columns(seg, obj, t_start, t_end, n_edges)
@@ -296,10 +292,8 @@ class TrajIndex:
         else:
             order = np.argsort(seg, kind="stable")
             temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows)
-        index = cls(network, build_rtree, cfg, seg_rows,
-                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
-        _check_edges(network, index)
-        return index
+        return cls(network, build_rtree, cfg, seg_rows,
+                   obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
     # -- queries ---------------------------------------------------------
 
@@ -330,7 +324,7 @@ class TrajIndex:
         n = len(self.object_ids)
         return IndexStats(
             record_count=n,
-            segment_count=len(self.network.edges),
+            segment_count=len(self.network.edge_nodes),
             segments_with_records=len(loaded),
             spatial_bytes=self.rtree.space_bytes(),
             temporal_bytes=(self.temporal.space_report()["total_bits"] + 7) // 8,
@@ -403,26 +397,13 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
     raise InvalidInputError(f"{where}: {_TIME_RULE}")
 
 
-def _check_edges(network: Network, index: TrajIndex) -> None:
-    """Raises ``IngestionError`` unless each edge runs between the nodes of
-    its own node pair: an index answers from the edges, but a file stores
-    the pairs, from which a load makes the edges."""
-    m, n = len(network.edges), len(network.nodes)
-    if len(network.edge_nodes) != m:
-        raise IngestionError(f"the network has {m} edges but {len(network.edge_nodes)} node pairs")
-    pairs = np.fromiter(chain.from_iterable(network.edge_nodes), np.int64, 2 * m).reshape(m, 2)
-    xy = np.fromiter(chain.from_iterable((p.x, p.y) for p in network.nodes), np.float64, 2 * n).reshape(n, 2)
-    a, b = xy[pairs[:, 0]], xy[pairs[:, 1]]
-    bad = (index._ax != a[:, 0]) | (index._ay != a[:, 1]) | (index._bx != b[:, 0]) | (index._by != b[:, 1])
-    if bad.any():
-        eid = int(np.argmax(bad))
-        raise IngestionError(f"edge {eid} does not run between its nodes {tuple(pairs[eid].tolist())}")
-
-
 # -- binary format (version 5) ---------------------------------------------
 #
 # magic "TJIX" | version u16 | backend u8 | digits u8 | fanout u16 |
 # network block | R-tree block | record table | temporal block.
+# The network block is the node and edge counts (u32 each), each node's
+# x and y (f64), then each edge's node pair (u32 each): the two lists of a
+# ``Network``, which checks every pair when a load makes it.
 # The fanout is the saved R-tree's; load checks the tree's nodes against it.
 # The R-tree block is a u64 length and the tree's shape (``RTree.to_bytes``);
 # its boxes are recomputed from the network at load.
@@ -448,7 +429,7 @@ def _serialize_index(index: TrajIndex) -> bytes:
                           index.rtree.fanout)
     )
     net = index.network
-    out += struct.pack("<II", len(net.nodes), len(net.edges))
+    out += struct.pack("<II", len(net.nodes), len(net.edge_nodes))
     out += np.array([(p.x, p.y) for p in net.nodes], dtype="<f8").tobytes()
     out += np.array(net.edge_nodes, dtype="<u4").tobytes()
     rtree_block = index.rtree.to_bytes()
@@ -479,12 +460,7 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))
     coords = rd.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
-    if n_edges and int(edge_nodes.max()) >= n_nodes:
-        eid = int(np.argmax((edge_nodes >= n_nodes).any(axis=1)))
-        raise FormatError(f"edge {eid} references unknown node")
-    nodes = [Point(x, y) for x, y in coords.tolist()]
-    pairs = [(a, b) for a, b in edge_nodes.tolist()]
-    network = Network(nodes, [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(pairs)], pairs)
+    network = Network([Point(x, y) for x, y in coords.tolist()], [(a, b) for a, b in edge_nodes.tolist()])
     spatial_block = rd.block("spatial index block")
 
     def load_rtree(boxes: np.ndarray) -> RTree:

@@ -11,11 +11,13 @@ from the package, so every module, ``core`` among them, can import it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import tempfile
+import time
 from pathlib import Path
 
 try:
@@ -46,7 +48,9 @@ def kernel_builder(name: str, extra_compile_args=(), extra_link_args=()):
 def _load_kernel():
     """Import the kernels, compiling them first when no module built
     from this source and header with these flags for this interpreter sits
-    in ``__pycache__``."""
+    in ``__pycache__``.  A build then removes this interpreter's other
+    builds there that are over a minute old: a younger one may be another
+    process's, which it has yet to load."""
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     key = "\0".join((_KERNEL_SOURCE.read_text(), _KERNEL_HEADER.read_text(), suffix, cffi.__version__,
                       *KERNEL_FLAGS, *KERNEL_LIBRARIES))
@@ -64,6 +68,10 @@ def _load_kernel():
         except (cffi.VerificationError, OSError) as exc:
             raise ImportError(f"trajindex could not compile its kernels from "
                               f"{_KERNEL_SOURCE.name} (a C compiler is required): {exc}") from exc
+        for old in cache.glob("_eliasfano_rank_*" + suffix):
+            with contextlib.suppress(OSError):  # another process's build may remove it first
+                if old != path and old.stat().st_mtime < time.time() - 60:
+                    old.unlink()
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -17,8 +17,10 @@ from trajindex import (
     read_queries,
     write_network,
 )
-from trajindex.bench import BENCH_COLUMNS
+import trajindex.bench
+from trajindex.bench import BENCH_COLUMNS, BenchSpec, run_benchmark
 from trajindex.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from trajindex.temporal import build_temporal_index
 
 
 def run(*argv) -> tuple[int, str]:
@@ -193,6 +195,35 @@ class TestBench:
         assert code == EXIT_OK
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 4 + 4
+
+    def test_interval_cell_times_its_backends_in_turns(self, monkeypatch):
+        """A cell builds all its backends before it times any, and then
+        each repetition queries every backend once, the first one rotating."""
+        calls = []
+
+        class Logged:
+            def __init__(self, backend, index):
+                self.backend, self.index = backend, index
+
+            def query(self, l, r):
+                if calls[-1] != self.backend:  # one entry per run over the query set
+                    calls.append(self.backend)
+                return self.index.query(l, r)
+
+            def space_report(self):
+                return self.index.space_report()
+
+        def build(backend, records, cfg):
+            calls.append(f"build {backend}")
+            return Logged(backend, build_temporal_index(backend, records, cfg))
+
+        monkeypatch.setattr(trajindex.bench, "build_temporal_index", build)
+        backends = ("linear", "iis", "interval_tree")
+        spec = BenchSpec(scenarios=("fixed_size",), backends=backends, sizes=(200,), families=(),
+                         queries_per_set=5, repetitions=4)
+        rows = run_benchmark(spec)
+        assert [row["backend"] for row in rows] == list(backends)
+        assert calls == [f"build {b}" for b in backends] + [backends[(k + j) % 3] for k in range(4) for j in range(3)]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -4,7 +4,10 @@ import pytest
 from trajindex import (
     ConfigError,
     IngestionError,
+    InvalidInputError,
+    Network,
     ParseError,
+    Point,
     TrajIndex,
     WorkloadSpec,
     gen_grid_network,
@@ -56,6 +59,25 @@ class TestGridNetwork:
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
             gen_grid_network(1, 5)
+
+
+class TestNetwork:
+    def test_segments_follow_the_node_pairs(self):
+        nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 2.0)]
+        net = Network(nodes, [(0, 1), (2, 1)])
+        assert [(s.id, s.a, s.b) for s in net.edges] == [(0, nodes[0], nodes[1]), (1, nodes[2], nodes[1])]
+        assert net.endpoints().tolist() == [[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("pair", [(1, 3), (-1, 0)])
+    def test_unknown_node_rejected(self, pair):
+        nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)]
+        with pytest.raises(IngestionError, match=rf"edge 1 references unknown node \({pair[0]}, {pair[1]}\)"):
+            Network(nodes, [(0, 1), pair])
+
+    def test_zero_length_segment_rejected(self):
+        nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 0.0)]
+        with pytest.raises(InvalidInputError, match=r"segment 1 has zero length at Point\(x=1.0, y=0.0\)"):
+            Network(nodes, [(0, 1), (1, 2)])
 
 
 class TestTrajectories:
@@ -165,6 +187,12 @@ class TestFiles:
         path = tmp_path / "net.txt"
         path.write_text("nodes 1 edges 1\nn 0 0.0 0.0\ne 0 0 5\n")
         with pytest.raises(ParseError, match="net.txt:3"):
+            read_network(str(path))
+
+    def test_zero_length_network_edge(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("nodes 3 edges 2\nn 0 0.0 0.0\nn 1 1.0 0.0\nn 2 1.0 0.0\ne 0 0 1\ne 1 2 1\n")
+        with pytest.raises(ParseError, match="net.txt:6: segment 1 has zero length"):
             read_network(str(path))
 
     def test_network_missing_its_last_edge(self, tmp_path):

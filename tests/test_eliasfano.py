@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,31 @@ def test_kernel_builds_once_without_warnings(tmp_path):
     second = run()
     assert second.stdout.split() == [path, mtime]
     assert second.stderr == ""
+
+
+def test_a_build_removes_the_older_builds(tmp_path):
+    """A build of changed kernel sources removes the earlier build once it
+    is over a minute old, and keeps a younger one, which another process
+    may be about to load."""
+    env = fresh_copy(tmp_path)
+    show = "import trajindex.kernel as k; print(k._KERNEL.__file__)"
+
+    def build():
+        proc = subprocess.run([sys.executable, "-c", show], env=env, cwd=tmp_path, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return Path(proc.stdout.strip())
+
+    old = build()
+    aged = time.time() - 120
+    os.utime(old, (aged, aged))
+    young = old.with_name("_eliasfano_rank_0000000000000000" + old.name[old.name.index("."):])
+    young.write_bytes(b"")
+    with open(tmp_path / "trajindex" / "eliasfano_rank.c", "a") as fh:
+        fh.write("/* changed */\n")
+    new = build()
+    assert new != old
+    assert sorted(old.parent.glob("_eliasfano_rank_*")) == sorted([new, young])
 
 
 def test_package_data_holds_every_kernel_file():

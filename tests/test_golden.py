@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from trajindex import IntervalRecord, Network, Point, ScaleConfig, Segment, TimeInterval, TrajIndex, TrajIndexConfig
+from trajindex import IntervalRecord, Network, Point, ScaleConfig, TimeInterval, TrajIndex, TrajIndexConfig
 
 # sha256 and length of save() per backend, format version 5
 GOLDEN = {
@@ -30,7 +30,7 @@ def golden_index(backend: str) -> TrajIndex:
     nodes = [Point(0.0, 0.0), Point(10.0, 0.0), Point(20.0, 0.0),
              Point(0.0, 10.0), Point(10.0, 10.0), Point(20.0, 12.5)]
     pairs = [(0, 1), (1, 2), (0, 3), (1, 4), (3, 4), (4, 5), (2, 5)]
-    network = Network(nodes, [Segment(i, nodes[a], nodes[b]) for i, (a, b) in enumerate(pairs)], pairs)
+    network = Network(nodes, pairs)
     rows = [
         (0, 1, 0.0, 5.25), (0, 2, 1.0, 2.0), (0, 3, 1.5, 1.5), (0, 4, 1.5, 1.5), (0, 5, 3.0, 9.125),
         (1, 1, 5.25, 8.0), (1, 6, 0.001, 0.002), (1, 7, 12.0, 30.5),

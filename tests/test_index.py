@@ -21,7 +21,6 @@ from trajindex import (
     Query,
     Rect,
     ScaleConfig,
-    Segment,
     TimeInterval,
     TrajIndex,
     TrajIndexConfig,
@@ -51,11 +50,7 @@ REC = IntervalRecord
 def two_segment_setup():
     """Object 1 crosses segment A during [0,5] and segment B during [5,9]."""
     nodes = [Point(0, 0), Point(10, 0), Point(20, 0)]
-    net = Network(
-        nodes,
-        [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[1], nodes[2])],
-        [(0, 1), (1, 2)],
-    )
+    net = Network(nodes, [(0, 1), (1, 2)])
     records = [
         (0, REC(1, TimeInterval(0.0, 5.0))),
         (1, REC(1, TimeInterval(5.0, 9.0))),
@@ -147,25 +142,6 @@ class TestBuild:
         with pytest.raises(error, match=match):
             TrajIndex.from_columns(net, *columns)
 
-    @pytest.mark.parametrize("pairs, match", [
-        ([(0, 1), (0, 3)], r"edge 1 does not run between its nodes \(0, 3\)"),
-        ([(0, 1)], "2 edges but 1 node pairs"),
-    ])
-    def test_edges_that_disagree_with_their_node_pairs_rejected(self, pairs, match):
-        """The index answers from the edges and a file stores the pairs: with
-        the first pairs, the built index answered {8} in the window below and
-        the loaded one nothing, and with the second the file did not load."""
-        nodes = [Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 5)]
-        edges = [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[1], nodes[2])]
-        net = Network(nodes, edges, pairs)
-        records = [(0, REC(7, TimeInterval(0.0, 5.0))), (1, REC(8, TimeInterval(0.0, 5.0)))]
-        with pytest.raises(IngestionError, match=match):
-            TrajIndex.build(net, records)
-        with pytest.raises(IngestionError, match=match):
-            TrajIndex.from_columns(net, [0, 1], [7, 8], [0.0, 0.0], [5.0, 5.0])
-        index = TrajIndex.build(Network(nodes, edges, [(0, 1), (1, 2)]), records)
-        assert index.range_query(Rect(1.5, -0.1, 2.5, 0.1), 0.0, 5.0).object_ids == {8}
-
     def test_from_columns_rejects_columns_of_different_lengths(self):
         net, _ = two_segment_setup()
         with pytest.raises(IngestionError, match="one length"):
@@ -239,11 +215,7 @@ class TestRefinement:
         # diagonal segment whose box covers the window but whose geometry
         # stays clear of it
         nodes = [Point(0, 0), Point(10, 10), Point(0, 8), Point(2, 8)]
-        net = Network(
-            nodes,
-            [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[2], nodes[3])],
-            [(0, 1), (2, 3)],
-        )
+        net = Network(nodes, [(0, 1), (2, 3)])
         records = [
             (0, REC(1, TimeInterval(0.0, 10.0))),
             (1, REC(2, TimeInterval(0.0, 10.0))),
@@ -291,7 +263,7 @@ def jittered_network(seed: int) -> Network:
                 pairs += [(a, a + 7), (a + 1, a + 6)]
     nodes += [Point(0.5, 2.0), Point(3.5, 2.0), Point(2.0, 0.5), Point(2.0, 6.5)]
     pairs += [(36, 37), (38, 39)]
-    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+    return Network(nodes, pairs)
 
 
 class TestCandidates:
@@ -610,7 +582,7 @@ def diagonal_network() -> Network:
     """Both diagonals of every cell of a 6x6 lattice: no edge is axis-parallel."""
     nodes = [Point(float(i), float(j)) for i in range(6) for j in range(6)]
     pairs = [p for i in range(5) for j in range(5) for p in ((6 * i + j, 6 * i + j + 7), (6 * i + j + 1, 6 * i + j + 6))]
-    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+    return Network(nodes, pairs)
 
 
 class TestRangeQueryNetworks:
@@ -698,7 +670,7 @@ class TestKernelTicks:
         cfg = TrajIndexConfig(temporal_backend=backend)
         net, records = two_segment_setup()
         full = TrajIndex.build(net, records, cfg)
-        empty = TrajIndex.build(Network([], [], []), [], cfg)
+        empty = TrajIndex.build(Network([], []), [], cfg)
         for index in (full, empty):
             for window in (Rect(-1, -1, 21, 1), Rect(50, 50, 60, 60)):
                 for t_start, t_end, error in TIME_ERRORS:
@@ -772,7 +744,7 @@ def clip_network(seed: int) -> Network:
     for a, b in pairs_xy:
         nodes += [Point(*a), Point(*b)]
         pairs.append((len(nodes) - 2, len(nodes) - 1))
-    return Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+    return Network(nodes, pairs)
 
 
 class TestKernelClip:
@@ -818,7 +790,7 @@ class TestKernelClip:
         nodes = [Point(i, j) for i in range(5) for j in range(5)]
         pairs = [(5 * i + j, 5 * i + j + 6) for i in range(4) for j in range(4)]
         pairs += [(5 * i + j + 1, 5 * i + j + 5) for i in range(4) for j in range(4)] + [(0, 4), (0, 20)]
-        net = Network(nodes, [Segment(k, nodes[a], nodes[b]) for k, (a, b) in enumerate(pairs)], pairs)
+        net = Network(nodes, pairs)
         records = [(k, REC(k % 7, TimeInterval(0.0, 10.0))) for k in range(len(pairs))]
         index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend))
         oracle = FullScanOracle(net, records, ScaleConfig())
@@ -1017,7 +989,7 @@ class TestPersistence:
         """The index owns its network: a caller's later edit of the lists
         it was built from reaches neither its answers nor its file."""
         nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0), Point(3.0, 0.0)]
-        net = Network(nodes, [Segment(0, nodes[0], nodes[1]), Segment(1, nodes[1], nodes[2])], [(0, 1), (1, 2)])
+        net = Network(nodes, [(0, 1), (1, 2)])
         index = TrajIndex.build(net, [(0, REC(7, TimeInterval(0.0, 1.0))), (1, REC(8, TimeInterval(0.0, 1.0)))])
         window = Rect(0.2, -0.1, 0.4, 0.1)
         assert index.range_query(window, 0.0, 1.0).object_ids == {7}
@@ -1028,6 +1000,20 @@ class TestPersistence:
         loaded = TrajIndex.load(path)
         assert loaded.network.edge_nodes == [(0, 1), (1, 2)]
         assert loaded.range_query(window, 0.0, 1.0).object_ids == {7}
+
+    def test_no_segment_objects_behind_a_query(self, tmp_path):
+        """An index reads its network's node pairs only: neither a build nor
+        a load, nor a query, ``stats`` or a save after them, makes the
+        network's ``Segment`` objects."""
+        net = gen_grid_network(5, 5)
+        index = TrajIndex.build(net, gen_trajectories(net, 10, 20.0, seed=3))
+        path = str(tmp_path / "x.tjix")
+        index.save(path)
+        for ix in (index, TrajIndex.load(path)):
+            assert ix.range_query(Rect(0.5, 0.5, 2.5, 2.5), 0.0, 20.0).object_ids
+            ix.stats()
+            ix.save(path)
+            assert "edges" not in vars(ix.network)
 
     def test_loaded_sequences_equal_the_build(self, tmp_path):
         """A load encodes the record table's ticks as the build did: every
@@ -1176,6 +1162,16 @@ class TestFormatChecks:
         corrupt[where: where + 4] = struct.pack("<I", len(net.nodes))
         bad.write_bytes(bytes(corrupt))
         with pytest.raises(FormatError, match="edge 5 references unknown node"):
+            TrajIndex.load(str(bad))
+
+    def test_zero_length_edge(self, saved):
+        index, data, bad = saved
+        net = index.network
+        a, b = net.edge_nodes[5]
+        corrupt = bytearray(data)
+        corrupt[18 + 16 * b: 18 + 16 * b + 16] = data[18 + 16 * a: 18 + 16 * a + 16]  # node b onto node a
+        bad.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError, match="has zero length"):
             TrajIndex.load(str(bad))
 
     def test_spatial_block_fuzz(self, saved, tmp_path):
