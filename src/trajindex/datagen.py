@@ -38,23 +38,17 @@ def _q8(t: float) -> float:
 @dataclass
 class Network:
     """A road graph: node coordinates, and the node pairs its segments join.
-    ``edges`` makes the ``Segment`` objects on first access and keeps them."""
+    Making one gathers and checks the segments' end coordinates once
+    (``endpoints``); ``edges`` makes the ``Segment`` objects on first access
+    and keeps them."""
 
     nodes: list[Point]
     edge_nodes: list[tuple[int, int]]
 
     def __post_init__(self):
-        self.endpoints()  # raises for a pair that is no segment
-
-    @cached_property
-    def edges(self) -> list[Segment]:
-        nodes = self.nodes
-        return [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(self.edge_nodes)]
-
-    def endpoints(self) -> np.ndarray:
-        """The segments' end coordinates as a (4, m) float64 array of rows ``ax,
-        ay, bx, by``.  Raises ``IngestionError`` for the first pair naming an
-        unknown node, ``InvalidInputError`` for the first whose nodes coincide."""
+        """Gathers the end coordinates.  Raises ``IngestionError`` for the
+        first pair naming an unknown node, ``InvalidInputError`` for the first
+        whose nodes coincide."""
         n, m = len(self.nodes), len(self.edge_nodes)
         xy = np.fromiter(chain.from_iterable((p.x, p.y) for p in self.nodes), np.float64, 2 * n).reshape(n, 2)
         pairs = np.fromiter(chain.from_iterable(self.edge_nodes), np.int64).reshape(m, 2)
@@ -67,7 +61,18 @@ class Network:
         if same.any():
             eid = int(np.argmax(same))
             raise InvalidInputError(f"segment {eid} has zero length at {self.nodes[pairs[eid, 0]]}")
-        return ends
+        ends.flags.writeable = False
+        self._endpoints = ends
+
+    @cached_property
+    def edges(self) -> list[Segment]:
+        nodes = self.nodes
+        return [Segment(eid, nodes[a], nodes[b]) for eid, (a, b) in enumerate(self.edge_nodes)]
+
+    def endpoints(self) -> np.ndarray:
+        """The segments' end coordinates as a read-only (4, m) float64 array of
+        rows ``ax, ay, bx, by``, gathered when the network was made."""
+        return self._endpoints
 
     def bounds(self) -> Rect:
         xs = [p.x for p in self.nodes]

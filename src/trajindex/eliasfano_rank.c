@@ -102,13 +102,23 @@
  * Union.  Every row is below the record count, the length of object_ids: the
  * rows come from iis_query (see Query) or from a per-segment structure, which
  * answers with positions inside its own segment's rows.  `out` holds one slot
- * per row, and the scratch array, allocated only for the radix sort, one per
- * row too.  The gather writes slot i for row i; the sort moves n ids between
- * the two arrays.  A radix pass's digit is masked to width = ceil(bits /
- * passes) bits, which is at most 8 for passes = ceil(bits / 8), so it indexes
- * the 256 cursors; the id with digit b goes to b's cursor, which starts at
- * the count of smaller digits and advances once per id of digit b, so it
- * stays below n.  The drop of repeats writes only slots it has already read.
+ * per row, and the sort's scratch one per row too: the second half of
+ * iis_collect's buffer, or an array distinct_ids allocates only for the
+ * radix sort.  The gather writes slot i for row i; the sort moves n ids
+ * between the two arrays.  A radix pass's digit is masked to width =
+ * ceil(bits / passes) bits, which is at most 8 for passes = ceil(bits / 8),
+ * so it indexes the 256 cursors; the id with digit b goes to b's cursor,
+ * which starts at the count of smaller digits and advances once per id of
+ * digit b, so it stays below n.  The drop of repeats writes only slots it
+ * has already read.  The bitmap has the frame's id_words words, which a
+ * TrajIndex computes from its own object_ids, (the largest id >> 6) + 1, and
+ * never reads from a file; every id gathered is one of object_ids, so every
+ * bit set lies inside the bitmap.  Its scan writes one id per set bit, at
+ * most n as the n ids set them, and its two stores per word at k and k + 1
+ * only while k + 2 <= n, so every store lies in out's n slots.  The scan
+ * counts trailing zeros with __builtin_ctzll, never of 0, which GCC and Clang
+ * compile inline at the kernel's flags (one bsf on x86-64), not as a call
+ * into libgcc.
  *
  * Greedy.  Every group id is checked against [0, n_groups) before anything
  * is written, so the counting sort's slots first[g] stay within [0, n] and
@@ -354,21 +364,70 @@ static int64_t sort_distinct(uint32_t *ids, uint32_t *tmp, int64_t n)
     return k;
 }
 
-/* Union: writes each distinct object_ids[rows[i]] once to `out`, ascending,
- * and returns how many, or -1 when out of memory.  It gathers the ids,
- * sorts them and drops the repeats.  The sort's scratch is allocated per
- * call, and only for more ids than the insertion sort takes, so concurrent
- * calls share nothing, and every u32 is a valid id. */
-int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out)
+#define UNION_WORDS_PER_ID 4   /* the bitmap's most words per id gathered */
+#define UNION_STACK_WORDS 256  /* a bitmap of at most this many words lives on the stack */
+#define TOP_BIT ((uint64_t)1 << 63)
+
+/* Drops the repeats of ids[0 .. n - 1], writes the rest to ids ascending and
+ * returns how many, or -1 when out of memory.  When 0 < id_words <=
+ * UNION_WORDS_PER_ID * n, every id being below 64 * id_words, it sets one
+ * bit per id in a bitmap of id_words words and writes out the set bits in
+ * order; the bitmap is allocated per call, on the stack when it is small.
+ * Otherwise it sorts the ids as sort_distinct does, through tmp, or when tmp
+ * is NULL through a scratch array it allocates only for more ids than the
+ * insertion sort takes.  So concurrent calls share nothing. */
+static int64_t union_ids(uint32_t *ids, int64_t n, int64_t id_words, uint32_t *tmp)
 {
-    uint32_t *tmp = NULL;
-    if (n > ID_INSERTION_MAX && !(tmp = malloc((size_t)n * sizeof *tmp)))
-        return -1;
+    if (id_words <= 0 || id_words > UNION_WORDS_PER_ID * n) {
+        uint32_t *own = NULL;
+        if (!tmp && n > ID_INSERTION_MAX && !(tmp = own = malloc((size_t)n * sizeof *tmp)))
+            return -1;
+        int64_t k = sort_distinct(ids, tmp, n);
+        free(own);
+        return k;
+    }
+    uint64_t stack[UNION_STACK_WORDS], *bits = stack;
+    if (id_words > UNION_STACK_WORDS) {
+        if (!(bits = calloc((size_t)id_words, sizeof *bits)))
+            return -1;
+    } else {
+        memset(bits, 0, (size_t)id_words * sizeof *bits);
+    }
     for (int64_t i = 0; i < n; i++)
-        out[i] = object_ids[rows[i]];
-    int64_t k = sort_distinct(out, tmp, n);
-    free(tmp);
+        bits[ids[i] >> 6] |= (uint64_t)1 << (ids[i] & 63);
+    /* While two slots remain, each word's two lowest set bits are stored
+     * whatever the word holds, and only the set ones advance k: a loop per
+     * word, whose exit a branch predictor cannot foresee for random ids,
+     * then serves only the rarer words of three or more.  The top bit or'ed
+     * in keeps the count of trailing zeros defined; a store that stands for
+     * no set bit lies at or past k, so a later one or the caller's k drops it. */
+    int64_t k = 0;
+    for (int64_t w = 0; w < id_words; w++) {
+        uint64_t word = bits[w];
+        uint32_t base = (uint32_t)(w << 6);
+        if (k + 2 <= n) {
+            uint64_t rest = word & (word - 1); /* drops the lowest set bit */
+            ids[k] = base + (uint32_t)__builtin_ctzll(word | TOP_BIT);
+            ids[k + 1] = base + (uint32_t)__builtin_ctzll(rest | TOP_BIT);
+            k += (word != 0) + (rest != 0);
+            word = rest & (rest - 1);
+        }
+        for (; word; word &= word - 1)
+            ids[k++] = base + (uint32_t)__builtin_ctzll(word);
+    }
+    if (bits != stack)
+        free(bits);
     return k;
+}
+
+/* Union: writes each distinct object id of rows[0 .. n - 1], rows of the
+ * frame's record table, once to `out`, ascending, and returns how many, or
+ * -1 when out of memory.  It gathers the ids and unions them by union_ids. */
+int64_t distinct_ids(const range_frame *frame, const int64_t *rows, int64_t n, uint32_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = frame->object_ids[rows[i]];
+    return union_ids(out, n, frame->id_words, NULL);
 }
 
 /* Writes the object ids of rows first .. end - 1, or of the row ids they
@@ -491,8 +550,8 @@ static inline int64_t query_ticks(double scale, double t_start, double t_end, in
  * hits of a window walk, a hit whose edge does not meet the window `w` is
  * skipped and a segment must lie below the frame's edge count too; it then
  * answers with the distinct object ids of these rows, ascending: it gathers
- * each run's ids, then sorts them and drops the repeats (see Query for the
- * one buffer of either).  Its status is 0, -1 - i for the first lane i whose
+ * each run's ids, then unions them by union_ids (see Query for the one
+ * buffer of either).  Its status is 0, -1 - i for the first lane i whose
  * segment is out of range, or -1 - n_probe when out of memory; it then holds
  * no buffer. */
 static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, const window_t *w,
@@ -538,8 +597,10 @@ static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, con
             n += last - skip;
         }
     }
-    if (frame)
-        n = sort_distinct(out, (uint32_t *)out + cap, n);
+    if (frame && (n = union_ids(out, n, frame->id_words, (uint32_t *)out + cap)) < 0) {
+        status = -1 - n_probe;
+        goto fail;
+    }
     return (iis_answer){0, out, n};
 fail:
     free(out);

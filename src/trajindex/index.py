@@ -25,11 +25,15 @@ It clips every hit whose edge is not axis-parallel (an axis-parallel edge
 is its own box, so the walk's box test was exact) and turns both times
 into exact ticks, as ``discretize_time`` does.  With ``iis``, the same call
 ranks every set of every surviving segment, gathers the object ids of each
-matching run of rows, sorts them and drops the repeats.  The other backends,
-and ``verbose`` on every backend, take one path, ``_rows_and_ids``: a kernel
-call keeps the surviving segments and gives the ticks, the temporal level's
-``query`` answers with rows, from which numpy gathers the ``verbose``
-matches, and one more call writes the rows' distinct object ids.
+matching run of rows and unions them.  The other backends, and ``verbose``
+on every backend, take one path, ``_rows_and_ids``: a kernel call keeps the
+surviving segments and gives the ticks, the temporal level's ``query``
+answers with rows, from which numpy gathers the ``verbose`` matches, and
+one more call writes the rows' distinct object ids.  Both unions set a bit
+per id in a bitmap allocated per call, whose word count, ``id_words`` of
+the frame, the index takes from its own largest object id, and write the
+set bits out in order; when the bitmap would be wide against the ids
+gathered, they sort the ids and drop the repeats instead.
 
 A query answers with :class:`ObjectIds`, a read-only set over a copy of
 the sorted ``uint32`` ids the kernel wrote, which ``.array`` views; no
@@ -182,7 +186,7 @@ def _rows_and_ids(temporal, frame, hits: np.ndarray, window: Rect, t_start: floa
     rows = temporal.query(refined.l, refined.r, segments[:refined.kept])
     n = len(rows)
     out = _new_ids("uint32_t[]", n)
-    k = lib.distinct_ids(frame.object_ids, ffi.from_buffer("int64_t[]", rows), n, out)
+    k = lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), n, out)
     if k < 0:
         raise MemoryError("no memory for the object-id union of a query")
     return rows, ffi.buffer(out, 4 * k)[:]
@@ -243,11 +247,14 @@ class TrajIndex:
         ends = network.endpoints()
         self._ax, self._ay, self._bx, self._by = ends
         # what the temporal level's query reads besides its own arrays, handed
-        # to the kernels once; ``_frame_arrays`` keeps what the struct points to
+        # to the kernels once; ``_frame_arrays`` keeps what the struct points to.
+        # The union's bitmap words come from these ids, never from a file.
         coords = [ffi.from_buffer("double[]", a) for a in ends]
         ids = ffi.from_buffer("uint32_t[]", self.object_ids)
+        id_words = (int(self.object_ids.max()) >> 6) + 1 if len(self.object_ids) else 0
         self._frame_arrays = (*coords, ids)
-        self._frame = ffi.new("range_frame *", [*coords, len(network.edge_nodes), float(cfg.scale.scale), ids])
+        self._frame = ffi.new("range_frame *", [*coords, len(network.edge_nodes), float(cfg.scale.scale), ids,
+                                                id_words])
         lo, hi = np.minimum(ends[:2], ends[2:]), np.maximum(ends[:2], ends[2:])
         self.rtree = make_rtree(np.concatenate((lo, hi)).T)  # rows xmin, ymin, xmax, ymax
 

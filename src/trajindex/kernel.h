@@ -33,12 +33,15 @@ typedef struct {
 
 /* What a range query reads besides its temporal level, handed over once by
  * a TrajIndex: edge g runs from (ax[g], ay[g]) to (bx[g], by[g]), a time t
- * has the tick floor(t * scale), and row i holds object object_ids[i]. */
+ * has the tick floor(t * scale), and row i holds object object_ids[i].
+ * id_words is (the largest object id >> 6) + 1, the words of a bitmap over
+ * the ids, or 0 for no rows, and then the union sorts. */
 typedef struct {
     const double *ax, *ay, *bx, *by;
     int64_t n_edges;
     double scale;
     const uint32_t *object_ids;
+    int64_t id_words;
 } range_frame;
 
 /* What refine_hits answers, returned by value: how many hits it kept, or a
@@ -51,7 +54,7 @@ int64_t ef_rank(const ef_seqs *ef, const int64_t *seq, const int64_t *x, int64_t
 int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32_t *order,
                      const double *node_boxes, const double *entry_boxes, int64_t n_internal,
                      double xmax, double ymax, double neg_xmin, double neg_ymin, int64_t *stack, int64_t *out);
-int64_t distinct_ids(const uint32_t *object_ids, const int64_t *rows, int64_t n, uint32_t *out);
+int64_t distinct_ids(const range_frame *frame, const int64_t *rows, int64_t n, uint32_t *out);
 int64_t time_ticks(const double *times, int64_t n, double scale, int64_t *ticks);
 iis_answer iis_query(const iis_index *ix, const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r);
 iis_answer iis_range(const iis_index *ix, const range_frame *frame, const int64_t *hits, int64_t n_hits,

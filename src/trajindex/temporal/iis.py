@@ -34,7 +34,9 @@ takes two ticks and segment numbers, and its entry writes the runs, or the
 row ids they map to, straight into the result.  ``query_ids`` serves a
 range query of a ``TrajIndex``: it takes the R-tree walk's hits, the window
 and two float times, and its entry clips the hits and turns the times into
-ticks, then answers with the object ids of the runs, sorted and unique.
+ticks, then answers with the object ids of the runs, sorted and unique: it
+sets a bit per id in a bitmap over the frame's ids, or sorts them when the
+bitmap would be wide against the ids gathered.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ check: full scans, quadratic DP and exponential enumeration.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 
+import trajindex
 from trajindex import (
     IntervalRecord,
     ParseError,
@@ -23,6 +26,21 @@ from trajindex import (
 from trajindex.eliasfano import SELECT_SAMPLE, FlatEliasFano, prefix_offsets
 
 BACKEND_NAMES = ("linear", "interval_tree", "schmidt", "iis")
+
+
+def id_words(object_ids) -> int:
+    """The union's bitmap words over ``object_ids``, as a ``TrajIndex``
+    gives its frame: (the largest id >> 6) + 1, or 0 for no ids."""
+    object_ids = np.asarray(object_ids, dtype=np.uint32)
+    return (int(object_ids.max()) >> 6) + 1 if len(object_ids) else 0
+
+
+def kernel_constant(name: str) -> int:
+    """An integer constant of the kernel source, ``#define``d by ``name``:
+    the union takes its bitmap when 0 < id_words <= UNION_WORDS_PER_ID * n
+    for n ids gathered, on the stack up to UNION_STACK_WORDS words."""
+    text = Path(trajindex.__file__).with_name("eliasfano_rank.c").read_text()
+    return int(re.search(rf"^#define {name} (\d+)", text, re.M).group(1))
 
 
 def ascending(object_ids, rows) -> list[int]:

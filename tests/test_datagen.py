@@ -68,6 +68,17 @@ class TestNetwork:
         assert [(s.id, s.a, s.b) for s in net.edges] == [(0, nodes[0], nodes[1]), (1, nodes[2], nodes[1])]
         assert net.endpoints().tolist() == [[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [0.0, 0.0]]
 
+    def test_endpoints_are_gathered_once_and_read_only(self):
+        """The array checked when the network is made is the one every call
+        gives, and an index over the network reads it without a copy."""
+        net = gen_grid_network(3, 3)
+        ends = net.endpoints()
+        assert net.endpoints() is ends and not ends.flags.writeable
+        with pytest.raises(ValueError):
+            ends[0, 0] = 5.0
+        index = TrajIndex.from_columns(net, [0], [1], [0.0], [1.0])
+        assert np.shares_memory(index._ax, index.network.endpoints())
+
     @pytest.mark.parametrize("pair", [(1, 3), (-1, 0)])
     def test_unknown_node_rejected(self, pair):
         nodes = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)]

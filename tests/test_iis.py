@@ -15,6 +15,8 @@ from trajindex.temporal.iis import IISIndex, decompose_independent_sets
 
 from helpers import (
     ascending,
+    id_words,
+    kernel_constant,
     make_records,
     max_antichain_bruteforce,
     min_chain_cover_dp,
@@ -393,18 +395,20 @@ def record_ids(rng, n):
     return ids
 
 
-def query_ids(index, object_ids, l, r, segments=None):
+def query_ids(index, object_ids, l, r, segments=None, words=None):
     """The ids, as a list, that the kernel's range entry gathers for the rows
     ``query(l, r, segments)`` gives, ``object_ids`` holding one id per row
     (all segments by default).  Its frame has one horizontal edge per
     segment, the window covers them all and the scale is 1, so nothing is
     clipped and the times ``l`` and ``r``, which must not be negative, have
-    the ticks ``l`` and ``r``."""
+    the ticks ``l`` and ``r``.  Its bitmap words are ``words``, by default
+    those a ``TrajIndex`` gives these ids."""
     n = len(index.seg_sets) - 1
     y = np.arange(n, dtype=np.float64)
     keep = [ffi.from_buffer("double[]", a) for a in (np.zeros(n), y, np.ones(n), y)]
     keep.append(ffi.from_buffer("uint32_t[]", object_ids))
-    frame = ffi.new("range_frame *", [*keep[:4], n, 1.0, keep[4]])
+    words = id_words(object_ids) if words is None else words
+    frame = ffi.new("range_frame *", [*keep[:4], n, 1.0, keep[4], words])
     hits = np.arange(n) if segments is None else np.ascontiguousarray(segments, dtype=np.int64)
     out = lib.iis_range(index.c_struct, frame, ffi.from_buffer("int64_t[]", hits), len(hits), -1.0, -1.0, 2.0,
                         float(n), float(l), float(r))
@@ -520,6 +524,67 @@ class TestKernelIds:
             with pytest.raises(IndexError, match=f"hit 2: no edge {g}"):
                 query_ids(index, ids, 0, 10**6, np.array([0, 4, g, 1]))
         assert_ids_alike(index, ids, 0, 10**6, np.array([0, 4, 8, 1]))
+
+    def test_one_object(self):
+        rng = np.random.default_rng(14)
+        index = segment_index(rng)
+        for obj in (0, 63, 64, 2**32 - 1):
+            ids = np.full(index.n, obj, dtype=np.uint32)
+            for l, r in [(0, 10**6), (0, 0), (5_000, 5_100)]:
+                assert_ids_alike(index, ids, l, r)
+            assert query_ids(index, ids, 0, 10**6) == [obj]
+
+    def test_largest_id_takes_the_sort(self):
+        rng = np.random.default_rng(15)
+        index = segment_index(rng)
+        ids = rng.integers(0, 100, index.n).astype(np.uint32)
+        ids[::7] = 2**32 - 1
+        assert id_words(ids) > kernel_constant("UNION_WORDS_PER_ID") * index.n
+        for l, r in [(0, 10**6), (0, 50), (4_000, 4_500)]:
+            assert_ids_alike(index, ids, l, r)
+            assert_ids_alike(index, ids, l, r, np.array([6, 0]))
+
+    def test_word_boundary(self):
+        rng = np.random.default_rng(16)
+        index = segment_index(rng)
+        for top, words in ((63, 1), (64, 2), (127, 2), (128, 3)):
+            ids = rng.integers(0, top + 1, index.n).astype(np.uint32)
+            ids[rng.integers(0, index.n, 5)] = top
+            assert id_words(ids) == words
+            for l, r in [(0, 10**6), (0, 50), (4_000, 4_500), (100, 100)]:
+                assert_ids_alike(index, ids, l, r)
+                assert_ids_alike(index, ids, l, r, np.array([8, 2]))
+            assert query_ids(index, ids, 0, 10**6)[-1] == top
+
+    def test_gathers_either_side_of_the_crossover(self):
+        """Ids whose bitmap holds exactly as many words as a gather of n
+        rows may take, and one word more, which sorts."""
+        c = kernel_constant("UNION_WORDS_PER_ID")
+        rng = np.random.default_rng(17)
+        index = segment_index(rng, n=2_000)
+        seen = set()
+        for _ in range(30):
+            l = int(rng.integers(0, 12_000))
+            r = l + int(rng.integers(0, 3_000))
+            probe = rng.integers(0, 9, int(rng.integers(1, 5)))
+            n = len(index.query(l, r, probe))
+            if not n:
+                continue
+            for words in (c * n, c * n + 1):
+                ids = rng.integers(0, 64 * words, index.n).astype(np.uint32)
+                ids[rng.integers(0, index.n)] = 64 * words - 1
+                assert id_words(ids) == words
+                assert_ids_alike(index, ids, l, r, probe)
+                seen.add(c * n > kernel_constant("UNION_STACK_WORDS"))
+        assert seen == {False, True}  # bitmaps on the stack and on the heap
+
+    def test_a_zero_word_frame_sorts(self):
+        rng = np.random.default_rng(18)
+        index = segment_index(rng)
+        ids = rng.integers(0, 500, index.n).astype(np.uint32)
+        for l, r in [(0, 10**6), (0, 50), (4_000, 4_500), (100, 100)]:
+            rows = index.query(l, r)
+            assert query_ids(index, ids, l, r, words=0) == query_ids(index, ids, l, r) == ascending(ids, rows)
 
 
 class TestSpaceReport:

@@ -39,8 +39,8 @@ from trajindex.kernel import ffi, lib
 from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
-from helpers import (FullScanOracle, ascending, exact_floor_times, full_scan_objects, make_records, near_integer_times,
-                     scenario_arrays, sorted_matches, top_edge_times)
+from helpers import (FullScanOracle, ascending, exact_floor_times, full_scan_objects, id_words, kernel_constant,
+                     make_records, near_integer_times, scenario_arrays, sorted_matches, top_edge_times)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -383,13 +383,16 @@ class TestEndToEnd:
                     assert calls == want, (window, verbose)
 
 
-def distinct_ids(object_ids, rows) -> list[int]:
-    """The union kernel's answer: the distinct ids of ``rows``."""
+def distinct_ids(object_ids, rows, words=None) -> list[int]:
+    """The union kernel's answer: the distinct ids of ``rows``, through a
+    frame over ``object_ids`` whose bitmap words are ``words``, by default
+    those a ``TrajIndex`` gives these ids."""
     object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     out = np.empty(len(rows), dtype=np.uint32)
-    k = lib.distinct_ids(ffi.from_buffer("uint32_t[]", object_ids), ffi.from_buffer("int64_t[]", rows), len(rows),
-                         ffi.from_buffer("uint32_t[]", out))
+    ids = ffi.from_buffer("uint32_t[]", object_ids)
+    frame = ffi.new("range_frame *", {"object_ids": ids, "id_words": id_words(object_ids) if words is None else words})
+    k = lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), len(rows), ffi.from_buffer("uint32_t[]", out))
     assert 0 <= k <= len(rows)
     return out[:k].tolist()
 
@@ -405,7 +408,7 @@ class TestDistinctIds:
             assert distinct_ids(ids, [row]) == [int(ids[row])]
 
     def test_every_row_the_same_object(self):
-        for obj in (0, 1, 2**31, 2**32 - 1):
+        for obj in (0, 1, 63, 64, 2**31, 2**32 - 1):
             ids = np.full(1_000, obj, dtype=np.uint32)
             assert distinct_ids(ids, np.arange(1_000)) == [obj]
             assert distinct_ids(ids, np.full(5, 999)) == [obj]
@@ -444,6 +447,66 @@ class TestDistinctIds:
             got = distinct_ids(ids, rows)
             assert got == ascending(ids, rows)
             assert got == np.unique(ids[rows]).tolist()
+
+    def test_largest_id_takes_the_sort(self):
+        ids = np.array([5, 2**32 - 1, 70, 5, 2**32 - 1, 0], dtype=np.uint32)
+        assert id_words(ids) == 2**26 > kernel_constant("UNION_WORDS_PER_ID") * 600  # more words than the rows justify
+        for rows in (np.arange(6), np.tile(np.arange(6), 100), [1, 1, 4]):
+            assert distinct_ids(ids, rows) == ascending(ids, rows)
+
+    def test_word_boundary(self):
+        """A largest id of 63 fits one word and one of 64 needs two; the
+        last bit of a word and the first of the next both come out."""
+        rng = np.random.default_rng(42)
+        for top, words in ((63, 1), (64, 2), (127, 2), (128, 3)):
+            ids = np.append(rng.integers(0, top, 40).astype(np.uint32), np.uint32(top))
+            assert id_words(ids) == words
+            for rows in ([40], [40, 0], np.arange(41), np.arange(41)[::-1], np.tile([40, 3, 40], 5)):
+                assert distinct_ids(ids, rows) == ascending(ids, rows)
+        ids = np.array([63, 64, 0, 127, 128], dtype=np.uint32)
+        assert distinct_ids(ids, np.arange(5)) == [0, 63, 64, 127, 128]
+
+    def test_gathers_either_side_of_the_crossover(self):
+        """For bitmaps on the stack and on the heap, gathers of one id too
+        few for the bitmap, which sort, and of just enough, which take it."""
+        c = kernel_constant("UNION_WORDS_PER_ID")
+        rng = np.random.default_rng(43)
+        for words in (1, 2, 79, 256, 257, 1_000):
+            ids = rng.integers(0, 64 * words, 5_000).astype(np.uint32)
+            ids[rng.integers(0, 5_000)] = 64 * words - 1
+            assert id_words(ids) == words
+            least = -(-words // c)  # the fewest ids that take the bitmap
+            for n in (least - 1, least, least + 1):
+                for rows in (rng.integers(0, 5_000, n), np.flatnonzero(ids == 64 * words - 1).repeat(n),
+                             np.argsort(ids)[-n:] if n else []):
+                    assert distinct_ids(ids, rows) == ascending(ids, rows), (words, n)
+
+    def test_a_zero_word_frame_sorts(self):
+        """A frame of no bitmap words answers through the sort, whatever
+        the gather, as every frame over an empty table does."""
+        rng = np.random.default_rng(44)
+        ids = rng.integers(0, 300, 2_000).astype(np.uint32)
+        for n in (0, 1, 30, 33, 500, 2_000):
+            rows = rng.integers(0, 2_000, n)
+            assert distinct_ids(ids, rows, words=0) == distinct_ids(ids, rows) == ascending(ids, rows)
+
+    def test_an_index_frames_its_own_ids(self, tmp_path):
+        """A built and a loaded index give their frame the bitmap words of
+        their own object ids, 0 for no records, and answer alike."""
+        net = gen_grid_network(3, 3)
+        cases = ([], [0], [63], [64, 3, 64], [2**32 - 1, 7])
+        for backend in ("iis", "linear"):
+            cfg = TrajIndexConfig(temporal_backend=backend)
+            for objects in cases:
+                records = [(k % len(net.edges), REC(o, TimeInterval(k, k + 2.0))) for k, o in enumerate(objects)]
+                index = TrajIndex.build(net, records, cfg)
+                path = os.fspath(tmp_path / "index.tjix")
+                index.save(path)
+                for idx in (index, TrajIndex.load(path)):
+                    assert idx._frame.id_words == id_words(objects)
+                    for verbose in (False, True):
+                        got = idx.range_query(net.bounds(), 0.0, 100.0, verbose).object_ids
+                        assert got == set(objects), (backend, objects)
 
 
 def object_ids(*values) -> ObjectIds:

@@ -7,7 +7,10 @@ rebinds the package's ``ffi`` and ``lib`` to that build.  It then runs the
 kernel tests, the queries of both fuzz tests on the corrupt files that load,
 and a small build, save, load and query of every benchmark workload.  A
 second child checks that a planted overflow is reported, so a run that
-sanitizes nothing cannot pass.
+sanitizes nothing cannot pass.  Two more hand the union a frame one bitmap
+word short of its ids: with enough rows gathered for the bitmap, its write
+past the end is reported; with one row fewer, the union sorts and answers
+right, so each side of the crossover is seen to be taken.
 Skipped without a C compiler or the sanitizer runtimes.
 """
 
@@ -18,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import kernel_constant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,9 +89,24 @@ OVERFLOW = REBIND + """
 ids = np.arange(4, dtype=np.uint32)
 rows = np.array([0, 4], dtype=np.int64)
 out = np.empty(2, dtype=np.uint32)
-lib.distinct_ids(ffi.from_buffer("uint32_t[]", ids), ffi.from_buffer("int64_t[]", rows), 2,
-                 ffi.from_buffer("uint32_t[]", out))
+frame = ffi.new("range_frame *", {"object_ids": ffi.from_buffer("uint32_t[]", ids), "id_words": 1})
+lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), 2, ffi.from_buffer("uint32_t[]", out))
 print("overflow not reported")
+"""
+
+SHORT_WORDS = 1_000  # past the union's stack bitmap, so the bitmap is a heap block of exactly these words
+
+# The last argv[3] rows of a table whose ids 0 .. 64 * SHORT_WORDS need one
+# bitmap word more than its frame gives; the largest id is gathered.
+SHORT_FRAME = REBIND + f"""
+n = int(sys.argv[3])
+ids = np.arange(64 * {SHORT_WORDS} + 1, dtype=np.uint32)
+rows = np.arange(len(ids) - n, len(ids), dtype=np.int64)
+out = np.empty(n, dtype=np.uint32)
+frame = ffi.new("range_frame *", {{"object_ids": ffi.from_buffer("uint32_t[]", ids), "id_words": {SHORT_WORDS}}})
+k = lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), n, ffi.from_buffer("uint32_t[]", out))
+assert out[:k].tolist() == ids[rows].tolist()
+print("short frame sorted")
 """
 
 
@@ -128,6 +148,12 @@ def test_kernels_run_clean_under_sanitizers(tmp_path):
 
     planted = child(OVERFLOW)
     assert planted.returncode != 0 and "heap-buffer-overflow" in planted.stderr, planted.stdout + planted.stderr
+    bitmap_rows = -(-SHORT_WORDS // kernel_constant("UNION_WORDS_PER_ID"))  # the fewest that take the bitmap
+    assert SHORT_WORDS > kernel_constant("UNION_STACK_WORDS")
+    planted = child(SHORT_FRAME, str(bitmap_rows))
+    assert planted.returncode != 0 and "heap-buffer-overflow" in planted.stderr, planted.stdout + planted.stderr
+    sorted_union = child(SHORT_FRAME, str(bitmap_rows - 1))
+    assert sorted_union.returncode == 0 and "short frame sorted" in sorted_union.stdout, sorted_union.stderr[-6000:]
     run = child(CHECKS, *KERNEL_TESTS)
     assert run.returncode == 0, (run.stdout + run.stderr)[-6000:]
     assert "sanitized kernel ran clean" in run.stdout
