@@ -16,6 +16,7 @@ import numpy as np
 from .kernel import ffi, lib
 
 MAX_SCALE_DIGITS = 8
+MAX_COORD = 2.0**1022  # so that the clip's differences of coordinates stay finite
 
 
 class InvalidInputError(ValueError):
@@ -99,8 +100,8 @@ class Point:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError(f"non-finite point coordinates ({self.x}, {self.y})")
+        if not (abs(self.x) <= MAX_COORD and abs(self.y) <= MAX_COORD):  # also false for NaN
+            raise InvalidInputError(f"point coordinates ({self.x}, {self.y}) must be at most 2**1022 in magnitude")
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ class Rect:
 
     def __post_init__(self):
         for v in (self.xmin, self.ymin, self.xmax, self.ymax):
-            if not math.isfinite(v):
-                raise InvalidInputError("non-finite rectangle coordinate")
+            if not abs(v) <= MAX_COORD:  # also true for NaN
+                raise InvalidInputError(f"rectangle coordinate {v} must be at most 2**1022 in magnitude")
         if self.xmin > self.xmax or self.ymin > self.ymax:
             raise InvalidInputError(
                 f"inverted rectangle ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
@@ -261,7 +262,7 @@ def segment_intersects_window(s: Segment, w: Rect) -> bool:
 def segments_intersect_window(ax, ay, bx, by, w: Rect) -> np.ndarray:
     """Vectorized ``segment_intersects_window`` over endpoint arrays.
 
-    Returns a boolean mask.  The query's compiled refinement repeats this
+    Returns a boolean mask.  The R-tree's compiled window walk repeats this
     test operation for operation; this one is the full-scan oracles' and the
     reference the tests hold the kernel to.
     """

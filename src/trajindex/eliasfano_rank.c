@@ -1,12 +1,12 @@
 /* The compiled kernels, declared in kernel.h.  Queries: the batched
  * Elias-Fano rank over the sequences of a FlatEliasFano (eliasfano.py), the
- * window walk of an RTree (rtree.py), the two queries of an IISIndex
- * (temporal/iis.py), by ticks from segments to rows and by float times from a
- * window walk's hits to sorted object ids, and (index.py) the refinement of a
- * walk's hits and times and the object-id union of their rows.  Both range
- * entries clip a hit's edge and turn a time into a tick with the same static
- * helpers.  Builds and loads: the ticks of float times
- * (core.discretize_times) by the range entries' helper, the record order and
+ * window walk of an RTree (rtree.py), which clips a segment whose box meets
+ * the window, the two queries of an IISIndex (temporal/iis.py), by ticks from
+ * segments to rows and by float times from a window walk's hits to sorted
+ * object ids, and (index.py) the check of a walk's hits and the ticks of its
+ * times, and the object-id union of their rows.  Both range entries turn a
+ * time into a tick with the same static helper.  Builds and loads: the ticks
+ * of float times (core.discretize_times) by that helper, the record order and
  * greedy decomposition into independent sets and the set-major row order of
  * an IISIndex, and the Elias-Fano encoder of a FlatEliasFano.
  *
@@ -48,15 +48,20 @@
  *
  * Window walk.  Node k's children are rows first[k] .. first[k] + counts[k]
  * - 1 of the node table when k < n_internal, and leaf slots otherwise; slot
- * s holds entry order[s].  Reads stay inside the arrays for every tree that
- * build_rtree builds or RTree.from_bytes accepts: from_bytes checks that
- * every count lies in [1, fanout], that each level's counts add up to the
- * next level's width and the leaves' to n_entries, and that `order` is a
- * permutation of the entries.  So the children of an internal node are
- * nodes of the next level, a leaf's slots lie below n_entries, and every
- * entry is written at most once, into n_entries output slots.  The stack
- * holds, per level of the current path, the siblings not yet walked: at
- * most (height - 1) * (fanout - 1) + 1 <= height * fanout slots.
+ * s holds entry order[s].  The walk reads these arrays and the end points
+ * through the rtree_index struct that an RTree fills once.  Reads stay
+ * inside the arrays for every tree that build_rtree builds or
+ * RTree.from_bytes accepts: from_bytes checks that every count lies in [1,
+ * fanout], that each level's counts add up to the next level's width and
+ * the leaves' to n_entries, and that `order` is a permutation of the
+ * entries.  So the children of an internal node are nodes of the next
+ * level, a leaf's slots lie below n_entries, and every entry is written at
+ * most once, into n_entries output slots.  The clip reads the end points of
+ * entry g = order[i] < n_entries, and each of ax, ay, bx and by holds
+ * n_entries values: they are the rows of the (4, n_entries) array the
+ * tree's boxes are computed from.  The stack holds, per level of the current
+ * path, the siblings not yet walked: at most (height - 1) * (fanout - 1) + 1
+ * <= height * fanout slots.
  *
  * Query.  Set k holds rows set_rows[k] .. set_rows[k + 1] - 1, its starts
  * in sequence 2k and its ends in sequence 2k + 1, and segment g holds sets
@@ -82,19 +87,17 @@
  * rows of 8 bytes: int64_t rows, or uint32_t ids in its first half, and its
  * second half, the sort's scratch, holds one slot per id gathered.
  *
- * Range query.  iis_range and refine_hits read the edges' endpoints and the
- * rows' object ids through the range_frame struct that a TrajIndex fills
- * once: each coordinate array holds one value per edge, n_edges of them,
- * and object_ids one id per row of the record table.  Every hit is checked
- * against [0, n_edges) before its coordinates are read, so hits are below
- * n_edges, as the window walk writes them; iis_range also rejects a hit
- * outside [0, n_segments), as iis_query does, before it reads seg_sets (a
- * TrajIndex has one segment per edge).  refine_hits writes at most one
- * segment per hit, into an array of n_hits slots.  The ticks only feed
- * rank_lane, whose x is clamped to the universe (see Rank), and the
- * comparisons of a per-segment structure; a tick is clamped to at most 2**62
- * in either case, and an int64 holds it, so no conversion overflows (see
- * time_tick).
+ * Range query.  iis_range and range_ticks read the edge count, the scale and
+ * the rows' object ids through the range_frame struct that a TrajIndex
+ * fills once: object_ids holds one id per row of the record table.  Both
+ * check every hit against [0, n_edges), as the window walk writes them;
+ * iis_range also rejects a hit outside [0, n_segments), as iis_query does,
+ * before it reads seg_sets (a TrajIndex has one segment per edge).
+ * range_ticks reads the hits and writes nothing but its answer.  The ticks
+ * only feed rank_lane, whose x is clamped to the universe (see Rank), and
+ * the comparisons of a per-segment structure; a tick is clamped to at most
+ * 2**62 in either case, and an int64 holds it, so no conversion overflows
+ * (see time_tick).
  *
  * Ticks.  time_ticks reads n times and writes at most n ticks, each at most
  * TICK_TOP (see time_tick), into an array that discretize_times sizes.
@@ -268,31 +271,71 @@ int64_t ef_rank(const ef_seqs *ef, const int64_t *seq, const int64_t *x, int64_t
     return 0;
 }
 
-/* Window walk: writes the entry of every leaf slot whose box overlaps the
- * window (closed sets) to `out` and returns how many.  Boxes are stored as
- * (xmin, ymin, -xmax, -ymax) and the window comes as (xmax, ymax, -xmin,
- * -ymin), so a box overlaps it when each of its four numbers is <= the
- * window's.  The last overlapping child of a node is walked first, and a
- * leaf's slots in ascending order. */
-int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32_t *order,
-                     const double *node_boxes, const double *entry_boxes, int64_t n_internal,
-                     double xmax, double ymax, double neg_xmin, double neg_ymin,
-                     int64_t *stack, int64_t *out)
+/* A query's window as (xmin, ymin, xmax, ymax), closed. */
+typedef struct {
+    double xmin, ymin, xmax, ymax;
+} window_t;
+
+/* Whether the segment from (ax, ay) to (bx, by) meets the window: the test of
+ * core.segments_intersect_window, operation for operation, clipping the
+ * segment's parameter range [0, 1] against the four sides.  A NaN parameter,
+ * which numpy's maximum and minimum would carry into its last comparison,
+ * fails the test here as there. */
+static int clip_segment(double ax, double ay, double bx, double by, const window_t *w)
 {
+    double dx = bx - ax, dy = by - ay, t0 = 0.0, t1 = 1.0;
+    const double p[4] = {-dx, dx, -dy, dy};
+    const double q[4] = {ax - w->xmin, w->xmax - ax, ay - w->ymin, w->ymax - ay};
+    for (int k = 0; k < 4; k++) {
+        if (p[k] == 0.0) {
+            if (q[k] < 0.0)
+                return 0;
+            continue;
+        }
+        double t = q[k] / p[k];
+        if (t != t)
+            return 0;
+        if (p[k] < 0.0) {
+            if (t > t0)
+                t0 = t;
+        } else if (t < t1) {
+            t1 = t;
+        }
+    }
+    return t0 <= t1;
+}
+
+/* Window walk: writes every entry whose segment meets the window (closed
+ * sets) to `out` and returns how many.  Boxes are stored as (xmin, ymin,
+ * -xmax, -ymax) and compared with (xmax, ymax, -xmin, -ymin), so a box
+ * overlaps the window when each of its four numbers is <= the window's.  A
+ * leaf entry whose box overlaps is kept when the box is degenerate (an
+ * axis-parallel segment is its own box) or when its segment, clipped, meets
+ * the window.  The last overlapping child of a node is walked first, and a
+ * leaf's slots in ascending order. */
+int64_t rtree_window(const rtree_index *tree, double xmin, double ymin, double xmax, double ymax, int64_t *stack,
+                     int64_t *out)
+{
+    const rtree_index t = *tree; /* a copy, which the stores below cannot alias */
+    const window_t w = {xmin, ymin, xmax, ymax};
+    double neg_xmin = -xmin, neg_ymin = -ymin;
     int64_t top = 0, n = 0;
     stack[top++] = 0; /* the root */
     while (top) {
         int64_t k = stack[--top];
-        int64_t a = first[k], b = a + counts[k];
-        int leaf = k >= n_internal;
-        const double *box = (leaf ? entry_boxes : node_boxes) + 4 * a;
+        int64_t a = t.first[k], b = a + t.counts[k];
+        int leaf = k >= t.n_internal;
+        const double *box = (leaf ? t.entry_boxes : t.node_boxes) + 4 * a;
         for (int64_t i = a; i < b; i++, box += 4) {
-            if (box[0] <= xmax && box[1] <= ymax && box[2] <= neg_xmin && box[3] <= neg_ymin) {
-                if (leaf)
-                    out[n++] = order[i];
-                else
-                    stack[top++] = i;
+            if (!(box[0] <= xmax && box[1] <= ymax && box[2] <= neg_xmin && box[3] <= neg_ymin))
+                continue;
+            if (!leaf) {
+                stack[top++] = i;
+                continue;
             }
+            int64_t g = t.order[i];
+            if (box[0] == -box[2] || box[1] == -box[3] || clip_segment(t.ax[g], t.ay[g], t.bx[g], t.by[g], &w))
+                out[n++] = g;
         }
     }
     return n;
@@ -454,49 +497,6 @@ static inline void gather_rows(int64_t *dst, const uint32_t *row_ids, int64_t fi
             *dst++ = row;
 }
 
-/* A query's window as (xmin, ymin, xmax, ymax), closed. */
-typedef struct {
-    double xmin, ymin, xmax, ymax;
-} window_t;
-
-/* Whether the segment from (ax, ay) to (bx, by) meets the window: the test of
- * core.segments_intersect_window, operation for operation, clipping the
- * segment's parameter range [0, 1] against the four sides.  A NaN parameter,
- * which numpy's maximum and minimum would carry into its last comparison,
- * fails the test here as there. */
-static int clip_segment(double ax, double ay, double bx, double by, const window_t *w)
-{
-    double dx = bx - ax, dy = by - ay, t0 = 0.0, t1 = 1.0;
-    const double p[4] = {-dx, dx, -dy, dy};
-    const double q[4] = {ax - w->xmin, w->xmax - ax, ay - w->ymin, w->ymax - ay};
-    for (int k = 0; k < 4; k++) {
-        if (p[k] == 0.0) {
-            if (q[k] < 0.0)
-                return 0;
-            continue;
-        }
-        double t = q[k] / p[k];
-        if (t != t)
-            return 0;
-        if (p[k] < 0.0) {
-            if (t > t0)
-                t0 = t;
-        } else if (t < t1) {
-            t1 = t;
-        }
-    }
-    return t0 <= t1;
-}
-
-/* Whether the edge of hit g, whose box the window walk found overlapping the
- * window, meets it: an axis-parallel edge is its own box, so the walk's test
- * was exact, and any other edge is clipped. */
-static inline int hit_meets_window(const range_frame *frame, int64_t g, const window_t *w)
-{
-    double ax = frame->ax[g], ay = frame->ay[g], bx = frame->bx[g], by = frame->by[g];
-    return ax == bx || ay == by || clip_segment(ax, ay, bx, by, w);
-}
-
 #define TICK_TOP ((int64_t)1 << 62) /* above every tick a record or a universe holds */
 
 /* Stores the tick of time t, floor(t * scale) of the exact product as
@@ -547,15 +547,14 @@ static inline int64_t query_ticks(double scale, double t_start, double t_end, in
  * set's rows whose start is <= r and whose end is > l1, ascending; a row
  * stands for row_ids[row] when the index has row ids.  Without a frame it
  * answers with these rows as int64_t.  With a frame, the segments are the
- * hits of a window walk, a hit whose edge does not meet the window `w` is
- * skipped and a segment must lie below the frame's edge count too; it then
+ * hits of a window walk and must lie below the frame's edge count too; it then
  * answers with the distinct object ids of these rows, ascending: it gathers
  * each run's ids, then unions them by union_ids (see Query for the one
  * buffer of either).  Its status is 0, -1 - i for the first lane i whose
  * segment is out of range, or -1 - n_probe when out of memory; it then holds
  * no buffer. */
-static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, const window_t *w,
-                              const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r)
+static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, const int64_t *segments,
+                              int64_t n_probe, int64_t l1, int64_t r)
 {
     const ef_seqs seqs = *ix->seqs; /* a copy, which the stores below cannot alias */
     int64_t cap = 0, n = 0, status;
@@ -567,8 +566,6 @@ static iis_answer iis_collect(const iis_index *ix, const range_frame *frame, con
             status = -1 - i;
             goto fail;
         }
-        if (frame && !hit_meets_window(frame, g, w))
-            continue;
         for (int64_t k = ix->seg_sets[g]; k < ix->seg_sets[g + 1]; k++) {
             int64_t last = rank_lane(&seqs, 2 * k, r);
             if (!last) /* no start is <= r, so no row matches */
@@ -611,11 +608,11 @@ fail:
  * not in [0, n_segments). */
 iis_answer iis_query(const iis_index *ix, const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r)
 {
-    return iis_collect(ix, NULL, NULL, segments, n_probe, l1, r);
+    return iis_collect(ix, NULL, segments, n_probe, l1, r);
 }
 
 /* Range query: the distinct object ids of the frame's rows of every set of
- * every hit whose edge meets the window, whose start tick is <= that of
+ * every hit, whose start tick is <= that of
  * t_end and whose end tick is >= that of t_start; see iis_collect.  The
  * ticks are clamped to the universe u: a set holds only ticks below it.  Its
  * status is 0, -1 or -2 when t_start or t_end is not finite and >= 0, found
@@ -623,38 +620,29 @@ iis_answer iis_query(const iis_index *ix, const int64_t *segments, int64_t n_pro
  * the edge counts, or -3 - n_hits when out of memory; it then holds no
  * buffer. */
 iis_answer iis_range(const iis_index *ix, const range_frame *frame, const int64_t *hits, int64_t n_hits,
-                     double xmin, double ymin, double xmax, double ymax, double t_start, double t_end)
+                     double t_start, double t_end)
 {
     int64_t l, r, status = query_ticks(frame->scale, t_start, t_end, ix->seqs->u, &l, &r);
     if (status)
         return (iis_answer){status, NULL, 0};
-    const window_t w = {xmin, ymin, xmax, ymax};
-    iis_answer out = iis_collect(ix, frame, &w, hits, n_hits, l - 1, r);
+    iis_answer out = iis_collect(ix, frame, hits, n_hits, l - 1, r);
     if (out.status)
         out.status -= 2;
     return out;
 }
 
-/* Hit refinement for the backends that answer by ticks: writes the hits
- * whose edge meets the window to `segments`, in hit order, and answers with
- * their count and the ticks of t_start and t_end, clamped to TICK_TOP.  The
- * count is -1 or -2 when t_start or t_end is not finite and >= 0, found
- * before anything else, or -3 - i for the first hit i not in [0, n_edges). */
-refined_hits refine_hits(const range_frame *frame, const int64_t *hits, int64_t n_hits, double xmin, double ymin,
-                         double xmax, double ymax, double t_start, double t_end, int64_t *segments)
+/* Range ticks for the backends that answer by ticks: the ticks of t_start
+ * and t_end, clamped to TICK_TOP.  Its status is -1 or -2 when t_start or
+ * t_end is not finite and >= 0, found before anything else, or -3 - i for
+ * the first hit i not in [0, n_edges). */
+ticks_answer range_ticks(const range_frame *frame, const int64_t *hits, int64_t n_hits, double t_start, double t_end)
 {
-    refined_hits out = {0, 0, 0};
-    int64_t status = query_ticks(frame->scale, t_start, t_end, TICK_TOP, &out.l, &out.r);
-    if (status)
-        return (refined_hits){status, 0, 0};
-    const window_t w = {xmin, ymin, xmax, ymax};
-    for (int64_t i = 0; i < n_hits; i++) {
-        int64_t g = hits[i];
-        if (g < 0 || g >= frame->n_edges)
-            return (refined_hits){-3 - i, 0, 0};
-        if (hit_meets_window(frame, g, &w))
-            segments[out.kept++] = g;
-    }
+    ticks_answer out = {0, 0, 0};
+    if ((out.status = query_ticks(frame->scale, t_start, t_end, TICK_TOP, &out.l, &out.r)))
+        return out;
+    for (int64_t i = 0; i < n_hits; i++)
+        if (hits[i] < 0 || hits[i] >= frame->n_edges)
+            return (ticks_answer){-3 - i, 0, 0};
     return out;
 }
 

@@ -1,35 +1,32 @@
-"""The two-level index: an R-tree over segment boxes on top, the temporal
-level over every segment's records underneath, and the query pipeline
-joining them.
+"""The two-level index: an R-tree over the network's segments on top, the
+temporal level over every segment's records underneath, and the query
+pipeline joining them.
 
-A range query runs the window on the R-tree, refines the candidate
-segments with the exact segment/window test where the box test is not
-already exact, executes the interval intersection on the surviving
+A range query runs the window on the R-tree, which answers with exactly
+the segments that meet it, executes the interval intersection on those
 segments' records, and unions the object ids.  Query timestamps are
 discretized with the scale the index was built with, so lossy builds
 stay exact at the tick level.
 
 The network is two lists, the node coordinates and the node pairs its
-segments join (``Network``).  The index takes the segments' end
-coordinates from them in one gather, ``Network.endpoints``, and makes no
-``Segment`` object, nor does a load.
+segments join (``Network``).  The R-tree reads the segments' end
+coordinates from one gather, ``Network.endpoints``, and neither the index
+nor a load makes a ``Segment`` object.
 
 The records live in one table ordered segment by segment.  The ``iis``
 backend is a single :class:`IISIndex` over that table; the other backends
 keep one structure per segment over its slice of the table.  A query makes
 two calls into compiled code: the R-tree's window walk, and the temporal
-level's ``query_ids``, which takes the walk's hits, the window and the two
-float times.  Its kernel reads the edges' endpoints, the time scale and the
-object ids through one ``range_frame`` struct that the index binds once.
-It clips every hit whose edge is not axis-parallel (an axis-parallel edge
-is its own box, so the walk's box test was exact) and turns both times
-into exact ticks, as ``discretize_time`` does.  With ``iis``, the same call
-ranks every set of every surviving segment, gathers the object ids of each
+level's ``query_ids``, which takes the walk's hits and the two float
+times.  Its kernel reads the edge count, the time scale and the object ids
+through one ``range_frame`` struct that the index binds once, and turns
+both times into exact ticks, as ``discretize_time`` does.  With ``iis``,
+the same call ranks every set of every hit, gathers the object ids of each
 matching run of rows and unions them.  The other backends, and ``verbose``
-on every backend, take one path, ``_rows_and_ids``: a kernel call keeps the
-surviving segments and gives the ticks, the temporal level's ``query``
-answers with rows, from which numpy gathers the ``verbose`` matches, and
-one more call writes the rows' distinct object ids.  Both unions set a bit
+on every backend, take one path, ``_rows_and_ids``: a kernel call checks
+the hits and gives the ticks, the temporal level's ``query`` answers with
+rows, from which numpy gathers the ``verbose`` matches, and one more call
+writes the rows' distinct object ids.  Both unions set a bit
 per id in a bitmap allocated per call, whose word count, ``id_words`` of
 the frame, the index takes from its own largest object id, and write the
 set bits out in order; when the bitmap would be wide against the ids
@@ -44,7 +41,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from collections.abc import Callable, Set
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,19 +168,15 @@ class IndexStats:
         return self.spatial_bytes + self.temporal_bytes + self.data_bytes
 
 
-def _rows_and_ids(temporal, frame, hits: np.ndarray, window: Rect, t_start: float,
-                 t_end: float) -> tuple[np.ndarray, bytes]:
+def _rows_and_ids(temporal, frame, hits: np.ndarray, t_start: float, t_end: float) -> tuple[np.ndarray, bytes]:
     """For the arguments ``query_ids`` takes, the matching rows as
-    ``temporal.query`` gives them for the hits that ``refine_hits`` keeps and
-    the ticks it gives, and the rows' distinct object ids as ``query_ids``
-    gives them, from ``distinct_ids``."""
-    probe = ffi.from_buffer("int64_t[]", hits)
-    segments = np.empty(len(probe), dtype=np.int64)
-    refined = lib.refine_hits(frame, probe, len(probe), window.xmin, window.ymin, window.xmax, window.ymax,
-                              t_start, t_end, ffi.from_buffer("int64_t[]", segments))
-    if refined.kept < 0:
-        raise range_query_error(refined.kept, hits, t_start, t_end)
-    rows = temporal.query(refined.l, refined.r, segments[:refined.kept])
+    ``temporal.query`` gives them for the hits and the ticks that
+    ``range_ticks`` gives, and the rows' distinct object ids as
+    ``query_ids`` gives them, from ``distinct_ids``."""
+    ticks = lib.range_ticks(frame, ffi.from_buffer("int64_t[]", hits), len(hits), t_start, t_end)
+    if ticks.status:
+        raise range_query_error(ticks.status, hits, t_start, t_end)
+    rows = temporal.query(ticks.l, ticks.r, hits)
     n = len(rows)
     out = _new_ids("uint32_t[]", n)
     k = lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), n, out)
@@ -214,9 +207,9 @@ class _PerSegment:
         out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
         return np.concatenate(out, dtype=np.int64) if out else _EMPTY
 
-    def query_ids(self, frame, hits: np.ndarray, window: Rect, t_start: float, t_end: float) -> bytes:
+    def query_ids(self, frame, hits: np.ndarray, t_start: float, t_end: float) -> bytes:
         """``IISIndex.query_ids``'s answer, from ``_rows_and_ids``."""
-        return _rows_and_ids(self, frame, hits, window, t_start, t_end)[1]
+        return _rows_and_ids(self, frame, hits, t_start, t_end)[1]
 
     def space_report(self) -> dict:
         bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
@@ -226,37 +219,31 @@ class _PerSegment:
 class TrajIndex:
     """The record table holds every record once, ordered by segment:
     ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
-    temporal structure answers with those row numbers.  ``make_rtree``
-    makes the R-tree from the edges' (n, 4) box array: a new build, or the
-    shape a file saved.  ``temporal.query_ids`` takes ``_frame`` and a
+    temporal structure answers with those row numbers.  ``rtree`` is the
+    R-tree over the network's segments: a new build, or the shape a file
+    saved.  ``temporal.query_ids`` takes ``_frame`` and a
     window walk's hits and answers with the distinct object ids of the
     matching rows, ascending, as ``uint32`` bytes; for ``verbose``,
     ``_rows_and_ids`` answers with those rows too, a contiguous ``int64``
     array of rows, each below the record count."""
 
-    def __init__(self, network: Network, make_rtree: Callable[[np.ndarray], RTree], cfg: TrajIndexConfig,
-                 seg_rows: np.ndarray, object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
+    def __init__(self, network: Network, rtree: RTree, cfg: TrajIndexConfig, seg_rows: np.ndarray,
+                 object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
         self.network = network
+        self.rtree = rtree
         self.cfg = cfg
         self.seg_rows = seg_rows
         self.object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
-        # float64 whatever the points hold, as the kernels read them as doubles
-        ends = network.endpoints()
-        self._ax, self._ay, self._bx, self._by = ends
         # what the temporal level's query reads besides its own arrays, handed
-        # to the kernels once; ``_frame_arrays`` keeps what the struct points to.
+        # to the kernels once; ``_frame_ids`` keeps what the struct points to.
         # The union's bitmap words come from these ids, never from a file.
-        coords = [ffi.from_buffer("double[]", a) for a in ends]
-        ids = ffi.from_buffer("uint32_t[]", self.object_ids)
+        self._frame_ids = ffi.from_buffer("uint32_t[]", self.object_ids)
         id_words = (int(self.object_ids.max()) >> 6) + 1 if len(self.object_ids) else 0
-        self._frame_arrays = (*coords, ids)
-        self._frame = ffi.new("range_frame *", [*coords, len(network.edge_nodes), float(cfg.scale.scale), ids,
+        self._frame = ffi.new("range_frame *", [len(network.edge_nodes), float(cfg.scale.scale), self._frame_ids,
                                                 id_words])
-        lo, hi = np.minimum(ends[:2], ends[2:]), np.maximum(ends[:2], ends[2:])
-        self.rtree = make_rtree(np.concatenate((lo, hi)).T)  # rows xmin, ymin, xmax, ymax
 
     # -- construction ----------------------------------------------------
 
@@ -299,7 +286,7 @@ class TrajIndex:
         else:
             order = np.argsort(seg, kind="stable")
             temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows)
-        return cls(network, build_rtree, cfg, seg_rows,
+        return cls(network, build_rtree(network.endpoints()), cfg, seg_rows,
                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
     # -- queries ---------------------------------------------------------
@@ -309,8 +296,8 @@ class TrajIndex:
             raise InvalidQueryError(f"time range [{t_start}, {t_end}] has start > end")
         hits = self.rtree.window_query(window)
         if not verbose:
-            return QueryResult(ObjectIds(self.temporal.query_ids(self._frame, hits, window, t_start, t_end)))
-        rows, ids = _rows_and_ids(self.temporal, self._frame, hits, window, t_start, t_end)
+            return QueryResult(ObjectIds(self.temporal.query_ids(self._frame, hits, t_start, t_end)))
+        rows, ids = _rows_and_ids(self.temporal, self._frame, hits, t_start, t_end)
         segment = np.searchsorted(self.seg_rows, rows, side="right") - 1
         return QueryResult(ObjectIds(ids), [(o, s, TimeInterval(a, b)) for o, s, a, b in zip(
             self.object_ids[rows].tolist(), segment.tolist(), self.t_start[rows].tolist(), self.t_end[rows].tolist())])
@@ -413,7 +400,7 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
 # ``Network``, which checks every pair when a load makes it.
 # The fanout is the saved R-tree's; load checks the tree's nodes against it.
 # The R-tree block is a u64 length and the tree's shape (``RTree.to_bytes``);
-# its boxes are recomputed from the network at load.
+# its boxes are recomputed from the network's segments at load.
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
 # ordered by segment; load checks the times as a build does and turns them
@@ -469,12 +456,8 @@ def _deserialize_index(data: bytes) -> TrajIndex:
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
     network = Network([Point(x, y) for x, y in coords.tolist()], [(a, b) for a, b in edge_nodes.tolist()])
     spatial_block = rd.block("spatial index block")
-
-    def load_rtree(boxes: np.ndarray) -> RTree:
-        rtree = RTree.from_bytes(spatial_block, fanout, boxes)
-        spatial_block.finish()
-        return rtree
-
+    rtree = RTree.from_bytes(spatial_block, fanout, network.endpoints())
+    spatial_block.finish()
     seg_rows = prefix_offsets(rd.array("<u4", n_edges))
     n = int(seg_rows[-1])
     object_ids = rd.array("<u4", n).astype(np.uint32)
@@ -495,4 +478,4 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         if temporal_block.end > temporal_block.start:
             raise FormatError("unexpected temporal block")
         temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows)
-    return TrajIndex(network, load_rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)
+    return TrajIndex(network, rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)

@@ -31,36 +31,42 @@ typedef struct {
     const uint32_t *row_ids;
 } iis_index;
 
-/* What a range query reads besides its temporal level, handed over once by
- * a TrajIndex: edge g runs from (ax[g], ay[g]) to (bx[g], by[g]), a time t
- * has the tick floor(t * scale), and row i holds object object_ids[i].
- * id_words is (the largest object id >> 6) + 1, the words of a bitmap over
- * the ids, or 0 for no rows, and then the union sorts. */
+/* The arrays of an RTree, handed over once: its node table (see rtree.py)
+ * and the end points, entry g running from (ax[g], ay[g]) to (bx[g], by[g]). */
 typedef struct {
+    const uint32_t *first, *counts, *order;
+    const double *node_boxes, *entry_boxes;
+    int64_t n_internal;
     const double *ax, *ay, *bx, *by;
+} rtree_index;
+
+/* What a range query's temporal entry reads besides its temporal level,
+ * handed over once by a TrajIndex: the edge count, the time scale (a time t
+ * has the tick floor(t * scale)) and object_ids, row i's object.  id_words is
+ * (the largest object id >> 6) + 1, the words of a bitmap over the ids, or 0
+ * for no rows, and then the union sorts. */
+typedef struct {
     int64_t n_edges;
     double scale;
     const uint32_t *object_ids;
     int64_t id_words;
 } range_frame;
 
-/* What refine_hits answers, returned by value: how many hits it kept, or a
- * negative status, and the ticks of the query's times. */
+/* What range_ticks answers, returned by value: a status, 0 unless the query
+ * failed, and the ticks of the query's times. */
 typedef struct {
-    int64_t kept, l, r;
-} refined_hits;
+    int64_t status, l, r;
+} ticks_answer;
 
 int64_t ef_rank(const ef_seqs *ef, const int64_t *seq, const int64_t *x, int64_t *out, int64_t lanes);
-int64_t rtree_window(const uint32_t *first, const uint32_t *counts, const uint32_t *order,
-                     const double *node_boxes, const double *entry_boxes, int64_t n_internal,
-                     double xmax, double ymax, double neg_xmin, double neg_ymin, int64_t *stack, int64_t *out);
+int64_t rtree_window(const rtree_index *tree, double xmin, double ymin, double xmax, double ymax, int64_t *stack,
+                     int64_t *out);
 int64_t distinct_ids(const range_frame *frame, const int64_t *rows, int64_t n, uint32_t *out);
 int64_t time_ticks(const double *times, int64_t n, double scale, int64_t *ticks);
 iis_answer iis_query(const iis_index *ix, const int64_t *segments, int64_t n_probe, int64_t l1, int64_t r);
 iis_answer iis_range(const iis_index *ix, const range_frame *frame, const int64_t *hits, int64_t n_hits,
-                     double xmin, double ymin, double xmax, double ymax, double t_start, double t_end);
-refined_hits refine_hits(const range_frame *frame, const int64_t *hits, int64_t n_hits, double xmin, double ymin,
-                         double xmax, double ymax, double t_start, double t_end, int64_t *segments);
+                     double t_start, double t_end);
+ticks_answer range_ticks(const range_frame *frame, const int64_t *hits, int64_t n_hits, double t_start, double t_end);
 int64_t iis_decompose(const int64_t *starts, const int64_t *ends, const int64_t *groups, int64_t n,
                       int64_t n_groups, int64_t *order, int64_t *assignment);
 void sort_by_key(const int64_t *keys, const int64_t *items, int64_t n, int64_t *cursor, int64_t *out);

@@ -75,9 +75,6 @@ class TemporalIndexBase:
     def space_report(self) -> dict:
         raise NotImplementedError
 
-    def space_bytes(self) -> int:
-        return (self.space_report()["total_bits"] + 7) // 8
-
 
 class LinearScanIndex(TemporalIndexBase):
     """Records kept in two plain arrays and scanned sequentially.

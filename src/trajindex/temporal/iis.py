@@ -32,11 +32,11 @@ codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  ``query``
 takes two ticks and segment numbers, and its entry writes the runs, or the
 row ids they map to, straight into the result.  ``query_ids`` serves a
-range query of a ``TrajIndex``: it takes the R-tree walk's hits, the window
-and two float times, and its entry clips the hits and turns the times into
-ticks, then answers with the object ids of the runs, sorted and unique: it
-sets a bit per id in a bitmap over the frame's ids, or sorts them when the
-bitmap would be wide against the ids gathered.
+range query of a ``TrajIndex``: it takes the R-tree walk's hits, the
+segments that meet the window, and two float times, and its entry turns the
+times into ticks, then answers with the object ids of the runs, sorted and
+unique: it sets a bit per id in a bitmap over the frame's ids, or sorts
+them when the bitmap would be wide against the ids gathered.
 """
 
 from __future__ import annotations
@@ -248,18 +248,17 @@ class IISIndex(TemporalIndexBase):
         # an array that owns the kernel's buffer and frees it when it goes
         return np.frombuffer(ffi.buffer(ffi.gc(out.out, lib.free), 8 * out.n), dtype=np.int64)
 
-    def query_ids(self, frame, hits: np.ndarray, window, t_start: float, t_end: float) -> bytes:
+    def query_ids(self, frame, hits: np.ndarray, t_start: float, t_end: float) -> bytes:
         """The distinct object ids of the rows that match a range query, as
         native ``uint32`` bytes, ascending, from one kernel call (see the
         module docstring).  ``frame`` is a ``range_frame *`` of the index's
-        edges, time scale and object ids (``TrajIndex`` binds one), ``hits``
-        a contiguous ``int64`` array of the edges whose box overlaps the
-        ``window``, as ``RTree.window_query`` gives them, and the times are
-        floats.  Raises ``InvalidInputError`` for a time that is not finite
-        and non-negative."""
+        edge count, time scale and object ids (``TrajIndex`` binds one),
+        ``hits`` a contiguous ``int64`` array of segments, as
+        ``RTree.window_query`` gives them, and the times are floats.  Raises
+        ``InvalidInputError`` for a time that is not finite and
+        non-negative."""
         probe = ffi.from_buffer("int64_t[]", hits)
-        out = lib.iis_range(self.c_struct, frame, probe, len(probe), window.xmin, window.ymin, window.xmax,
-                            window.ymax, t_start, t_end)
+        out = lib.iis_range(self.c_struct, frame, probe, len(probe), t_start, t_end)
         if out.status:
             raise range_query_error(out.status, hits, t_start, t_end)
         if not out.n:

@@ -48,6 +48,27 @@ def ascending(object_ids, rows) -> list[int]:
     return sorted(set(np.asarray(object_ids, dtype=np.uint32)[np.asarray(rows, dtype=np.int64)].tolist()))
 
 
+def reference_walk(tree, w: Rect) -> np.ndarray:
+    """An R-tree's window walk in numpy: the last overlapping child of a node
+    is walked first, a leaf's slots in order, and a leaf keeps each entry
+    whose box overlaps the window and whose segment meets it by
+    ``segments_intersect_window``."""
+    q = np.array((w.xmax, w.ymax, -w.xmin, -w.ymin))
+    meets = segments_intersect_window(*tree.ends, w)
+    out = [np.zeros(0, dtype=np.int64)]
+    stack = [0] if tree.n_entries else []
+    while stack:
+        k = stack.pop()
+        a = tree.first.item(k)
+        b = a + tree.counts.item(k)
+        if k < tree.n_internal:
+            stack.extend(((tree.node_boxes[a:b] <= q).all(1).nonzero()[0] + a).tolist())
+        else:
+            entries = tree.order[a:b]
+            out.append(entries[(tree.entry_boxes[a:b] <= q).all(1) & meets[entries]])
+    return np.concatenate(out, dtype=np.int64)
+
+
 def exact_floor_times(digits: int) -> list[float]:
     """Times to check a discretization against the exact floor with:
     floats of every kind, decimals whose rounded product with 10**digits is

@@ -189,6 +189,42 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             Point(math.nan, 0.0)
 
+    def test_coordinates_up_to_2_to_the_1022(self):
+        """The bound is taken, the next float above it refused, for a point
+        and a rectangle alike; NaN, the infinities and ints no float holds
+        are refused by the same comparison."""
+        bound = 2.0**1022
+        above = float(np.nextafter(bound, math.inf))
+        for v in (bound, -bound, 0.0, -0.0, 5e-324, 7):
+            assert Point(v, -v) == Point(v, -v)
+            assert Rect(-abs(v), -abs(v), abs(v), abs(v)).xmax == abs(v)
+        for v in (above, -above, math.inf, -math.inf, math.nan, 10**400, -(10**400)):
+            for point in ((v, 0.0), (0.0, v)):
+                with pytest.raises(InvalidInputError, match=re.escape("at most 2**1022 in magnitude")):
+                    Point(*point)
+            for rect in ((v, 0.0, bound, 1.0), (-bound, v, bound, bound), (-bound, 0.0, v, 1.0), (0.0, -bound, 1.0, v)):
+                with pytest.raises(InvalidInputError, match=re.escape("at most 2**1022 in magnitude")):
+                    Rect(*rect)
+
+    def test_the_clip_stays_finite_at_the_bound(self):
+        """Segments and windows spanning the whole coordinate range: the
+        scalar and the vectorized exact tests agree, and a window that
+        contains another meets every segment the other meets."""
+        bound = 2.0**1022
+        rng = np.random.default_rng(5)
+        ends = rng.uniform(-bound, bound, (4, 300))
+        ends[:, :4] = [[-bound, bound, -bound, bound], [-bound, -bound, bound, 0.0],
+                       [bound, -bound, bound, -bound], [bound, bound, -bound, 1.0]]
+        for _ in range(200):
+            x0, x1 = np.sort(rng.uniform(-bound, bound, 2))
+            y0, y1 = np.sort(rng.uniform(-bound, bound, 2))
+            inner = Rect(x0, y0, x1, y1)
+            outer = Rect(-bound, y0, bound, y1)
+            meets = segments_intersect_window(*ends, inner)
+            assert meets.tolist() == [segment_intersects_window(seg(*row), inner) for row in ends.T.tolist()]
+            assert not (meets & ~segments_intersect_window(*ends, outer)).any()
+        assert segments_intersect_window(*ends[:, :1], Rect(-bound, 0.0, bound, 0.0)).tolist() == [True]
+
     def test_segment_rejects_degenerate(self):
         with pytest.raises(InvalidInputError):
             Segment(0, Point(1, 1), Point(1, 1))

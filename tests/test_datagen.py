@@ -70,14 +70,15 @@ class TestNetwork:
 
     def test_endpoints_are_gathered_once_and_read_only(self):
         """The array checked when the network is made is the one every call
-        gives, and an index over the network reads it without a copy."""
+        gives, and the R-tree of an index over the network reads it without
+        a copy."""
         net = gen_grid_network(3, 3)
         ends = net.endpoints()
         assert net.endpoints() is ends and not ends.flags.writeable
         with pytest.raises(ValueError):
             ends[0, 0] = 5.0
         index = TrajIndex.from_columns(net, [0], [1], [0.0], [1.0])
-        assert np.shares_memory(index._ax, index.network.endpoints())
+        assert index.rtree.ends is index.network.endpoints()
 
     @pytest.mark.parametrize("pair", [(1, 3), (-1, 0)])
     def test_unknown_node_rejected(self, pair):
@@ -205,6 +206,17 @@ class TestFiles:
         path.write_text("nodes 3 edges 2\nn 0 0.0 0.0\nn 1 1.0 0.0\nn 2 1.0 0.0\ne 0 0 1\ne 1 2 1\n")
         with pytest.raises(ParseError, match="net.txt:6: segment 1 has zero length"):
             read_network(str(path))
+
+    def test_network_coordinates_up_to_2_to_the_1022(self, tmp_path):
+        path = tmp_path / "net.txt"
+        bound = 2.0**1022
+        path.write_text(f"n 0 {bound!r} {-bound!r}\nn 1 0.0 0.0\ne 0 0 1\n")
+        assert read_network(str(path)).nodes[0] == Point(bound, -bound)
+        above = float(np.nextafter(bound, np.inf))
+        for x, y in ((above, 0.0), (0.0, -above), ("inf", 0.0), ("nan", 0.0)):
+            path.write_text(f"n 0 0.0 0.0\nn 1 {x!r} {y!r}\ne 0 0 1\n".replace("'", ""))
+            with pytest.raises(ParseError, match=r"net.txt:2: point coordinates .* at most 2\*\*1022"):
+                read_network(str(path))
 
     def test_network_missing_its_last_edge(self, tmp_path):
         # a cut file used to load with 179 of its 180 edges

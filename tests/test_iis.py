@@ -398,20 +398,16 @@ def record_ids(rng, n):
 def query_ids(index, object_ids, l, r, segments=None, words=None):
     """The ids, as a list, that the kernel's range entry gathers for the rows
     ``query(l, r, segments)`` gives, ``object_ids`` holding one id per row
-    (all segments by default).  Its frame has one horizontal edge per
-    segment, the window covers them all and the scale is 1, so nothing is
-    clipped and the times ``l`` and ``r``, which must not be negative, have
+    (all segments by default).  Its frame has one edge per segment and the
+    scale 1, so the times ``l`` and ``r``, which must not be negative, have
     the ticks ``l`` and ``r``.  Its bitmap words are ``words``, by default
     those a ``TrajIndex`` gives these ids."""
     n = len(index.seg_sets) - 1
-    y = np.arange(n, dtype=np.float64)
-    keep = [ffi.from_buffer("double[]", a) for a in (np.zeros(n), y, np.ones(n), y)]
-    keep.append(ffi.from_buffer("uint32_t[]", object_ids))
+    ids = ffi.from_buffer("uint32_t[]", object_ids)
     words = id_words(object_ids) if words is None else words
-    frame = ffi.new("range_frame *", [*keep[:4], n, 1.0, keep[4], words])
+    frame = ffi.new("range_frame *", [n, 1.0, ids, words])
     hits = np.arange(n) if segments is None else np.ascontiguousarray(segments, dtype=np.int64)
-    out = lib.iis_range(index.c_struct, frame, ffi.from_buffer("int64_t[]", hits), len(hits), -1.0, -1.0, 2.0,
-                        float(n), float(l), float(r))
+    out = lib.iis_range(index.c_struct, frame, ffi.from_buffer("int64_t[]", hits), len(hits), float(l), float(r))
     if out.status:
         raise range_query_error(out.status, hits, l, r)
     assert (out.out == ffi.NULL) == (out.n == 0)

@@ -30,6 +30,8 @@ from trajindex import (
     gen_grid_network,
     gen_queries,
     gen_trajectories,
+    mbb_of_segment,
+    rects_overlap,
     segments_intersect_window,
 )
 import trajindex.index
@@ -40,7 +42,8 @@ from trajindex.temporal import BACKENDS
 from trajindex.temporal.iis import IISIndex
 
 from helpers import (FullScanOracle, ascending, exact_floor_times, full_scan_objects, id_words, kernel_constant,
-                     make_records, near_integer_times, scenario_arrays, sorted_matches, top_edge_times)
+                     make_records, near_integer_times, reference_walk, scenario_arrays, sorted_matches,
+                     top_edge_times)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -192,22 +195,12 @@ class TestBuild:
         assert index.temporal.set_rows.tolist() == [0, 1, 2]
 
 
-def refine(index, window: Rect, t_start: float = 0.0, t_end: float = 0.0, hits=None):
-    """What the refinement kernel gives for the window walk's hits (or the
-    given ones): its status or the count of hits kept, the hits it keeps, in
-    hit order, and the ticks of both times."""
-    hits = index.rtree.window_query(window) if hits is None else np.asarray(hits, dtype=np.int64)
-    segments = np.empty(len(hits), dtype=np.int64)
-    out = lib.refine_hits(index._frame, ffi.from_buffer("int64_t[]", hits), len(hits), window.xmin, window.ymin,
-                          window.xmax, window.ymax, t_start, t_end, ffi.from_buffer("int64_t[]", segments))
-    return out.kept, segments[:max(out.kept, 0)], [out.l, out.r]
-
-
-def refined(index, window: Rect) -> np.ndarray:
-    """The window walk's hits whose edge meets the window, in hit order."""
-    kept, segments, _ = refine(index, window)
-    assert kept >= 0
-    return segments
+def range_ticks(index, t_start: float, t_end: float, hits=()):
+    """What the ``range_ticks`` kernel gives for these hits and times: its
+    status and the ticks of both times."""
+    hits = np.asarray(hits, dtype=np.int64)
+    out = lib.range_ticks(index._frame, ffi.from_buffer("int64_t[]", hits), len(hits), t_start, t_end)
+    return out.status, [out.l, out.r]
 
 
 class TestRefinement:
@@ -222,8 +215,8 @@ class TestRefinement:
         ]
         index = TrajIndex.build(net, records)
         window = Rect(0.5, 7.5, 2.5, 9.0)  # inside the diagonal's box, off the line
-        assert 0 in index.rtree.window_query(window)
-        assert refined(index, window).tolist() == [1]
+        assert rects_overlap(mbb_of_segment(net.edges[0]), window)
+        assert index.rtree.window_query(window).tolist() == [1]  # the walk drops the box's false positive
         assert index.range_query(window, 0.0, 10.0).object_ids == {2}
 
     def test_candidates_geometrically_intersect(self):
@@ -237,7 +230,7 @@ class TestRefinement:
             x0, x1 = np.sort(rng.uniform(0, 7, 2))
             y0, y1 = np.sort(rng.uniform(0, 7, 2))
             window = Rect(x0, y0, x1, y1)
-            for seg_id in refined(index, window).tolist():
+            for seg_id in index.rtree.window_query(window).tolist():
                 assert segment_intersects_window(net.edges[seg_id], window)
 
 
@@ -270,7 +263,7 @@ class TestCandidates:
     def test_box_exact_shortcut_matches_full_scan_off_grid(self):
         net = jittered_network(3)
         index = TrajIndex.build(net, [])
-        ax, ay, bx, by = index._ax, index._ay, index._bx, index._by
+        ax, ay, bx, by = index.network.endpoints()
         box_exact = (ax == bx) | (ay == by)
         assert box_exact.sum() == 2 and not box_exact.all()
         rng = np.random.default_rng(4)
@@ -287,7 +280,7 @@ class TestCandidates:
                     Rect(3.5, 1.0, 4.0, 2.0), Rect(1.0, 1.0, 1.9, 1.9)]
         for w in windows:
             want = np.flatnonzero(segments_intersect_window(ax, ay, bx, by, w))
-            assert sorted(refined(index, w).tolist()) == want.tolist(), w
+            assert sorted(index.rtree.window_query(w).tolist()) == want.tolist(), w
 
 
 class TestEndToEnd:
@@ -352,9 +345,9 @@ class TestEndToEnd:
     def test_kernel_calls_per_query(self, monkeypatch, backend):
         """An ``iis`` query is the window walk and one temporal entry.  A
         query of the other backends, and a ``verbose`` one of every backend,
-        is the walk, the refinement, the level's query (a kernel call for
-        ``iis`` only) and the union of the rows' ids.  The ``free`` of an
-        answer's buffer is not counted."""
+        is the walk, the check of its hits and the ticks of the times, the
+        level's query (a kernel call for ``iis`` only) and the union of the
+        rows' ids.  The ``free`` of an answer's buffer is not counted."""
         calls = []
 
         class Counting:
@@ -373,7 +366,7 @@ class TestEndToEnd:
         net = jittered_network(2)
         records = gen_trajectories(net, 10, 20.0, seed=3)
         index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(3)))
-        rows = ["rtree_window", "refine_hits", *(["iis_query"] if backend == "iis" else []), "distinct_ids"]
+        rows = ["rtree_window", "range_ticks", *(["iis_query"] if backend == "iis" else []), "distinct_ids"]
         for window in (net.bounds(), Rect(2.0, 1.0, 3.0, 2.5), Rect(-9.0, -9.0, -8.0, -8.0)):
             for verbose in (False, True):
                 want = ["rtree_window", "iis_range"] if backend == "iis" and not verbose else rows
@@ -641,9 +634,11 @@ class TestObjectIds:
                     assert got == answers[name], (name, backend)  # ObjectIds against ObjectIds
 
 
-def diagonal_network() -> Network:
-    """Both diagonals of every cell of a 6x6 lattice: no edge is axis-parallel."""
-    nodes = [Point(float(i), float(j)) for i in range(6) for j in range(6)]
+def diagonal_network(lo: float = 0.0, hi: float = 5.0) -> Network:
+    """Both diagonals of every cell of a 6x6 lattice from ``lo`` to ``hi`` on
+    both axes: no edge is axis-parallel."""
+    ticks = np.linspace(lo, hi, 6).tolist()
+    nodes = [Point(x, y) for x in ticks for y in ticks]
     pairs = [p for i in range(5) for j in range(5) for p in ((6 * i + j, 6 * i + j + 7), (6 * i + j + 1, 6 * i + j + 6))]
     return Network(nodes, pairs)
 
@@ -672,7 +667,8 @@ class TestRangeQueryNetworks:
             index.save(path)
             loaded = TrajIndex.load(path)
             for idx in (index, loaded):
-                assert bool(((idx._ax == idx._bx) | (idx._ay == idx._by)).all()) is all_exact
+                ax, ay, bx, by = idx.network.endpoints()
+                assert bool(((ax == bx) | (ay == by)).all()) is all_exact
                 for q in queries:
                     want = oracle.query(q.window, q.t_start, q.t_end)
                     got = idx.range_query(q.window, q.t_start, q.t_end, verbose=True)
@@ -681,7 +677,74 @@ class TestRangeQueryNetworks:
                     assert sorted_matches(got.matches) == oracle.matches(q.window, q.t_start, q.t_end)
 
 
-TICK_TOP = 2**62  # where the refinement kernel clamps a tick, above every record's
+COORD_BOUND = 2.0**1022  # the largest coordinate magnitude a point or a window takes
+
+
+def nested_windows(rng, lo: float, hi: float, n: int) -> list[tuple[Rect, Rect]]:
+    """n random windows inside [lo, hi] on both axes, each with a window
+    that contains it."""
+    out = []
+    for _ in range(n):
+        x0, x1, y0, y1 = (*np.sort(rng.uniform(lo, hi, 2)), *np.sort(rng.uniform(lo, hi, 2)))
+        grow = rng.uniform(0.0, 1.0, 4) * (hi - lo) / 4
+        outer = Rect(max(lo, x0 - grow[0]), max(lo, y0 - grow[1]), min(hi, x1 + grow[2]), min(hi, y1 + grow[3]))
+        out.append((Rect(x0, y0, x1, y1), outer))
+    return out
+
+
+class TestHugeCoordinates:
+    """Coordinates up to 2**1022 in magnitude, where every difference the
+    clip takes stays finite.  Past it, the difference of two coordinates
+    could overflow and the clip give NaN, so a window could answer less
+    than a window inside it."""
+
+    def test_a_network_past_the_bound_is_refused(self):
+        with pytest.raises(InvalidInputError, match=r"at most 2\*\*1022"):
+            Network([Point(-1.5e308, 0.0), Point(1.5e308, 1.0)], [(0, 1)])
+        with pytest.raises(InvalidInputError, match=r"at most 2\*\*1022"):
+            Rect(-1e308, 0.0, 1e308, 1.0)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5.0), (-COORD_BOUND, COORD_BOUND)])
+    def test_windows_answer_as_the_full_scan_and_nest(self, tmp_path, backend, lo, hi):
+        """Every backend, built and reloaded, on a diagonal network up to the
+        bound: 300 windows against the full scan, and a window that contains
+        another answers a superset of its ids."""
+        net = diagonal_network(lo, hi)
+        records = gen_trajectories(net, 30, 25.0, seed=17)
+        scale = ScaleConfig(3)
+        oracle = FullScanOracle(net, records, scale)
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=scale))
+        path = os.fspath(tmp_path / "diagonal.tjix")
+        index.save(path)
+        pairs = nested_windows(np.random.default_rng(31), lo, hi, 150)
+        for idx in (index, TrajIndex.load(path)):
+            grew = 0
+            for inner, outer in pairs:
+                small, large = (idx.range_query(w, 0.0, 25.0).object_ids for w in (inner, outer))
+                assert small == oracle.query(inner, 0.0, 25.0) and large == oracle.query(outer, 0.0, 25.0)
+                assert small <= large, (inner, outer)
+                grew += len(large) > len(small)
+            assert grew > 10
+        assert idx.range_query(Rect(lo, lo, hi, hi), 0.0, 25.0).object_ids == {rec.object_id for _, rec in records}
+
+    def test_a_file_node_past_the_bound_fails_at_load(self, tmp_path):
+        net = diagonal_network(-COORD_BOUND, COORD_BOUND)
+        index = TrajIndex.build(net, gen_trajectories(net, 5, 10.0, seed=3))
+        path = tmp_path / "x.tjix"
+        index.save(str(path))
+        data = path.read_bytes()
+        assert struct.unpack_from("<d", data, 18) == (-COORD_BOUND,)  # node 0's x follows the header and counts
+        above = float(np.nextafter(COORD_BOUND, math.inf))
+        for where, value in ((18, -above), (26, above), (18, math.nan), (26, -math.inf)):
+            path.write_bytes(data[:where] + struct.pack("<d", value) + data[where + 8:])
+            with pytest.raises(FormatError, match=r"corrupt index file: point coordinates .* at most 2\*\*1022"):
+                TrajIndex.load(str(path))
+        path.write_bytes(data[:18] + struct.pack("<d", COORD_BOUND) + data[26:])  # at the bound: node 0 moves
+        assert TrajIndex.load(str(path)).network.nodes[0] == Point(COORD_BOUND, -COORD_BOUND)
+
+
+TICK_TOP = 2**62  # where ``range_ticks`` clamps a tick, above every record's
 
 # a query's times and what every backend answers them with, as before the
 # ticks were computed in the kernel: the order check comes first
@@ -695,8 +758,8 @@ TIME_ERRORS = [
 
 
 class TestKernelTicks:
-    """The ticks of the refinement kernel, whose helper the ``iis`` entry
-    shares, against ``discretize_time``; and the errors of bad times."""
+    """The ticks of ``range_ticks``, whose helper the ``iis`` entry shares,
+    against ``discretize_time``; and the errors of bad times."""
 
     @pytest.mark.parametrize("digits", range(9))
     def test_ticks_equal_discretize_time(self, digits):
@@ -712,21 +775,19 @@ class TestKernelTicks:
         subnormal = [5e-324, 1e-310, 2.0**-1022 - 5e-324, 2.0**-1022, 3 * 5e-324, -0.0, 0.0]
         values = [*exact_floor_times(digits), *near_integer_times(digits).tolist(), *integral, *subnormal,
                   *top_edge_times(digits)]
-        nowhere = Rect(-9, -9, -8, -8)
         for t in values:
             tick = min(discretize_time(t, cfg), TICK_TOP)
-            kept, _, ticks = refine(index, nowhere, t, t, hits=[])
-            assert (kept, ticks) == (0, [tick, tick]), (t, digits)
-            assert refine(index, nowhere, 0.0, t, hits=[])[2] == [0, tick], (t, digits)
+            assert range_ticks(index, t, t) == (0, [tick, tick]), (t, digits)
+            assert range_ticks(index, 0.0, t, [1, 0]) == (0, [0, tick]), (t, digits)
 
     def test_bad_times_are_refused(self):
         net, _ = two_segment_setup()
         index = TrajIndex.build(net, [])
-        w = Rect(-1, -1, 21, 1)
         for bad in (math.nan, math.inf, -math.inf, -1.0, -5e-324, -1e300, -0.5):
-            assert refine(index, w, bad, 1.0)[0] == -1
-            assert refine(index, w, 0.0, bad)[0] == -2
-            assert refine(index, w, bad, bad)[0] == -1
+            for hits in ([0, 1], [0, 7]):  # bad times are found before a hit out of range
+                assert range_ticks(index, bad, 1.0, hits)[0] == -1
+                assert range_ticks(index, 0.0, bad, hits)[0] == -2
+                assert range_ticks(index, bad, bad, hits)[0] == -1
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_bad_times_raise_as_before_on_every_backend(self, backend):
@@ -811,13 +872,13 @@ def clip_network(seed: int) -> Network:
 
 
 class TestKernelClip:
-    """The refinement kernel's clip, after the window walk, against
-    ``segments_intersect_window`` over every edge."""
+    """The window walk's clip against ``segments_intersect_window`` over
+    every edge, and the temporal entries' check of the walk's hits."""
 
     def test_clip_equals_the_exact_test(self):
         net = clip_network(21)
         index = TrajIndex.build(net, [])
-        ax, ay, bx, by = index._ax, index._ay, index._bx, index._by
+        ax, ay, bx, by = index.network.endpoints()
         assert ((ax == bx) | (ay == by)).any() and not ((ax == bx) | (ay == by)).all()
         windows = []
         for a, b in ((s.a, s.b) for s in net.edges[:40]):
@@ -840,9 +901,8 @@ class TestKernelClip:
         kept_somewhere = set()
         for w in windows:
             meets = segments_intersect_window(ax, ay, bx, by, w)
-            hits = index.rtree.window_query(w)
-            got = refined(index, w)
-            assert got.tolist() == [g for g in hits.tolist() if meets[g]], w
+            got = index.rtree.window_query(w)
+            assert got.tolist() == reference_walk(index.rtree, w).tolist(), w
             assert sorted(got.tolist()) == np.flatnonzero(meets).tolist(), w
             kept_somewhere.update(got.tolist())
         assert len(kept_somewhere) == len(net.edges)
@@ -864,8 +924,8 @@ class TestKernelClip:
             y0, y1 = np.sort(rng.uniform(-1, 5, 2))
             windows.append(Rect(x0, y0, x1, y1))
         for w in windows:
-            meets = segments_intersect_window(index._ax, index._ay, index._bx, index._by, w)
-            assert sorted(refined(index, w).tolist()) == np.flatnonzero(meets).tolist(), w
+            meets = segments_intersect_window(*index.network.endpoints(), w)
+            assert sorted(index.rtree.window_query(w).tolist()) == np.flatnonzero(meets).tolist(), w
             assert index.range_query(w, 0.0, 10.0).object_ids == oracle.query(w, 0.0, 10.0), w
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -875,21 +935,21 @@ class TestKernelClip:
         net, records = two_segment_setup()
         index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend))
         w = Rect(-1, -1, 21, 1)
-        assert refine(index, w, hits=[0, 2])[0] == -4
-        assert refine(index, w, hits=[-1, 0])[0] == -3
+        assert range_ticks(index, 0.0, 9.0, [0, 2])[0] == -4
+        assert range_ticks(index, 0.0, 9.0, [-1, 0])[0] == -3
         for hits, message in (([0, 2], "hit 1: no edge 2"), ([1, 0, -1], "hit 2: no edge -1"),
                               ([2**40], f"hit 0: no edge {2**40}"), ([1, 0, 1], None)):
             hits = np.array(hits, dtype=np.int64)
             monkeypatch.setattr(index.rtree, "window_query", lambda window: hits)
             if message is None:
-                ids = index.temporal.query_ids(index._frame, hits, w, 0.0, 9.0)
+                ids = index.temporal.query_ids(index._frame, hits, 0.0, 9.0)
                 assert np.frombuffer(ids, np.uint32).tolist() == [1]
                 result = index.range_query(w, 0.0, 9.0, verbose=True)
                 later, first = (1, 1, TimeInterval(5.0, 9.0)), (1, 0, TimeInterval(0.0, 5.0))  # rows 1 and 0
                 assert result.object_ids == {1} and result.matches == [later, first, later]
                 continue
             with pytest.raises(IndexError, match=message):
-                index.temporal.query_ids(index._frame, hits, w, 0.0, 9.0)
+                index.temporal.query_ids(index._frame, hits, 0.0, 9.0)
             for verbose in (False, True):
                 with pytest.raises(IndexError, match=message):
                     index.range_query(w, 0.0, 9.0, verbose)
@@ -1030,9 +1090,7 @@ class TestPersistence:
         path = tmp_path / "x.tjix"
         index.save(str(path))
         data = path.read_bytes()
-        boxes = np.array([[min(e.a.x, e.b.x), min(e.a.y, e.b.y), max(e.a.x, e.b.x), max(e.a.y, e.b.y)]
-                          for e in net.edges])
-        shape = build_rtree(boxes, 8).to_bytes()
+        shape = build_rtree(net.endpoints(), 8).to_bytes()
         start = 10 + 8 + 16 * len(net.nodes) + 8 * len(net.edges)  # the R-tree block's length word
         end = start + 8 + len(index.rtree.to_bytes())
         assert struct.unpack_from("<H", data, 8) == (index.rtree.fanout,) == (32,)

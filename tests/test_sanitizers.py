@@ -27,7 +27,7 @@ from helpers import kernel_constant
 ROOT = Path(__file__).resolve().parent.parent
 
 KERNEL_TESTS = [
-    "tests/test_rtree.py::TestKernelWalk",
+    "tests/test_rtree.py::TestKernelWalk",  # the walk, its clip and the end points it reads
     "tests/test_iis.py::TestKernelRows",
     "tests/test_iis.py::TestKernelIds",
     "tests/test_iis.py::TestOrderKernel",
@@ -38,7 +38,8 @@ KERNEL_TESTS = [
     "tests/test_core.py::TestDiscretize",  # the ticks of a build's times, and their errors
     "tests/test_index.py::TestKernelTicks",  # the ticks of float times, and their errors
     "tests/test_index.py::TestTopTickEdge",  # a record's tick just below 2**62, built, loaded and queried
-    "tests/test_index.py::TestKernelClip",  # the clip of the walk's hits, and hits out of range
+    "tests/test_index.py::TestKernelClip",  # the walk's clip, and hits out of range
+    "tests/test_index.py::TestHugeCoordinates",  # the clip at the largest coordinates
     "tests/test_index.py::TestRangeQueryNetworks",  # both range entries on mixed and diagonal networks
     "tests/test_index.py::TestThreads",
     "tests/test_index.py::TestWorkloadMatches",  # every backend's answers and verbose rows
