@@ -1,6 +1,7 @@
 """Two-level index for network-constrained moving-object trajectories.
 
-The spatial level is an R-tree over the network's segment boxes; the
+The spatial level is an R-tree over the network's segments, whose window
+walk answers with exactly the segments that meet the window; the
 temporal level answers interval intersections over every segment's
 records, with four interchangeable backends: a plain array, a classic
 interval tree, a stabbing-tree and the compact independent-interval-set

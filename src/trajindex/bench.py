@@ -45,7 +45,7 @@ QUERY_FAMILIES = ("range_equal", "range_larger_temporal", "time_slice")
 @dataclass(frozen=True)
 class BenchSpec:
     scenarios: tuple[str, ...] = INTERVAL_SCENARIOS
-    backends: tuple[str, ...] = ("linear", "interval_tree", "schmidt", "iis")
+    backends: tuple[str, ...] = tuple(BACKENDS)
     sizes: tuple[int, ...] = (1_000, 10_000, 50_000, 100_000)
     families: tuple[str, ...] = QUERY_FAMILIES
     queries_per_set: int = 500
@@ -141,7 +141,7 @@ def _trajectory_cell(spec: BenchSpec, backend: str) -> list[dict]:
     index = TrajIndex.build(network, records, TrajIndexConfig(temporal_backend=backend, scale=cfg))
     build_seconds = time.perf_counter() - t0
     stats = index.stats()
-    m_total = sum(stats.iis_set_counts.values()) if backend == "iis" else ""
+    m_total = sum(stats.iis_set_counts.values()) if stats.iis_set_counts else ""
     rows = []
     for fi, family in enumerate(spec.families):
         temporal_pct = 100.0 if family == "range_larger_temporal" else spec.query_extent_pct

@@ -36,12 +36,12 @@ from .datagen import (
     write_records,
 )
 from .index import TrajIndex, TrajIndexConfig
+from .temporal import BACKEND_SPELLINGS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_CLI_BACKENDS = {"iis": "iis", "interval-tree": "interval_tree", "schmidt": "schmidt", "linear": "linear"}
 _WORKLOADS = {"fixed": "fixed_size", "fixed_size": "fixed_size",
               "random": "random_size", "random_size": "random_size",
               "trajectory": "trajectory"}
@@ -73,6 +73,15 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _backends(text: str) -> tuple[str, ...]:
+    """The backends that comma-separated spellings name."""
+    names = _str_list(text)
+    for v in names:
+        if v not in BACKEND_SPELLINGS:
+            raise argparse.ArgumentTypeError(f"unknown backend {v!r} (choose from {sorted(BACKEND_SPELLINGS)})")
+    return tuple(BACKEND_SPELLINGS[v] for v in names)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trajindex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -98,7 +107,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("build", help="build an index file from network and records files")
     p.add_argument("--network", required=True)
     p.add_argument("--records", required=True)
-    p.add_argument("--backend", choices=sorted(_CLI_BACKENDS), default="iis")
+    p.add_argument("--backend", choices=sorted(BACKEND_SPELLINGS), default=TrajIndexConfig.temporal_backend)
     p.add_argument("--scale-digits", type=int, default=8)
     p.add_argument("--out", required=True)
 
@@ -111,20 +120,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--at", dest="t_at", type=float, help="time-slice instant (same as --from T --to T)")
     p.add_argument("--count", action="store_true", help="print result counts only")
 
-    p = sub.add_parser("bench", help="run the benchmark matrix and emit CSV")
-    p.add_argument("--scenarios", type=_str_list, default=("fixed_size", "random_size", "trajectory"))
-    p.add_argument("--backends", type=_str_list, default=("linear", "interval-tree", "schmidt", "iis"))
-    p.add_argument("--sizes", type=_int_list, default=(1000, 10000, 50000, 100000))
-    p.add_argument("--families", type=_str_list, default=("range_equal", "range_larger_temporal", "time_slice"))
-    p.add_argument("--queries", type=int, default=500)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--scale-digits", type=int, default=8)
-    p.add_argument("--extent", type=float, default=10.0)
-    p.add_argument("--grid", type=_grid, default=(20, 20))
-    p.add_argument("--objects", type=int, default=100)
-    p.add_argument("--duration", type=float, default=100.0)
-    p.add_argument("--out", help="CSV output path (default stdout)")
+    # a flag not given leaves its value to BenchSpec; each dest is a BenchSpec field
+    p = sub.add_parser("bench", help="run the benchmark matrix and emit CSV", argument_default=argparse.SUPPRESS)
+    p.add_argument("--scenarios", type=_str_list)
+    p.add_argument("--backends", type=_backends)
+    p.add_argument("--sizes", type=_int_list)
+    p.add_argument("--families", type=_str_list)
+    p.add_argument("--queries", dest="queries_per_set", type=int)
+    p.add_argument("--reps", dest="repetitions", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--scale-digits", type=int)
+    p.add_argument("--extent", dest="query_extent_pct", type=float)
+    p.add_argument("--grid", type=_grid, help="grid network size as ROWSxCOLS")
+    p.add_argument("--objects", type=int)
+    p.add_argument("--duration", type=float)
+    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     return parser
 
 
@@ -163,7 +173,7 @@ def _cmd_gen(args) -> int:
 def _cmd_build(args) -> int:
     net = read_network(args.network)
     columns = read_record_columns(args.records)
-    cfg = TrajIndexConfig(temporal_backend=_CLI_BACKENDS[args.backend], scale=ScaleConfig(args.scale_digits))
+    cfg = TrajIndexConfig(temporal_backend=BACKEND_SPELLINGS[args.backend], scale=ScaleConfig(args.scale_digits))
     index = TrajIndex.from_columns(net, *columns, cfg)
     index.save(args.out)
     stats = index.stats()
@@ -212,23 +222,10 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import BenchSpec, run_benchmark, write_csv  # only this command needs the benchmark's imports
 
-    backends = tuple(_CLI_BACKENDS.get(b, b) for b in args.backends)
-    rows, cols = args.grid
-    spec = BenchSpec(
-        scenarios=tuple(args.scenarios),
-        backends=backends,
-        sizes=tuple(args.sizes),
-        families=tuple(args.families),
-        queries_per_set=args.queries,
-        repetitions=args.reps,
-        seed=args.seed,
-        scale_digits=args.scale_digits,
-        query_extent_pct=args.extent,
-        grid_rows=rows,
-        grid_cols=cols,
-        objects=args.objects,
-        duration=args.duration,
-    )
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if "grid" in given:
+        given["grid_rows"], given["grid_cols"] = given.pop("grid")
+    spec = BenchSpec(**given)
     rows_out = run_benchmark(spec)
     if args.out:
         with open(args.out, "w", newline="", encoding="ascii") as fh:

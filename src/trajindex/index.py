@@ -13,24 +13,21 @@ segments join (``Network``).  The R-tree reads the segments' end
 coordinates from one gather, ``Network.endpoints``, and neither the index
 nor a load makes a ``Segment`` object.
 
-The records live in one table ordered segment by segment.  The ``iis``
-backend is a single :class:`IISIndex` over that table; the other backends
-keep one structure per segment over its slice of the table.  A query makes
-two calls into compiled code: the R-tree's window walk, and the temporal
-level's ``query_ids``, which takes the walk's hits and the two float
-times.  Its kernel reads the edge count, the time scale and the object ids
-through one ``range_frame`` struct that the index binds once, and turns
-both times into exact ticks, as ``discretize_time`` does.  With ``iis``,
-the same call ranks every set of every hit, gathers the object ids of each
-matching run of rows and unions them.  The other backends, and ``verbose``
-on every backend, take one path, ``_rows_and_ids``: a kernel call checks
-the hits and gives the ticks, the temporal level's ``query`` answers with
-rows, from which numpy gathers the ``verbose`` matches, and one more call
-writes the rows' distinct object ids.  Both unions set a bit
-per id in a bitmap allocated per call, whose word count, ``id_words`` of
-the frame, the index takes from its own largest object id, and write the
-set bits out in order; when the bitmap would be wide against the ids
-gathered, they sort the ids and drop the repeats instead.
+The records live in one table ordered segment by segment.  The temporal
+level over it owns that order, ``seg_rows``, and is made by the backend
+class's ``from_segments`` or ``from_bytes``; the index calls the level
+through that one interface and never asks which backend it holds
+(``temporal/base.py``).  A query makes two calls into compiled code: the
+R-tree's window walk, and the level's ``query_ids``, which takes the walk's
+hits and the two float times.  Its kernel reads the edge count, the time
+scale and the object ids through one ``range_frame`` struct that the index
+binds once, turns both times into exact ticks, as ``discretize_time``
+does, and answers with the distinct object ids of the matching rows.
+``verbose`` takes ``rows_and_ids``: the level's ``query`` answers with
+rows, from which numpy gathers the matches, and one more call writes the
+rows' distinct object ids.  Both unions set a bit per id in a bitmap sized
+from the index's largest object id, or sort the ids when the bitmap would
+be wide against the ids gathered.
 
 A query answers with :class:`ObjectIds`, a read-only set over a copy of
 the sorted ``uint32`` ids the kernel wrote, which ``.array`` views; no
@@ -63,20 +60,14 @@ from .core import (
 )
 from .datagen import Network
 from .eliasfano import prefix_offsets
-from .kernel import ffi, lib
 from .rtree import RTree, build_rtree
-from .temporal import BACKENDS
-from .temporal.base import range_query_error
-from .temporal.iis import IISIndex
+from .temporal import BACKENDS, backend_of_tag
+from .temporal.base import range_frame, rows_and_ids
 
 MAGIC = b"TJIX"
 FORMAT_VERSION = 5
 MAX_OBJECT_ID = (1 << 32) - 1  # object ids are stored as u32
 
-_BACKEND_TAGS = {"linear": 0, "interval_tree": 1, "schmidt": 2, "iis": 3}
-_TAG_BACKENDS = {v: k for k, v in _BACKEND_TAGS.items()}
-_EMPTY = np.zeros(0, dtype=np.int64)
-_new_ids = ffi.new_allocator(should_clear_after_alloc=False)  # the union overwrites what it returns
 _U32 = np.dtype(np.uint32)  # prebuilt: np.frombuffer resolves a dtype given by type on every call
 
 
@@ -168,82 +159,27 @@ class IndexStats:
         return self.spatial_bytes + self.temporal_bytes + self.data_bytes
 
 
-def _rows_and_ids(temporal, frame, hits: np.ndarray, t_start: float, t_end: float) -> tuple[np.ndarray, bytes]:
-    """For the arguments ``query_ids`` takes, the matching rows as
-    ``temporal.query`` gives them for the hits and the ticks that
-    ``range_ticks`` gives, and the rows' distinct object ids as
-    ``query_ids`` gives them, from ``distinct_ids``."""
-    ticks = lib.range_ticks(frame, ffi.from_buffer("int64_t[]", hits), len(hits), t_start, t_end)
-    if ticks.status:
-        raise range_query_error(ticks.status, hits, t_start, t_end)
-    rows = temporal.query(ticks.l, ticks.r, hits)
-    n = len(rows)
-    out = _new_ids("uint32_t[]", n)
-    k = lib.distinct_ids(frame, ffi.from_buffer("int64_t[]", rows), n, out)
-    if k < 0:
-        raise MemoryError("no memory for the object-id union of a query")
-    return rows, ffi.buffer(out, 4 * k)[:]
-
-
-class _PerSegment:
-    """One temporal structure per loaded segment, each over its segment's
-    slice of the record table; answers with record-table rows."""
-
-    def __init__(self, backend: str, parts: dict, seg_rows: np.ndarray):
-        self.backend = backend
-        self.parts = parts
-        self.seg_rows = seg_rows
-
-    @classmethod
-    def from_ticks(cls, backend: str, starts, ends, seg_rows: np.ndarray) -> "_PerSegment":
-        factory = BACKENDS[backend]
-        loaded = np.flatnonzero(np.diff(seg_rows)).tolist()
-        bounds = seg_rows.tolist()
-        parts = {g: factory.from_ticks(starts[bounds[g]: bounds[g + 1]], ends[bounds[g]: bounds[g + 1]])
-                 for g in loaded}
-        return cls(backend, parts, seg_rows)
-
-    def query(self, l: int, r: int, segments: np.ndarray) -> np.ndarray:
-        out = [self.parts[g].query(l, r) + self.seg_rows[g] for g in segments.tolist() if g in self.parts]
-        return np.concatenate(out, dtype=np.int64) if out else _EMPTY
-
-    def query_ids(self, frame, hits: np.ndarray, t_start: float, t_end: float) -> bytes:
-        """``IISIndex.query_ids``'s answer, from ``_rows_and_ids``."""
-        return _rows_and_ids(self, frame, hits, t_start, t_end)[1]
-
-    def space_report(self) -> dict:
-        bits = sum(part.space_report()["total_bits"] for part in self.parts.values())
-        return {"backend": self.backend, "n": int(self.seg_rows[-1]), "total_bits": bits}
-
-
 class TrajIndex:
-    """The record table holds every record once, ordered by segment:
-    ``seg_rows[s]:seg_rows[s + 1]`` are the rows of segment s, whose
-    temporal structure answers with those row numbers.  ``rtree`` is the
-    R-tree over the network's segments: a new build, or the shape a file
-    saved.  ``temporal.query_ids`` takes ``_frame`` and a
-    window walk's hits and answers with the distinct object ids of the
-    matching rows, ascending, as ``uint32`` bytes; for ``verbose``,
-    ``_rows_and_ids`` answers with those rows too, a contiguous ``int64``
-    array of rows, each below the record count."""
+    """The record table holds every record once, ordered by segment; the
+    temporal level ``temporal`` answers with its rows, and its ``seg_rows``
+    delimits each segment's.  ``rtree`` is the R-tree over the network's
+    segments: a new build, or the shape a file saved."""
 
-    def __init__(self, network: Network, rtree: RTree, cfg: TrajIndexConfig, seg_rows: np.ndarray,
+    def __init__(self, network: Network, rtree: RTree, cfg: TrajIndexConfig,
                  object_ids: np.ndarray, t_start: np.ndarray, t_end: np.ndarray, temporal):
         self.network = network
         self.rtree = rtree
         self.cfg = cfg
-        self.seg_rows = seg_rows
         self.object_ids = np.ascontiguousarray(object_ids, dtype=np.uint32)
         self.t_start = t_start
         self.t_end = t_end
         self.temporal = temporal
-        # what the temporal level's query reads besides its own arrays, handed
-        # to the kernels once; ``_frame_ids`` keeps what the struct points to.
-        # The union's bitmap words come from these ids, never from a file.
-        self._frame_ids = ffi.from_buffer("uint32_t[]", self.object_ids)
-        id_words = (int(self.object_ids.max()) >> 6) + 1 if len(self.object_ids) else 0
-        self._frame = ffi.new("range_frame *", [len(network.edge_nodes), float(cfg.scale.scale), self._frame_ids,
-                                                id_words])
+        # handed to the kernels once; ``_frame_ids`` keeps what it points to
+        self._frame, self._frame_ids = range_frame(len(network.edge_nodes), cfg.scale.scale, self.object_ids)
+
+    @property
+    def seg_rows(self) -> np.ndarray:
+        return self.temporal.seg_rows
 
     # -- construction ----------------------------------------------------
 
@@ -278,15 +214,9 @@ class TrajIndex:
         t_start, t_end = np.asarray(t_start, dtype=np.float64), np.asarray(t_end, dtype=np.float64)
         _check_columns(seg, obj, t_start, t_end, n_edges)
         seg, obj = seg.astype(np.int64, copy=False), obj.astype(np.int64, copy=False)
-        starts = discretize_times(t_start, cfg.scale)
-        ends = discretize_times(t_end, cfg.scale)
-        seg_rows = prefix_offsets(np.bincount(seg, minlength=n_edges))
-        if cfg.temporal_backend == "iis":
-            temporal, order = IISIndex.from_segments(starts, ends, seg, n_edges)
-        else:
-            order = np.argsort(seg, kind="stable")
-            temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts[order], ends[order], seg_rows)
-        return cls(network, build_rtree(network.endpoints()), cfg, seg_rows,
+        starts, ends = discretize_times(t_start, cfg.scale), discretize_times(t_end, cfg.scale)
+        temporal, order = BACKENDS[cfg.temporal_backend].from_segments(starts, ends, seg, n_edges)
+        return cls(network, build_rtree(network.endpoints()), cfg,
                    obj[order].astype(np.uint32), t_start[order], t_end[order], temporal)
 
     # -- queries ---------------------------------------------------------
@@ -297,7 +227,7 @@ class TrajIndex:
         hits = self.rtree.window_query(window)
         if not verbose:
             return QueryResult(ObjectIds(self.temporal.query_ids(self._frame, hits, t_start, t_end)))
-        rows, ids = _rows_and_ids(self.temporal, self._frame, hits, t_start, t_end)
+        rows, ids = rows_and_ids(self.temporal, self._frame, hits, t_start, t_end)
         segment = np.searchsorted(self.seg_rows, rows, side="right") - 1
         return QueryResult(ObjectIds(ids), [(o, s, TimeInterval(a, b)) for o, s, a, b in zip(
             self.object_ids[rows].tolist(), segment.tolist(), self.t_start[rows].tolist(), self.t_end[rows].tolist())])
@@ -311,9 +241,8 @@ class TrajIndex:
         counts = np.diff(self.seg_rows)
         loaded = np.flatnonzero(counts)
         per_segment = dict(zip(loaded.tolist(), counts[loaded].tolist()))
-        iis_sets = {}
-        if isinstance(self.temporal, IISIndex):
-            iis_sets = dict(zip(loaded.tolist(), self.temporal.set_counts()[loaded].tolist()))
+        sets = self.temporal.set_counts()
+        iis_sets = {} if sets is None else dict(zip(loaded.tolist(), sets[loaded].tolist()))
         objects, per_object = np.unique(self.object_ids, return_counts=True)
         n = len(self.object_ids)
         return IndexStats(
@@ -322,8 +251,7 @@ class TrajIndex:
             segments_with_records=len(loaded),
             spatial_bytes=self.rtree.space_bytes(),
             temporal_bytes=(self.temporal.space_report()["total_bits"] + 7) // 8,
-            # u32 object id and two f64 times per record, and the segment offsets
-            data_bytes=(4 + 16) * n + self.seg_rows.nbytes,
+            data_bytes=(4 + 16) * n,  # u32 object id and two f64 times per record
             per_segment_records=per_segment,
             iis_set_counts=iis_sets,
             records_per_object=dict(zip(objects.tolist(), per_object.tolist())),
@@ -404,12 +332,10 @@ def _check_columns(seg: np.ndarray, obj: np.ndarray, t_start: np.ndarray, t_end:
 # The record table is one u32 record count per network edge, then the
 # object ids (u32) and original entry and exit times (f64) of all records,
 # ordered by segment; load checks the times as a build does and turns them
-# into ticks once, the one source of ticks at load.  The temporal block is a
-# u64 length and, for the iis backend, the set index's shape: its set count
-# and rows per set (``IISIndex.to_bytes``).  The sets of each segment follow
-# from the record table, and ``IISIndex.from_bytes`` checks that each set is
-# independent and encodes its ticks as a build does.  The other backends are
-# rebuilt from the record table at load.
+# into ticks once, the one source of ticks at load.  The backend byte is
+# the backend class's ``tag``.  The temporal block is a u64 length and the
+# level's ``to_bytes``, which the class's ``from_bytes`` reads back over the
+# record table's rows and ticks.
 # Load reads every part through one ``Reader``: a block's reads stay inside
 # its length, and each block, like the whole file, must be read to its end.
 
@@ -419,7 +345,7 @@ _FILE_HEADER = struct.Struct("<4sHBBH")
 def _serialize_index(index: TrajIndex) -> bytes:
     cfg = index.cfg
     out = bytearray(
-        _FILE_HEADER.pack(MAGIC, FORMAT_VERSION, _BACKEND_TAGS[cfg.temporal_backend], cfg.scale.digits,
+        _FILE_HEADER.pack(MAGIC, FORMAT_VERSION, BACKENDS[cfg.temporal_backend].tag, cfg.scale.digits,
                           index.rtree.fanout)
     )
     net = index.network
@@ -433,7 +359,7 @@ def _serialize_index(index: TrajIndex) -> bytes:
     out += index.object_ids.astype("<u4").tobytes()
     out += index.t_start.astype("<f8").tobytes()
     out += index.t_end.astype("<f8").tobytes()
-    temporal = index.temporal.to_bytes() if isinstance(index.temporal, IISIndex) else b""
+    temporal = index.temporal.to_bytes()
     out += struct.pack("<Q", len(temporal))
     out += temporal
     return bytes(out)
@@ -446,11 +372,10 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         raise FormatError(f"not an index file (magic {magic!r})")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported index format version {version} (expected {FORMAT_VERSION})")
-    if backend_tag not in _TAG_BACKENDS:
-        raise FormatError(f"unknown backend tag {backend_tag}")
+    backend = backend_of_tag(backend_tag)
     if digits > MAX_SCALE_DIGITS:
         raise FormatError(f"scale digits {digits} out of range 0..{MAX_SCALE_DIGITS}")
-    cfg = TrajIndexConfig(temporal_backend=_TAG_BACKENDS[backend_tag], scale=ScaleConfig(digits))
+    cfg = TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(digits))
     n_nodes, n_edges = rd.unpack(struct.Struct("<II"))
     coords = rd.array("<f8", 2 * n_nodes).reshape(n_nodes, 2)
     edge_nodes = rd.array("<u4", 2 * n_edges).reshape(n_edges, 2)
@@ -469,13 +394,7 @@ def _deserialize_index(data: bytes) -> TrajIndex:
         raise FormatError(f"{_record(pos, object_ids[pos], t_start[pos], t_end[pos])}: {_TIME_RULE}")
     temporal_block = rd.block("temporal block")
     rd.finish()
-    starts = discretize_times(t_start, cfg.scale)
-    ends = discretize_times(t_end, cfg.scale)
-    if cfg.temporal_backend == "iis":
-        temporal = IISIndex.from_bytes(temporal_block, seg_rows, starts, ends)
-        temporal_block.finish()
-    else:
-        if temporal_block.end > temporal_block.start:
-            raise FormatError("unexpected temporal block")
-        temporal = _PerSegment.from_ticks(cfg.temporal_backend, starts, ends, seg_rows)
-    return TrajIndex(network, rtree, cfg, seg_rows, object_ids, t_start, t_end, temporal)
+    starts, ends = discretize_times(t_start, cfg.scale), discretize_times(t_end, cfg.scale)
+    temporal = BACKENDS[backend].from_bytes(temporal_block, seg_rows, starts, ends)
+    temporal_block.finish()
+    return TrajIndex(network, rtree, cfg, object_ids, t_start, t_end, temporal)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import ConfigError, ScaleConfig
+from ..core import ConfigError, FormatError, ScaleConfig
 from .base import (
     LinearScanIndex,
     TemporalIndexBase,
@@ -14,12 +14,18 @@ from .interval_tree import IntervalTreeIndex
 from .iis import IISIndex, IndependentIntervalSet, decompose_independent_sets
 from .schmidt import SchmidtIndex
 
-BACKENDS = {
-    "linear": LinearScanIndex,
-    "interval_tree": IntervalTreeIndex,
-    "schmidt": SchmidtIndex,
-    "iis": IISIndex,
-}
+# the one list of backends: each class carries its name and file tag
+BACKENDS = {cls.backend: cls for cls in (LinearScanIndex, IntervalTreeIndex, SchmidtIndex, IISIndex)}
+# a backend is spelled by its name, or with hyphens for underscores
+BACKEND_SPELLINGS = {s: name for name in BACKENDS for s in (name, name.replace("_", "-"))}
+
+
+def backend_of_tag(tag: int) -> str:
+    """The backend whose file tag is ``tag``; ``FormatError`` for none."""
+    for name, cls in BACKENDS.items():
+        if cls.tag == tag:
+            return name
+    raise FormatError(f"unknown backend tag {tag}")
 
 
 def build_temporal_index(backend: str, records, cfg: ScaleConfig) -> TemporalIndexBase:

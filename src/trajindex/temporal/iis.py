@@ -30,13 +30,9 @@ by ``kernel.py``), which reads the index's arrays through one
 ``iis_index`` struct, filled when the index is made and pointing to its
 codec's ``ef_seqs``: for every probed segment and every set of it, the
 kernel ranks both sequences and takes the set's run of rows.  ``query``
-takes two ticks and segment numbers, and its entry writes the runs, or the
-row ids they map to, straight into the result.  ``query_ids`` serves a
-range query of a ``TrajIndex``: it takes the R-tree walk's hits, the
-segments that meet the window, and two float times, and its entry turns the
-times into ticks, then answers with the object ids of the runs, sorted and
-unique: it sets a bit per id in a bitmap over the frame's ids, or sorts
-them when the bitmap would be wide against the ids gathered.
+takes two ticks and segments and answers with the rows, or the row ids
+they map to.  ``query_ids`` takes the R-tree walk's hits and two float
+times, and answers with the distinct object ids of the runs.
 """
 
 from __future__ import annotations
@@ -134,6 +130,7 @@ class IISIndex(TemporalIndexBase):
     """
 
     backend = "iis"
+    tag = 3
 
     def __init__(self, seg_sets: np.ndarray, set_rows: np.ndarray, seqs: FlatEliasFano,
                  row_ids: np.ndarray | None = None):
@@ -163,6 +160,11 @@ class IISIndex(TemporalIndexBase):
         """Every set as a view over the shared sequences (for inspection and tests)."""
         return [IndependentIntervalSet(self.seqs.sequence(2 * k), self.seqs.sequence(2 * k + 1))
                 for k in range(self.m)]
+
+    @property
+    def seg_rows(self) -> np.ndarray:
+        """Where each segment's rows begin, then the row count."""
+        return self.set_rows[self.seg_sets]
 
     def set_counts(self) -> np.ndarray:
         """Independent sets per segment."""
@@ -250,13 +252,10 @@ class IISIndex(TemporalIndexBase):
 
     def query_ids(self, frame, hits: np.ndarray, t_start: float, t_end: float) -> bytes:
         """The distinct object ids of the rows that match a range query, as
-        native ``uint32`` bytes, ascending, from one kernel call (see the
-        module docstring).  ``frame`` is a ``range_frame *`` of the index's
-        edge count, time scale and object ids (``TrajIndex`` binds one),
-        ``hits`` a contiguous ``int64`` array of segments, as
-        ``RTree.window_query`` gives them, and the times are floats.  Raises
-        ``InvalidInputError`` for a time that is not finite and
-        non-negative."""
+        native ``uint32`` bytes, ascending, from one kernel call.  ``frame``
+        is the ``range_frame *`` a ``TrajIndex`` binds, ``hits`` the segments
+        ``RTree.window_query`` gives, and the times are floats.  Raises
+        ``InvalidInputError`` for a time that is not finite and non-negative."""
         probe = ffi.from_buffer("int64_t[]", hits)
         out = lib.iis_range(self.c_struct, frame, probe, len(probe), t_start, t_end)
         if out.status:
@@ -306,12 +305,9 @@ class IISIndex(TemporalIndexBase):
     @classmethod
     def from_bytes(cls, reader: Reader, seg_rows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> "IISIndex":
         """The index whose shape ``reader`` reads next, over the segments
-        whose rows ``seg_rows`` delimits and the rows' ticks ``starts`` and
-        ``ends`` (each start at most its end), encoded as ``from_segments``
-        encodes a build.  Raises ``FormatError`` when the shape is
-        truncated, its set sizes do not add up to the rows, a segment's rows
-        do not begin at a set, or a set's starts or ends do not strictly
-        increase."""
+        whose rows ``seg_rows`` delimits and the rows' ticks, encoded as a
+        build encodes them.  Raises ``FormatError`` for a shape that does not
+        fit the rows or a set whose starts or ends do not strictly rise."""
         (m,) = reader.unpack(_IIS_HEADER)
         set_sizes = reader.array("<u4", m).astype(np.int64)
         if set_sizes.sum() != seg_rows[-1] or (m and set_sizes.min() == 0):

@@ -39,6 +39,7 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 class IntervalTreeIndex(TemporalIndexBase):
     backend = "interval_tree"
+    tag = 1
 
     # every array the tree holds, by the part of space_report() it counts in
     TICKS = ("start_ticks", "end_ticks")

@@ -35,6 +35,7 @@ from .base import TemporalIndexBase, check_query
 
 class SchmidtIndex(TemporalIndexBase):
     backend = "schmidt"
+    tag = 2
 
     def __init__(self, starts, ends, father, child_flat, child_offsets, pos_in_parent,
                  pre_order, pre_pos, sub_size, uniq_starts, start_reps):

@@ -103,6 +103,15 @@ class TestBuildAndQuery:
         in_memory(backend, digits).save(str(memory_path))
         assert cli_path.read_bytes() == memory_path.read_bytes()
 
+    def test_both_spellings_build_one_file(self, dataset, tmp_path):
+        paths = []
+        for spelling in ("interval_tree", "interval-tree"):
+            paths.append(tmp_path / f"{spelling}.tjix")
+            code, _ = run("build", "--network", str(dataset / "network.txt"),
+                          "--records", str(dataset / "records.txt"), "--backend", spelling, "--out", str(paths[-1]))
+            assert code == EXIT_OK, spelling
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_results_identical_across_backends(self, dataset, tmp_path):
         outputs = set()
         for backend in ("linear", "interval-tree", "schmidt", "iis"):
@@ -195,6 +204,31 @@ class TestBench:
         assert code == EXIT_OK
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 4 + 4
+
+    @staticmethod
+    def spec_of(monkeypatch, *flags) -> BenchSpec:
+        """The spec ``bench`` hands ``run_benchmark`` for these flags, with
+        the matrix itself not run."""
+        specs = []
+        monkeypatch.setattr(trajindex.bench, "run_benchmark", lambda spec: specs.append(spec) or [])
+        code, _ = run("bench", *flags)
+        assert code == EXIT_OK
+        return specs[0]
+
+    def test_no_flags_give_the_default_spec(self, monkeypatch):
+        assert self.spec_of(monkeypatch) == BenchSpec()
+
+    def test_flags_reach_the_spec(self, monkeypatch):
+        spec = self.spec_of(monkeypatch, "--backends", "interval_tree,interval-tree,iis", "--grid", "3x5",
+                            "--queries", "7", "--reps", "2", "--extent", "20", "--families", "")
+        assert spec == BenchSpec(backends=("interval_tree", "interval_tree", "iis"), grid_rows=3, grid_cols=5,
+                                 queries_per_set=7, repetitions=2, query_extent_pct=20.0, families=())
+
+    def test_unknown_backend_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(trajindex.bench, "run_benchmark", lambda spec: pytest.fail("the matrix ran"))
+        code, _ = run("bench", "--backends", "iis,btree")
+        assert code == EXIT_USAGE
+        assert "unknown backend 'btree'" in capsys.readouterr().err
 
     def test_interval_cell_times_its_backends_in_turns(self, monkeypatch):
         """A cell builds all its backends before it times any, and then

@@ -399,6 +399,39 @@ def test_a_build_removes_the_older_builds(tmp_path):
     assert sorted(old.parent.glob("_eliasfano_rank_*")) == sorted([new, young])
 
 
+def test_the_cleanup_spares_a_module_a_live_process_holds(tmp_path, monkeypatch):
+    """An aged build that a running process loaded stays until that process
+    exits; without ``fcntl`` the cleanup removes nothing."""
+    import trajindex.kernel as k
+
+    if k.fcntl is None:
+        pytest.skip("no advisory file locks")
+    suffix = Path(k._KERNEL.__file__).name[len("_eliasfano_rank_") + 16:]
+    keep, held = (tmp_path / f"_eliasfano_rank_{c * 16}{suffix}" for c in "01")
+    keep.write_bytes(b"")
+    shutil.copy(k._KERNEL.__file__, held)
+    aged = time.time() - 120
+    os.utime(held, (aged, aged))
+    holder = (f"import sys, trajindex.kernel as k; h = k._hold(__import__('pathlib').Path({str(held)!r})); "
+              "print(h is not None, flush=True); sys.stdin.read()")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.Popen([sys.executable, "-c", holder], env=env, stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline().strip() == "True"
+        k._remove_unheld(tmp_path, keep, suffix)
+        assert held.exists()
+    finally:
+        child.stdin.close()
+        assert child.wait(timeout=120) == 0
+    with monkeypatch.context() as m:
+        m.setattr(k, "fcntl", None)
+        k._remove_unheld(tmp_path, keep, suffix)
+        assert held.exists()
+    k._remove_unheld(tmp_path, keep, suffix)
+    assert sorted(tmp_path.iterdir()) == [keep]
+
+
 def test_package_data_holds_every_kernel_file():
     """An installed package compiles its kernels at the first import, so the
     package data in ``pyproject.toml`` must take every file ``kernel.py``

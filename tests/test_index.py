@@ -361,7 +361,7 @@ class TestEndToEnd:
                     return getattr(self.own, name)(*args)
                 return call
 
-        for module in (trajindex.index, trajindex.rtree, trajindex.temporal.iis, trajindex.eliasfano):
+        for module in (trajindex.temporal.base, trajindex.rtree, trajindex.temporal.iis, trajindex.eliasfano):
             monkeypatch.setattr(module, "lib", Counting(module.lib))
         net = jittered_network(2)
         records = gen_trajectories(net, 10, 20.0, seed=3)
@@ -1021,6 +1021,31 @@ class TestStats:
         assert stats.total_bytes == stats.spatial_bytes + stats.temporal_bytes + stats.data_bytes
         assert sum(stats.records_per_object.values()) == len(records)
         assert set(stats.iis_set_counts) == set(stats.per_segment_records)
+
+    @pytest.mark.parametrize("backend", list(BACKENDS))
+    def test_accounting_of_built_and_reloaded(self, tmp_path, backend):
+        """Every backend's level owns the segment offsets: the index keeps
+        none, they are the prefix sums of the record counts the file holds,
+        and the record table is 20 bytes a record."""
+        net = gen_grid_network(6, 6)
+        records = gen_trajectories(net, 15, 30.0, seed=5)
+        index = TrajIndex.build(net, records, TrajIndexConfig(temporal_backend=backend, scale=ScaleConfig(4)))
+        path = tmp_path / "x.tjix"
+        index.save(os.fspath(path))
+        data = path.read_bytes()
+        n_nodes, n_edges = struct.unpack_from("<II", data, 10)
+        at = 18 + 16 * n_nodes + 8 * n_edges
+        at += 8 + struct.unpack_from("<Q", data, at)[0]  # past the R-tree block
+        counts = np.frombuffer(data, "<u4", n_edges, at)
+        loaded = TrajIndex.load(os.fspath(path))
+        assert loaded.stats() == index.stats()
+        for idx in (index, loaded):
+            assert "seg_rows" not in vars(idx)
+            assert idx.seg_rows.tolist() == [0, *np.cumsum(counts).tolist()]
+            stats = idx.stats()
+            assert stats.data_bytes == 20 * stats.record_count == 20 * len(records)
+            assert stats.total_bytes == stats.spatial_bytes + stats.temporal_bytes + stats.data_bytes
+            assert bool(stats.iis_set_counts) == (backend == "iis")
 
     def test_generated_load_is_skewed(self):
         net = gen_grid_network(20, 20)
